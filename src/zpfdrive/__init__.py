@@ -19,6 +19,7 @@ from .material import (
     ImproperRotationError,
     MagnetoElectricTensor,
     Particle,
+    ParticleState,
     chi_effective,
     particle_mass,
     polarization,

@@ -16,6 +16,8 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
+import numpy as np
+
 from . import dynamics, material, mission, vacuum
 from .quantities import Quantity, unit_string
 
@@ -131,21 +133,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_maneuver(d: dict) -> dynamics.Maneuver:
+def _load_json_list(path: str, what: str) -> list:
+    with open(path) as fh:
+        try:
+            records = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: expected a JSON list of {what}, got {type(records).__name__}")
+    return records
+
+
+def _field(d: dict, key: str, convert=float):
+    if key not in d:
+        raise ValueError(f"missing field {key!r}")
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
+
+
+def _vector3(v: object) -> list[float]:
+    a = np.array(v, dtype=float)
+    if a.shape != (3,):
+        raise ValueError(f"expected 3 numbers, got {v!r}")
+    return a.tolist()
+
+
+def _load_maneuver(d: object) -> dynamics.Maneuver:
+    if not isinstance(d, dict):
+        raise ValueError(f"expected an object, got {type(d).__name__}")
     kind = d.get("type")
     if kind == "rotation":
-        return dynamics.Rotation(axis=d["axis"], angle=float(d["angle_rad"]))
+        return dynamics.Rotation(axis=_field(d, "axis", _vector3), angle=_field(d, "angle_rad"))
     if kind == "aggregation":
         return dynamics.Aggregation(
-            n=float(d["N"]), size_a=float(d["a_m"]), direction=d["direction"]
+            n=_field(d, "N"), size_a=_field(d, "a_m"), direction=_field(d, "direction", _vector3)
         )
     if kind == "field_modulation":
-        return dynamics.FieldModulation(series=dynamics.FieldTimeSeries.from_csv(d["series_csv"]))
+        path = _field(d, "series_csv", str)
+        try:
+            series = dynamics.FieldTimeSeries.from_csv(path)
+        except (ValueError, OSError) as exc:
+            raise ValueError(f"field 'series_csv': {path}: {exc}") from None
+        return dynamics.FieldModulation(series=series)
     if kind == "cavity_modulation":
         return dynamics.CavityModulation(
-            db2_dt=float(d["dB2_dt"]), duration=float(d["duration_s"])
+            db2_dt=_field(d, "dB2_dt"), duration=_field(d, "duration_s")
         )
-    raise ValueError(f"unknown maneuver type {kind!r}")
+    raise ValueError(f"field 'type': unknown maneuver type {kind!r}")
 
 
 def _cmd_delta_v_rot(args) -> int:
@@ -215,6 +251,7 @@ def _cmd_force_decompose(args) -> int:
         epsilon=args.epsilon,
     )
     dec = dynamics.force_decomposed(particle, series)
+    total = dec.total  # a property that sums three arrays: read it once
     if args.format == "json":
         text = json.dumps(
             {
@@ -222,7 +259,7 @@ def _cmd_force_decompose(args) -> int:
                 "f_dielectric": [float(x) for x in dec.dielectric],
                 "f_magnetoelectric": [float(x) for x in dec.magnetoelectric],
                 "f_chi_rate": [float(x) for x in dec.chi_rate],
-                "f_total": [float(x) for x in dec.total],
+                "f_total": [float(x) for x in total],
             }
         )
     else:
@@ -236,7 +273,7 @@ def _cmd_force_decompose(args) -> int:
                         dec.dielectric[i],
                         dec.magnetoelectric[i],
                         dec.chi_rate[i],
-                        dec.total[i],
+                        total[i],
                     )
                 )
             )
@@ -319,12 +356,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ledger(args) -> int:
-    with open(args.particles) as fh:
-        particles = [material.particle_from_dict(d) for d in json.load(fh)]
-    with open(args.maneuvers) as fh:
-        maneuvers = [_load_maneuver(d) for d in json.load(fh)]
+    records = _load_json_list(args.particles, "particles")
+    try:
+        state = material.ParticleState.from_dicts(records)
+    except ValueError as exc:
+        raise ValueError(f"{args.particles}: {exc}") from None
+    maneuvers = []
+    for i, d in enumerate(_load_json_list(args.maneuvers, "maneuvers")):
+        try:
+            maneuvers.append(_load_maneuver(d))
+        except ValueError as exc:
+            raise ValueError(f"{args.maneuvers}: maneuver {i}: {exc}") from None
     model = vacuum.VacuumModel(prefactor_a=args.A)
-    ledger = dynamics.run_maneuver_sequence(particles, maneuvers, args.m_total, model)
+    ledger = dynamics.run_maneuver_sequence(state, maneuvers, args.m_total, model)
     if args.format == "json":
         text = json.dumps(ledger.entry_dicts())
         if args.out:

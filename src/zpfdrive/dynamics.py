@@ -17,7 +17,10 @@ a rotation transfers the change of stored vacuum momentum A*hbar*dchi/a, an
 aggregation of N size-a units into one size-L body (L = N^(1/3) a) transfers
 the stored-momentum difference, and the two external-driving channels book
 their time-integrated force.  Every ledger entry balances particle and
-vacuum momentum exactly.
+vacuum momentum exactly.  A maneuver sequence runs over a
+:class:`~zpfdrive.material.ParticleState`: each maneuver is a few array
+operations over all particles, and per-particle terms are summed in particle
+order, as a scalar loop would sum them.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .material import Particle, rotation_about
+from .material import Particle, ParticleState, rotation_about
 from .quantities import HBAR_J_S, LENGTH, MASS, MASS_DENSITY, VELOCITY, Quantity, si_value
-from .vacuum import VacuumModel, vacuum_momentum_closed_form
+from .vacuum import VacuumModel, stored_momentum
 
 __all__ = [
     "FieldTimeSeries",
@@ -61,6 +64,9 @@ CONSERVATION_RTOL = 1e-12
 
 # distinguished axis dual to the (x, y) tensor component pair
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+# particle rows x samples evaluated at once when booking a field modulation
+_BLOCK_VALUES = 1 << 14
 
 
 class SeriesFormatError(ValueError):
@@ -112,31 +118,30 @@ class FieldTimeSeries:
         if not np.all(steps > 0):
             raise SeriesFormatError("time samples must be strictly increasing")
         dt = steps[0]
-        if np.max(np.abs(steps - dt)) > 1e-9 * dt:
+        # relative to dt, plus the rounding of the time stamps themselves
+        tol = 1e-9 * dt + 4.0 * np.finfo(float).eps * np.max(np.abs(self.t))
+        if np.max(np.abs(steps - dt)) > tol:
             raise SeriesFormatError("time samples must be uniformly spaced")
 
     @property
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
 
-    @property
-    def has_chi_params(self) -> bool:
-        return self.chi0_xy is not None
-
-    def chi_samples(self, p: Particle) -> np.ndarray:
-        """Effective chi_xy(t), from the series params or the particle's."""
+    def chi_samples(self, p: Particle | None) -> np.ndarray:
+        """Effective chi_xy(t), from the series params or else the particle's."""
         if self.chi0_xy is not None:
-            k1 = self.kappa1 if self.kappa1 is not None else 0.0
-            k2 = self.kappa2 if self.kappa2 is not None else 0.0
-            k3 = self.kappa3 if self.kappa3 is not None else 0.0
-            return self.chi0_xy + k1 * self.e_x * self.b_y + k2 * self.e_x + k3 * self.b_y
+            k1, k2, k3 = (0.0 if k is None else k for k in (self.kappa1, self.kappa2, self.kappa3))
+            return self.chi_response(self.chi0_xy, k1, k2, k3)
         t = p.oriented_tensor
-        return (
-            t.chi0_xy
-            + t.kappa1 * self.e_x * self.b_y
-            + t.kappa2 * self.e_x
-            + t.kappa3 * self.b_y
-        )
+        return self.chi_response(t.chi0_xy, t.kappa1, t.kappa2, t.kappa3)
+
+    def chi_response(self, chi0_xy, kappa1, kappa2, kappa3) -> np.ndarray:
+        """chi0_xy + kappa1*E_x*B_y + kappa2*E_x + kappa3*B_y over the samples.
+
+        Parameters broadcast against the sample axis: (N, 1) columns give one
+        row per particle.
+        """
+        return chi0_xy + kappa1 * self.e_x * self.b_y + kappa2 * self.e_x + kappa3 * self.b_y
 
     # CSV columns: t_s, E_x, B_y, chi0_xy, kappa1, kappa2, kappa3
     # (chi columns optional; kappas only with chi0_xy, defaulting to 0)
@@ -209,8 +214,8 @@ class FieldTimeSeries:
 
 
 def _ddt(y: np.ndarray, dt: float) -> np.ndarray:
-    """Central differences, first-order one-sided at the endpoints."""
-    return np.gradient(y, dt, edge_order=1)
+    """Central differences along the last axis, first-order one-sided at the endpoints."""
+    return np.gradient(y, dt, axis=-1, edge_order=1)
 
 
 def force_direct(p: Particle, s: FieldTimeSeries) -> np.ndarray:
@@ -245,12 +250,18 @@ class ForceDecomposition:
 
 def force_decomposed(p: Particle, s: FieldTimeSeries) -> ForceDecomposition:
     chi = s.chi_samples(p)
-    dt = s.dt
+    magnetoelectric, chi_rate = _vacuum_terms(chi, s)
     return ForceDecomposition(
-        dielectric=s.b_y * _ddt(p.epsilon * s.e_x, dt),
-        magnetoelectric=chi * 0.5 * _ddt(s.b_y**2, dt),
-        chi_rate=s.b_y**2 * _ddt(chi, dt),
+        dielectric=s.b_y * _ddt(p.epsilon * s.e_x, s.dt),
+        magnetoelectric=magnetoelectric,
+        chi_rate=chi_rate,
     )
+
+
+def _vacuum_terms(chi: np.ndarray, s: FieldTimeSeries) -> tuple[np.ndarray, np.ndarray]:
+    """chi * (1/2) d(B^2)/dt and B^2 * dchi/dt; ``chi`` is (..., samples)."""
+    dt = s.dt
+    return chi * 0.5 * _ddt(s.b_y**2, dt), s.b_y**2 * _ddt(chi, dt)
 
 
 def channel_cavity(chi_xy, db2_dt, duration):
@@ -468,54 +479,65 @@ class ManeuverError(ValueError):
         self.cause = cause
 
 
+def _ordered_sum(terms: np.ndarray) -> float:
+    """``total = 0.0; for x in terms: total += x``, bit for bit."""
+    if terms.size == 0:
+        return 0.0
+    # cumsum adds strictly left to right; 0.0 + turns an all-zero -0.0 into 0.0
+    return 0.0 + float(np.cumsum(terms)[-1])
+
+
 def _book_rotation(
-    particles: list[Particle], mv: Rotation, model: VacuumModel
-) -> tuple[list[Particle], np.ndarray]:
-    r = rotation_about(mv.axis, mv.angle)
-    rotated = [p.rotated(r) for p in particles]
-    dp_vac = 0.0
-    for before, after in zip(particles, rotated):
-        p_before = vacuum_momentum_closed_form(before.chi0_xy, before.size_a, model)
-        p_after = vacuum_momentum_closed_form(after.chi0_xy, after.size_a, model)
-        dp_vac += p_after.value - p_before.value
-    return rotated, dp_vac * _Z_AXIS
+    state: ParticleState, mv: Rotation, model: VacuumModel
+) -> tuple[ParticleState, np.ndarray]:
+    after = state.rotated(rotation_about(mv.axis, mv.angle))
+    p_before = stored_momentum(state.chi0_xy, state.size_a, model)
+    p_after = stored_momentum(after.chi0_xy, after.size_a, model)
+    return after, _ordered_sum(p_after - p_before) * _Z_AXIS
 
 
-def _book_aggregation(
-    particles: list[Particle], mv: Aggregation, model: VacuumModel
-) -> np.ndarray:
+def _book_aggregation(state: ParticleState, mv: Aggregation, model: VacuumModel) -> np.ndarray:
+    # the size comes from the maneuver, and the state is left unchanged
     big_l = mv.n ** (1.0 / 3.0) * mv.size_a
-    dp_vac_mag = 0.0
-    for p in particles:
-        stored_before = mv.n * vacuum_momentum_closed_form(p.chi0_xy, mv.size_a, model).value
-        stored_after = vacuum_momentum_closed_form(p.chi0_xy, big_l, model).value
-        dp_vac_mag += stored_after - stored_before
-    return dp_vac_mag * mv.direction
+    stored_before = mv.n * stored_momentum(state.chi0_xy, mv.size_a, model)
+    stored_after = stored_momentum(state.chi0_xy, big_l, model)
+    return _ordered_sum(stored_after - stored_before) * mv.direction
 
 
-def _book_field_modulation(particles: list[Particle], mv: FieldModulation) -> np.ndarray:
-    impulse = 0.0
-    for p in particles:
-        decomposition = force_decomposed(p, mv.series)
-        impulse += float(np.trapezoid(decomposition.quantum, dx=mv.series.dt))
-    return -impulse * _Z_AXIS  # vacuum side; particles gain +impulse
+def _book_field_modulation(state: ParticleState, mv: FieldModulation) -> np.ndarray:
+    s = mv.series
+    if s.chi0_xy is not None:  # the series' params override every particle's
+        per_particle = np.full(len(state), _quantum_impulse(s.chi_samples(None), s))
+    else:
+        per_particle = np.empty(len(state))
+        rows = max(1, _BLOCK_VALUES // s.t.size)
+        for lo in range(0, len(state), rows):
+            block = slice(lo, lo + rows)
+            k = state.kappa[block]
+            chi = s.chi_response(state.chi0_xy[block, None], k[:, 0:1], k[:, 1:2], k[:, 2:3])
+            per_particle[block] = _quantum_impulse(chi, s)
+    return -_ordered_sum(per_particle) * _Z_AXIS  # vacuum side; particles gain +impulse
 
 
-def _book_cavity(particles: list[Particle], mv: CavityModulation) -> np.ndarray:
-    impulse = 0.0
-    for p in particles:
-        impulse += channel_cavity(p.chi0_xy, mv.db2_dt, mv.duration)
-    return -impulse * _Z_AXIS
+def _quantum_impulse(chi: np.ndarray, s: FieldTimeSeries) -> np.ndarray:
+    """Time integral of the two vacuum-capable force terms, per row of ``chi``."""
+    magnetoelectric, chi_rate = _vacuum_terms(chi, s)
+    return np.trapezoid(magnetoelectric + chi_rate, dx=s.dt, axis=-1)
+
+
+def _book_cavity(state: ParticleState, mv: CavityModulation) -> np.ndarray:
+    return -_ordered_sum(channel_cavity(state.chi0_xy, mv.db2_dt, mv.duration)) * _Z_AXIS
 
 
 def run_maneuver_sequence(
-    particles: Sequence[Particle],
+    particles: Union[Sequence[Particle], ParticleState],
     maneuvers: Sequence[Maneuver],
     m_total: Union[Quantity, float],
     model: VacuumModel,
 ) -> ImpulseLedger:
     """Apply maneuvers in order, booking each into a conservation-checked ledger.
 
+    The particles are converted to one :class:`ParticleState` up front.
     Rotations update particle orientations; every entry books the vacuum
     momentum change and its exact opposite on the particle side.  On
     failure raises :class:`ManeuverError` carrying the index of the
@@ -523,20 +545,24 @@ def run_maneuver_sequence(
     """
     m_total_si = si_value(m_total, MASS, "m_total")
     ledger = ImpulseLedger(m_total_si)
-    current = list(particles)
+    state = (
+        particles
+        if isinstance(particles, ParticleState)
+        else ParticleState.from_particles(particles)
+    )
     for idx, mv in enumerate(maneuvers):
         try:
             if isinstance(mv, Rotation):
-                current, dp_vac = _book_rotation(current, mv, model)
+                state, dp_vac = _book_rotation(state, mv, model)
                 kind = "rotation"
             elif isinstance(mv, Aggregation):
-                dp_vac = _book_aggregation(current, mv, model)
+                dp_vac = _book_aggregation(state, mv, model)
                 kind = "aggregation"
             elif isinstance(mv, FieldModulation):
-                dp_vac = _book_field_modulation(current, mv)
+                dp_vac = _book_field_modulation(state, mv)
                 kind = "field_modulation"
             elif isinstance(mv, CavityModulation):
-                dp_vac = _book_cavity(current, mv)
+                dp_vac = _book_cavity(state, mv)
                 kind = "cavity_modulation"
             else:
                 raise TypeError(f"unknown maneuver type {type(mv).__name__}")

@@ -13,12 +13,17 @@ kappa coefficients are deliberately carried through unchanged (no
 transformation law is defined for them here), and improper rotations are
 rejected because the parity behaviour of a magneto-electric pseudo-tensor is
 not modeled.
+
+:class:`ParticleState` holds many particles as arrays (struct of arrays) for
+the maneuver ledger: it is validated once at construction, and a rotation or a
+lab-frame read is a few batched numpy operations over all particles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +35,7 @@ __all__ = [
     "ImproperRotationError",
     "MagnetoElectricTensor",
     "Particle",
+    "ParticleState",
     "rotation_about",
     "rotate_tensor",
     "chi_effective",
@@ -158,12 +164,166 @@ class Particle:
         """
         m = np.asarray(r, dtype=float)
         _check_proper_rotation(m)
-        composed = m @ self.orientation
-        u, _, vt = np.linalg.svd(composed)
-        nearest = u @ vt
-        if np.linalg.det(nearest) < 0:  # numerically safe: inputs are proper
-            nearest = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-        return replace(self, orientation=nearest)
+        return replace(self, orientation=_nearest_rotation(m @ self.orientation))
+
+
+_FLIP_Z = np.diag([1.0, 1.0, -1.0])
+
+
+def _nearest_rotation(composed: np.ndarray) -> np.ndarray:
+    """Nearest proper rotation (SVD) of a 3x3 matrix or of each in a stack."""
+    u, _, vt = np.linalg.svd(composed)
+    nearest = u @ vt
+    improper = np.linalg.det(nearest) < 0  # numerically safe: inputs are proper
+    if np.any(improper):
+        nearest[improper] = u[improper] @ _FLIP_Z @ vt[improper]
+    return nearest
+
+
+def _reject_first(bad: np.ndarray, message: str) -> None:
+    if np.any(bad):
+        raise ValueError(f"particle {int(np.argmax(bad))}: {message}")
+
+
+def _check_proper_rotations(r: np.ndarray) -> None:
+    """:func:`_check_proper_rotation` over an (N, 3, 3) stack, naming the index."""
+    gram_error = np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3)).max(axis=(1, 2))
+    det_error = np.abs(np.linalg.det(r) - 1.0)
+    for i in np.flatnonzero((gram_error > ORTHOGONALITY_TOL) | (det_error > ORTHOGONALITY_TOL)):
+        try:
+            _check_proper_rotation(r[i])
+        except ValueError as exc:
+            raise type(exc)(f"particle {i}: {exc}") from None
+
+
+# (field, per-particle shape) of ParticleState, in validation order
+_STATE_FIELDS = (
+    ("size_a", ()),
+    ("density", ()),
+    ("epsilon", ()),
+    ("chi0", (3, 3)),
+    ("kappa", (3,)),
+    ("orientation", (3, 3)),
+)
+
+
+@dataclass(frozen=True, eq=False)
+class ParticleState:
+    """N particles as arrays: what a list of :class:`Particle` holds, per field.
+
+    Construction converts and checks every field batched, with the checks of
+    :class:`Particle` and :class:`MagnetoElectricTensor`; an error names the
+    particle index.  The arrays are read-only, so a valid state stays valid.
+    """
+
+    size_a: np.ndarray  # (N,) m
+    density: np.ndarray  # (N,) kg/m^3
+    epsilon: np.ndarray  # (N,) linear dielectric constant
+    chi0: np.ndarray  # (N, 3, 3) intrinsic tensor, body frame
+    kappa: np.ndarray  # (N, 3) kappa1, kappa2, kappa3
+    orientation: np.ndarray  # (N, 3, 3) proper rotations, body to lab
+
+    def __post_init__(self) -> None:
+        n = np.shape(self.size_a)[0] if np.ndim(self.size_a) == 1 else -1
+        for name, shape in _STATE_FIELDS:
+            a = np.array(getattr(self, name), dtype=float)
+            if n < 0 or a.shape != (n, *shape):
+                raise ValueError(f"{name} must be N arrays of shape {shape}, got {a.shape}")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        _reject_first(~(self.size_a > 0), "size_a must be positive")
+        _reject_first(~(self.density > 0), "density must be positive")
+        _reject_first(~(self.epsilon >= 1.0), "epsilon must be >= 1")
+        _reject_first(~np.isfinite(self.chi0).all(axis=(1, 2)), "chi0 entries must be finite")
+        _reject_first(
+            np.abs(self.chi0).max(axis=(1, 2)) > CHI0_SANITY_BOUND,
+            f"|chi0| entries exceed sanity bound {CHI0_SANITY_BOUND}",
+        )
+        _reject_first(~np.isfinite(self.kappa).all(axis=1), "kappas must be finite")
+        _reject_first(
+            ~np.isfinite(self.orientation).all(axis=(1, 2)), "orientation entries must be finite"
+        )
+        _check_proper_rotations(self.orientation)
+
+    def __len__(self) -> int:
+        return self.size_a.shape[0]
+
+    @classmethod
+    def from_particles(cls, particles: Sequence[Particle]) -> "ParticleState":
+        ps = list(particles)
+        n = len(ps)
+        return cls(
+            size_a=[p.size_a for p in ps],
+            density=[p.density_rho for p in ps],
+            epsilon=[p.epsilon for p in ps],
+            chi0=np.reshape([p.tensor.chi0 for p in ps], (n, 3, 3)),
+            kappa=np.reshape(
+                [(p.tensor.kappa1, p.tensor.kappa2, p.tensor.kappa3) for p in ps], (n, 3)
+            ),
+            orientation=np.reshape([p.orientation for p in ps], (n, 3, 3)),
+        )
+
+    @classmethod
+    def from_dicts(cls, records: Sequence[object]) -> "ParticleState":
+        """State from records in the :func:`particle_to_dict` schema.
+
+        Fields and defaults are those of :func:`particle_from_dict` (one
+        table, ``_RECORD_SCALARS``); an error names the record's index and
+        field.
+        """
+        scalars: dict[str, list[float]] = {key: [] for key in _RECORD_SCALARS}
+        chi0s, orientations = [], []
+        for i, d in enumerate(records):
+            if not isinstance(d, Mapping):
+                raise ValueError(f"particle {i}: expected an object, got {type(d).__name__}")
+            try:
+                for key in _RECORD_SCALARS:
+                    scalars[key].append(_record_float(d, key))
+                chi0s.append(_required(d, "chi0"))
+            except ValueError as exc:
+                raise ValueError(f"particle {i}: {exc}") from None
+            orientations.append(_record_orientation(d))
+        return cls(
+            size_a=scalars["size_a_m"],
+            density=scalars["density_kg_m3"],
+            epsilon=scalars["epsilon"],
+            chi0=_matrix_column(chi0s, "chi0"),
+            kappa=np.array([scalars[k] for k in ("kappa1", "kappa2", "kappa3")]).T,
+            orientation=_matrix_column(orientations, "orientation"),
+        )
+
+    @cached_property
+    def chi0_xy(self) -> np.ndarray:
+        """Lab-frame intrinsic xy components: one batched R chi0 R^T."""
+        lab = self.orientation @ self.chi0 @ np.swapaxes(self.orientation, 1, 2)
+        _reject_first(
+            np.abs(lab).max(axis=(1, 2)) > CHI0_SANITY_BOUND,
+            f"lab-frame |chi0| entries exceed sanity bound {CHI0_SANITY_BOUND}",
+        )
+        xy = lab[:, 0, 1].copy()
+        xy.flags.writeable = False
+        return xy
+
+    def rotated(self, r: np.ndarray) -> "ParticleState":
+        """State after rotating every particle by ``r`` (see :meth:`Particle.rotated`)."""
+        m = np.asarray(r, dtype=float)
+        _check_proper_rotation(m)
+        return replace(self, orientation=_nearest_rotation(m @ self.orientation))
+
+
+def _matrix_column(values: list, key: str) -> np.ndarray:
+    """(N, 3, 3) from per-record 9-entry lists, flat or nested."""
+    try:
+        return np.array(values, dtype=float).reshape(len(values), 3, 3)
+    except (TypeError, ValueError):
+        pass  # ragged or malformed: convert record by record to find it
+    rows = []
+    for i, v in enumerate(values):
+        try:
+            rows.append(np.array(v, dtype=float).reshape(3, 3))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"particle {i}: field {key!r}: {exc}") from None
+    return np.array(rows)
 
 
 def rotation_about(axis: object, angle: float) -> np.ndarray:
@@ -219,6 +379,40 @@ def particle_mass(p: Particle) -> Quantity:
 
 # -- JSON serialization ------------------------------------------------------
 
+# Particle record schema, shared by the parsers below and
+# ParticleState.from_dicts.  Scalar fields with their defaults (None marks a
+# required field); "chi0" (9 entries) is required, and a missing or null
+# "orientation" means the identity.
+_RECORD_SCALARS = {
+    "size_a_m": None,
+    "density_kg_m3": None,
+    "epsilon": 1.0,
+    "kappa1": 0.0,
+    "kappa2": 0.0,
+    "kappa3": 0.0,
+}
+_IDENTITY = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+
+
+def _required(d: Mapping, key: str) -> object:
+    if key not in d:
+        raise ValueError(f"missing field {key!r}")
+    return d[key]
+
+
+def _record_float(d: Mapping, key: str) -> float:
+    default = _RECORD_SCALARS[key]
+    value = _required(d, key) if default is None else d.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
+
+
+def _record_orientation(d: Mapping) -> object:
+    orientation = d.get("orientation")
+    return _IDENTITY if orientation is None else orientation
+
 
 def tensor_to_dict(t: MagnetoElectricTensor) -> dict:
     return {
@@ -231,10 +425,10 @@ def tensor_to_dict(t: MagnetoElectricTensor) -> dict:
 
 def tensor_from_dict(d: Mapping) -> MagnetoElectricTensor:
     return MagnetoElectricTensor(
-        chi0=np.array(d["chi0"], dtype=float).reshape(3, 3),
-        kappa1=float(d.get("kappa1", 0.0)),
-        kappa2=float(d.get("kappa2", 0.0)),
-        kappa3=float(d.get("kappa3", 0.0)),
+        chi0=np.array(_required(d, "chi0"), dtype=float).reshape(3, 3),
+        kappa1=_record_float(d, "kappa1"),
+        kappa2=_record_float(d, "kappa2"),
+        kappa3=_record_float(d, "kappa3"),
     )
 
 
@@ -252,15 +446,10 @@ def particle_to_dict(p: Particle) -> dict:
 
 
 def particle_from_dict(d: Mapping) -> Particle:
-    orientation = d.get("orientation")
     return Particle(
-        size_a=float(d["size_a_m"]),
-        density_rho=float(d["density_kg_m3"]),
+        size_a=_record_float(d, "size_a_m"),
+        density_rho=_record_float(d, "density_kg_m3"),
         tensor=tensor_from_dict(d),
-        orientation=(
-            np.array(orientation, dtype=float).reshape(3, 3)
-            if orientation is not None
-            else np.eye(3)
-        ),
-        epsilon=float(d.get("epsilon", 1.0)),
+        orientation=np.array(_record_orientation(d), dtype=float).reshape(3, 3),
+        epsilon=_record_float(d, "epsilon"),
     )

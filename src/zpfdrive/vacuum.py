@@ -52,6 +52,7 @@ __all__ = [
     "ModeGrid",
     "vacuum_b_squared",
     "vacuum_momentum_closed_form",
+    "stored_momentum",
     "mode_sum_oracle",
     "convergence_study",
     "ORACLE_CSV_HEADER",
@@ -145,7 +146,16 @@ def vacuum_momentum_closed_form(
     a_m = si_value(a, LENGTH, "a")
     if not (a_m > 0):
         raise ValueError("size must be positive")
-    return Quantity(model.prefactor_a * HBAR_J_S * chi_xy / a_m, MOMENTUM)
+    return Quantity(stored_momentum(chi_xy, a_m, model), MOMENTUM)
+
+
+def stored_momentum(chi_xy, a_m, model: VacuumModel):
+    """A * hbar * chi / a in kg m/s, elementwise over floats or arrays.
+
+    The unchecked kernel of :func:`vacuum_momentum_closed_form`, for callers
+    whose sizes are already validated (e.g. a :class:`ParticleState`).
+    """
+    return model.prefactor_a * HBAR_J_S * chi_xy / a_m
 
 
 def _slab_geometry_sums(grid: ModeGrid) -> Iterable[float]:

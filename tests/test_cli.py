@@ -180,6 +180,16 @@ class TestDataCommands:
             "t_s", "f_dielectric", "f_magnetoelectric", "f_chi_rate", "f_total",
         }
 
+    def test_force_decompose_text_and_json_agree(self, capsys, series_file):
+        argv = ["force-decompose", "--series", series_file, "--chi", "1e-3", "--epsilon", "2"]
+        _, text, _ = run_cli(capsys, *argv)
+        _, js, _ = run_cli(capsys, *argv, "--format", "json")
+        header, *rows = text.strip().splitlines()
+        payload = json.loads(js)
+        columns = zip(*[[float(x) for x in row.split(",")] for row in rows])
+        for name, column in zip(header.split(","), columns):
+            assert list(column) == payload[name], name
+
     def test_ledger(self, capsys, tmp_path):
         particles_path = tmp_path / "particles.json"
         particle = Particle(1e-9, 1000.0, MagnetoElectricTensor.from_xy(1e-3))
@@ -207,6 +217,40 @@ class TestDataCommands:
         first = json.loads(lines[0])
         assert first["type"] == "rotation"
         assert len(first["cumulative_v"]) == 3
+
+
+class TestLedgerInputErrors:
+    """A malformed particle or maneuver file ends in one error line, exit 1."""
+
+    ROTATION = {"type": "rotation", "axis": [1, 0, 0], "angle_rad": 1.0}
+
+    def run_ledger(self, capsys, tmp_path, particles, maneuvers):
+        good = particle_to_dict(Particle(1e-9, 1000.0, MagnetoElectricTensor.from_xy(1e-3)))
+        p_path, m_path = tmp_path / "particles.json", tmp_path / "maneuvers.json"
+        p_path.write_text(json.dumps([good if p is None else p for p in particles]))
+        m_path.write_text(json.dumps(maneuvers))
+        code, out, err = run_cli(
+            capsys, "ledger", "--particles", str(p_path), "--maneuvers", str(m_path),
+            "--M-total", "1.0",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_null_count(self, capsys, tmp_path):
+        aggregation = {"type": "aggregation", "N": None, "a_m": 1e-9, "direction": [0, 0, 1]}
+        err = self.run_ledger(capsys, tmp_path, [None], [self.ROTATION, aggregation])
+        assert "maneuvers.json: maneuver 1: field 'N'" in err
+
+    def test_particle_that_is_not_an_object(self, capsys, tmp_path):
+        err = self.run_ledger(capsys, tmp_path, [None, "oops"], [self.ROTATION])
+        assert "particles.json: particle 1: expected an object, got str" in err
+
+    def test_missing_angle(self, capsys, tmp_path):
+        rotation = {"type": "rotation", "axis": [1, 0, 0]}
+        err = self.run_ledger(capsys, tmp_path, [None], [self.ROTATION, rotation])
+        assert "maneuvers.json: maneuver 1: missing field 'angle_rad'" in err
 
 
 class TestCliContract:

@@ -1,10 +1,11 @@
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpfdrive.dynamics import (
@@ -25,9 +26,14 @@ from zpfdrive.dynamics import (
     payload_delta_v,
     run_maneuver_sequence,
 )
-from zpfdrive.material import MagnetoElectricTensor, Particle
+from zpfdrive.material import MagnetoElectricTensor, Particle, ParticleState, rotation_about
 from zpfdrive.quantities import HBAR_J_S, VELOCITY, Quantity
-from zpfdrive.vacuum import VacuumModel, vacuum_b_squared
+from zpfdrive.vacuum import (
+    VacuumModel,
+    stored_momentum,
+    vacuum_b_squared,
+    vacuum_momentum_closed_form,
+)
 
 
 def particle(chi=1e-3, a=1e-9, rho=1000.0, eps=1.0, **kappas):
@@ -59,6 +65,18 @@ class TestFieldTimeSeries:
                 e_x=np.array([0.0, np.nan, 0.0]),
                 b_y=np.zeros(3),
             )
+
+    def test_uniform_series_far_from_zero_accepted(self):
+        # float spacing of t near 1e6 s is ~1e-7 of a 1 ms step
+        t = 1e6 + 1e-3 * np.arange(1000)
+        s = FieldTimeSeries(t=t, e_x=np.zeros(1000), b_y=np.ones(1000))
+        assert s.dt == pytest.approx(1e-3, rel=1e-6)
+
+    def test_non_uniform_series_far_from_zero_rejected(self):
+        t = 1e6 + 1e-3 * np.arange(1000)
+        t[500:] += 1e-6  # one step 0.1% long
+        with pytest.raises(SeriesFormatError, match="uniformly spaced"):
+            FieldTimeSeries(t=t, e_x=np.zeros(1000), b_y=np.ones(1000))
 
     def test_kappa_without_chi_rejected(self):
         with pytest.raises(SeriesFormatError):
@@ -459,3 +477,198 @@ class TestManeuverSequence:
         ledger = ImpulseLedger(1.0)
         with pytest.raises(ValueError):
             ledger.append("rotation", np.array([1.0, 0, 0]), np.array([-0.5, 0, 0]))
+
+
+# -- the array ledger against a per-particle reference ---------------------------
+
+_Z = np.array([0.0, 0.0, 1.0])
+
+
+def _reference_rotated(p, r):
+    u, _, vt = np.linalg.svd(r @ p.orientation)
+    nearest = u @ vt
+    if np.linalg.det(nearest) < 0:
+        nearest = u @ np.diag([1.0, 1.0, -1.0]) @ vt
+    return Particle(p.size_a, p.density_rho, p.tensor, nearest, p.epsilon)
+
+
+def _reference_quantum_impulse(p, s):
+    if s.chi0_xy is not None:
+        k1, k2, k3 = (0.0 if k is None else k for k in (s.kappa1, s.kappa2, s.kappa3))
+        chi = s.chi0_xy + k1 * s.e_x * s.b_y + k2 * s.e_x + k3 * s.b_y
+    else:
+        t = p.oriented_tensor
+        chi = t.chi0_xy + t.kappa1 * s.e_x * s.b_y + t.kappa2 * s.e_x + t.kappa3 * s.b_y
+    magnetoelectric = chi * 0.5 * np.gradient(s.b_y**2, s.dt, edge_order=1)
+    chi_rate = s.b_y**2 * np.gradient(chi, s.dt, edge_order=1)
+    return float(np.trapezoid(magnetoelectric + chi_rate, dx=s.dt))
+
+
+def reference_ledger(particles, maneuvers, m_total, model):
+    """One Particle object per particle, each term added in particle order."""
+    ledger = ImpulseLedger(m_total)
+    current = list(particles)
+    for mv in maneuvers:
+        total = 0.0
+        if isinstance(mv, Rotation):
+            r = rotation_about(mv.axis, mv.angle)
+            rotated = [_reference_rotated(p, r) for p in current]
+            for before, after in zip(current, rotated):
+                p_before = vacuum_momentum_closed_form(before.chi0_xy, before.size_a, model)
+                p_after = vacuum_momentum_closed_form(after.chi0_xy, after.size_a, model)
+                total += p_after.value - p_before.value
+            current = rotated
+            kind, dp_vac = "rotation", total * _Z
+        elif isinstance(mv, Aggregation):
+            big_l = mv.n ** (1.0 / 3.0) * mv.size_a
+            for p in current:
+                before = mv.n * vacuum_momentum_closed_form(p.chi0_xy, mv.size_a, model).value
+                after = vacuum_momentum_closed_form(p.chi0_xy, big_l, model).value
+                total += after - before
+            kind, dp_vac = "aggregation", total * mv.direction
+        elif isinstance(mv, FieldModulation):
+            for p in current:
+                total += _reference_quantum_impulse(p, mv.series)
+            kind, dp_vac = "field_modulation", -total * _Z
+        else:
+            for p in current:
+                total += channel_cavity(p.chi0_xy, mv.db2_dt, mv.duration)
+            kind, dp_vac = "cavity_modulation", -total * _Z
+        ledger.append(kind, -dp_vac, dp_vac)
+    return ledger
+
+
+def _series(n, chi_params):
+    t = np.linspace(0.0, 2.0, n)
+    e = 0.8 * np.sin(2.1 * t) + 0.3 * np.cos(4.4 * t)
+    b = 1.0 + 0.5 * np.sin(3.3 * t + 0.2)
+    if not chi_params:
+        return FieldTimeSeries(t=t, e_x=e, b_y=b)
+    return FieldTimeSeries(t=t, e_x=e, b_y=b, chi0_xy=1e-3 * np.cos(t), kappa3=np.full(n, 2e-4))
+
+
+# 5000 samples split even a few particles into several blocks
+SERIES = [_series(11, False), _series(201, False), _series(5000, False), _series(201, True)]
+
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+vectors = st.tuples(unit, unit, unit).filter(lambda v: np.linalg.norm(v) > 1e-3)
+angle = st.floats(-7.0, 7.0, allow_nan=False)
+kappa = st.floats(1e-6, 1e-2).flatmap(lambda k: st.sampled_from([k, -k]))
+chi_entry = st.floats(-1e-3, 1e-3, allow_nan=False)
+
+random_particles = st.lists(
+    st.builds(
+        lambda a, rho, eps, chi, ks, axis, ang: Particle(
+            a,
+            rho,
+            MagnetoElectricTensor(np.reshape(chi, (3, 3)), *ks),
+            orientation=rotation_about(axis, ang),
+            epsilon=eps,
+        ),
+        st.floats(1e-10, 1e-8),
+        st.floats(100.0, 1e4),
+        st.floats(1.0, 5.0),
+        st.lists(chi_entry, min_size=9, max_size=9),
+        st.tuples(kappa, kappa, kappa),
+        vectors,
+        angle,
+    ),
+    min_size=1,
+    max_size=20,  # past 8 terms numpy's pairwise sum departs from a += loop
+)
+rotations = st.builds(Rotation, axis=vectors, angle=angle)
+random_maneuvers = st.lists(
+    st.one_of(
+        rotations,
+        st.builds(
+            Aggregation,
+            n=st.floats(1.0, 1e3),
+            size_a=st.floats(1e-10, 1e-8),
+            direction=vectors,
+        ),
+        st.builds(FieldModulation, series=st.sampled_from(SERIES)),
+        st.builds(
+            CavityModulation,
+            db2_dt=st.floats(-10.0, 10.0, allow_nan=False),
+            duration=st.floats(1e-3, 10.0),
+        ),
+    ),
+    max_size=8,
+)
+
+
+class TestLedgerEquivalence:
+    @settings(max_examples=60)
+    @given(particles=random_particles, maneuvers=random_maneuvers, m_total=st.floats(1e-3, 1e3))
+    def test_matches_per_particle_reference_exactly(self, particles, maneuvers, m_total):
+        model = VacuumModel()
+        got = run_maneuver_sequence(particles, maneuvers, m_total, model)
+        want = reference_ledger(particles, maneuvers, m_total, model)
+        # JSON text, so that the sign of every zero is compared too
+        assert json.dumps(got.entry_dicts()) == json.dumps(want.entry_dicts())
+
+    def test_all_negative_zero_terms_book_positive_zero(self):
+        # each particle's cavity term is -0.0; a += loop from 0.0 gives +0.0
+        ps = [particle(chi=-1e-3), particle(chi=-2e-3)]
+        mv = [CavityModulation(db2_dt=0.0, duration=1.0)]
+        model = VacuumModel()
+        got = run_maneuver_sequence(ps, mv, 1.0, model).entry_dicts()
+        assert json.dumps(got) == json.dumps(reference_ledger(ps, mv, 1.0, model).entry_dicts())
+        assert json.dumps(got[0]["dp_vacuum"]) == "[-0.0, -0.0, -0.0]"
+
+    def test_state_and_particle_inputs_book_the_same(self):
+        ps = [particle(chi=1e-3), particle(chi=-4e-4, a=2e-9, kappa3=1e-3)]
+        mv = [Rotation(axis=[1, 1, 0], angle=1.0), FieldModulation(series=SERIES[1])]
+        model = VacuumModel()
+        a = run_maneuver_sequence(ps, mv, 1.0, model).entry_dicts()
+        b = run_maneuver_sequence(ParticleState.from_particles(ps), mv, 1.0, model).entry_dicts()
+        assert json.dumps(a) == json.dumps(b)
+
+    @given(particles=random_particles, turns=st.lists(rotations, min_size=1, max_size=8))
+    def test_rotations_book_the_change_of_stored_momentum(self, particles, turns):
+        model = VacuumModel()
+        ledger = run_maneuver_sequence(particles, turns, 1.0, model)
+        state = initial = ParticleState.from_particles(particles)
+        for mv in turns:
+            state = state.rotated(rotation_about(mv.axis, mv.angle))
+
+        def p_vac(s):
+            return stored_momentum(s.chi0_xy, s.size_a, model)
+
+        booked = np.sum([e.dp_vacuum for e in ledger.entries], axis=0)
+        scale = len(turns) * (np.sum(np.abs(p_vac(initial))) + np.sum(np.abs(p_vac(state))))
+        assert booked[:2].tolist() == [0.0, 0.0]
+        assert booked[2] == pytest.approx(
+            np.sum(p_vac(state)) - np.sum(p_vac(initial)), rel=0.0, abs=1e-12 * scale
+        )
+
+
+def test_fleet_sequence_runtime_guard():
+    """10^3 particles x 30 mixed maneuvers stay well inside one second."""
+    rng = np.random.default_rng(2024)
+    particles = [
+        Particle(
+            rng.uniform(1e-9, 3e-9),
+            rng.uniform(500.0, 5000.0),
+            MagnetoElectricTensor(rng.uniform(-1e-3, 1e-3, (3, 3)), *rng.uniform(-1e-4, 1e-4, 3)),
+            orientation=rotation_about(rng.normal(size=3), rng.uniform(-np.pi, np.pi)),
+            epsilon=rng.uniform(1.0, 4.0),
+        )
+        for _ in range(1000)
+    ]
+    series = _series(200, False)
+    maneuvers = []
+    for kind in rng.permutation(["rotation"] * 12 + ["aggregation", "field", "cavity"] * 6):
+        if kind == "rotation":
+            maneuvers.append(Rotation(axis=rng.normal(size=3), angle=rng.uniform(-np.pi, np.pi)))
+        elif kind == "aggregation":
+            maneuvers.append(Aggregation(n=rng.integers(2, 100), size_a=2e-9, direction=rng.normal(size=3)))
+        elif kind == "field":
+            maneuvers.append(FieldModulation(series=series))
+        else:
+            maneuvers.append(CavityModulation(db2_dt=rng.uniform(-1, 1), duration=rng.uniform(0.1, 2)))
+    start = time.perf_counter()
+    ledger = run_maneuver_sequence(particles, maneuvers, 10.0, VacuumModel())
+    elapsed = time.perf_counter() - start
+    assert len(ledger.entries) == 30
+    assert elapsed < 1.0, f"run_maneuver_sequence took {elapsed:.2f} s"

@@ -9,6 +9,7 @@ from zpfdrive.material import (
     ImproperRotationError,
     MagnetoElectricTensor,
     Particle,
+    ParticleState,
     chi_effective,
     particle_mass,
     particle_from_dict,
@@ -270,3 +271,114 @@ class TestSerialization:
         back = tensor_from_dict(tensor_to_dict(t))
         assert np.array_equal(back.chi0, t.chi0)
         assert back.kappa2 == 0.4
+
+
+def random_particles(rng: np.random.Generator, n: int) -> list[Particle]:
+    return [
+        Particle(
+            rng.uniform(1e-9, 3e-9),
+            rng.uniform(500.0, 5000.0),
+            MagnetoElectricTensor(rng.uniform(-1e-3, 1e-3, (3, 3)), *rng.uniform(-1e-4, 1e-4, 3)),
+            orientation=random_rotation(rng),
+            epsilon=rng.uniform(1.0, 4.0),
+        )
+        for _ in range(n)
+    ]
+
+
+class TestParticleState:
+    def test_from_particles_and_from_dicts_agree(self):
+        particles = random_particles(np.random.default_rng(1), 5)
+        a = ParticleState.from_particles(particles)
+        b = ParticleState.from_dicts(json.loads(json.dumps([particle_to_dict(p) for p in particles])))
+        assert len(a) == len(b) == 5
+        for name in ("size_a", "density", "epsilon", "chi0", "kappa", "orientation"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_from_dicts_defaults_match_particle_from_dict(self):
+        record = {"chi0": [[0, 1e-3, 0], [0, 0, 0], [0, 0, 0]], "size_a_m": 1e-9, "density_kg_m3": 1e3}
+        state = ParticleState.from_dicts([record])
+        p = particle_from_dict(record)
+        assert state.epsilon[0] == p.epsilon == 1.0
+        assert np.array_equal(state.kappa[0], [0.0, 0.0, 0.0])
+        assert np.array_equal(state.orientation[0], np.eye(3))
+        assert state.chi0_xy[0] == p.chi0_xy
+
+    def test_particle_from_dict_names_missing_and_malformed_fields(self):
+        record = {"chi0": [0.0] * 9, "size_a_m": 1e-9, "density_kg_m3": 1e3}
+        with pytest.raises(ValueError, match="missing field 'density_kg_m3'"):
+            particle_from_dict({k: v for k, v in record.items() if k != "density_kg_m3"})
+        with pytest.raises(ValueError, match="field 'kappa2'"):
+            particle_from_dict({**record, "kappa2": None})
+        with pytest.raises(ValueError, match="missing field 'chi0'"):
+            tensor_from_dict({})
+
+    def test_lab_frame_chi_and_rotation_match_particle_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        particles = random_particles(rng, 40)
+        state = ParticleState.from_particles(particles)
+        for _ in range(5):
+            r = random_rotation(rng)
+            particles = [p.rotated(r) for p in particles]
+            state = state.rotated(r)
+            assert state.chi0_xy.tolist() == [p.chi0_xy for p in particles]
+            assert np.array_equal(state.orientation, [p.orientation for p in particles])
+
+    def test_empty_state(self):
+        state = ParticleState.from_particles([])
+        assert len(state) == 0
+        assert state.chi0_xy.shape == (0,)
+        assert len(state.rotated(rotation_about([0, 0, 1], 1.0))) == 0
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("size_a_m", -1e-9, "size_a must be positive"),
+            ("density_kg_m3", 0.0, "density must be positive"),
+            ("epsilon", 0.5, "epsilon must be >= 1"),
+            ("chi0", [0, 1.5, 0, 0, 0, 0, 0, 0, 0], "sanity bound"),
+            ("chi0", [0, float("nan"), 0, 0, 0, 0, 0, 0, 0], "finite"),
+            ("kappa2", float("inf"), "finite"),
+            ("orientation", [1, 0, 0, 0, 1, 0, 0, 0, 1.1], "not orthogonal"),
+        ],
+    )
+    def test_invalid_record_named_by_index(self, field, value, message):
+        records = [particle_to_dict(p) for p in random_particles(np.random.default_rng(3), 4)]
+        records[2][field] = value
+        with pytest.raises(ValueError, match=f"particle 2: .*{message}"):
+            ParticleState.from_dicts(records)
+
+    def test_improper_orientation_rejected(self):
+        records = [particle_to_dict(p) for p in random_particles(np.random.default_rng(4), 3)]
+        records[1]["orientation"] = [1, 0, 0, 0, 1, 0, 0, 0, -1]
+        with pytest.raises(ImproperRotationError, match="particle 1"):
+            ParticleState.from_dicts(records)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("oops", "particle 0: expected an object, got str"),
+            ({"chi0": [0] * 9, "density_kg_m3": 1e3}, "particle 0: missing field 'size_a_m'"),
+            ({"chi0": [0] * 9, "size_a_m": None, "density_kg_m3": 1e3}, "field 'size_a_m'"),
+            ({"size_a_m": 1e-9, "density_kg_m3": 1e3}, "particle 0: missing field 'chi0'"),
+            ({"chi0": [0] * 8, "size_a_m": 1e-9, "density_kg_m3": 1e3}, "field 'chi0'"),
+        ],
+    )
+    def test_malformed_record_names_field(self, record, message):
+        with pytest.raises(ValueError, match=message):
+            ParticleState.from_dicts([record])
+
+    def test_arrays_read_only(self):
+        state = ParticleState.from_particles(random_particles(np.random.default_rng(5), 2))
+        with pytest.raises(ValueError):
+            state.size_a[0] = -1.0
+
+    def test_lab_frame_bound_checked(self):
+        # entries within the bound whose rotation pushes one entry past it
+        chi0 = np.full((3, 3), 0.9)
+        state = ParticleState.from_dicts(
+            [{"chi0": chi0.tolist(), "size_a_m": 1e-9, "density_kg_m3": 1e3,
+              "orientation": rotation_about([1, 1, 0], 0.7).ravel().tolist()}]
+        )
+        with pytest.raises(ValueError, match="particle 0: lab-frame"):
+            state.chi0_xy
