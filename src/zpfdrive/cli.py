@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 from typing import Sequence
@@ -45,6 +46,30 @@ def _parse_ints(text: str, flag: str) -> list[int]:
 
 
 _CUTOFFS = {c.value: c for c in vacuum.CutoffConvention}
+
+# every numeric physics flag, by argparse dest; inf and NaN are rejected for all
+_FINITE_FLAGS = {
+    "chi": "--chi",
+    "a": "--a",
+    "rho": "--rho",
+    "N": "--N",
+    "A": "--A",
+    "fraction": "--fraction",
+    "epsilon": "--epsilon",
+    "m_total": "--M-total",
+}
+
+
+def _check_finite(args) -> None:
+    """Reject inf or NaN in any numeric physics flag, naming the flag."""
+    for dest, flag in _FINITE_FLAGS.items():
+        raw = getattr(args, dest, None)
+        if raw is None:
+            continue
+        values = _parse_floats(raw, flag) if isinstance(raw, str) else [raw]
+        for value in values:
+            if not math.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,7 +185,9 @@ def _vector3(v: object) -> list[float]:
     return a.tolist()
 
 
-def _load_maneuver(d: object) -> dynamics.Maneuver:
+def _load_maneuver(
+    d: object, series_by_path: dict[str, dynamics.FieldTimeSeries]
+) -> dynamics.Maneuver:
     if not isinstance(d, dict):
         raise ValueError(f"expected an object, got {type(d).__name__}")
     kind = d.get("type")
@@ -172,11 +199,12 @@ def _load_maneuver(d: object) -> dynamics.Maneuver:
         )
     if kind == "field_modulation":
         path = _field(d, "series_csv", str)
-        try:
-            series = dynamics.FieldTimeSeries.from_csv(path)
-        except (ValueError, OSError) as exc:
-            raise ValueError(f"field 'series_csv': {path}: {exc}") from None
-        return dynamics.FieldModulation(series=series)
+        if path not in series_by_path:  # series arrays are read-only: share one per file
+            try:
+                series_by_path[path] = dynamics.FieldTimeSeries.from_csv(path)
+            except (ValueError, OSError) as exc:
+                raise ValueError(f"field 'series_csv': {path}: {exc}") from None
+        return dynamics.FieldModulation(series=series_by_path[path])
     if kind == "cavity_modulation":
         return dynamics.CavityModulation(
             db2_dt=_field(d, "dB2_dt"), duration=_field(d, "duration_s")
@@ -362,9 +390,10 @@ def _cmd_ledger(args) -> int:
     except ValueError as exc:
         raise ValueError(f"{args.particles}: {exc}") from None
     maneuvers = []
+    series_by_path: dict[str, dynamics.FieldTimeSeries] = {}
     for i, d in enumerate(_load_json_list(args.maneuvers, "maneuvers")):
         try:
-            maneuvers.append(_load_maneuver(d))
+            maneuvers.append(_load_maneuver(d, series_by_path))
         except ValueError as exc:
             raise ValueError(f"{args.maneuvers}: maneuver {i}: {exc}") from None
     model = vacuum.VacuumModel(prefactor_a=args.A)
@@ -403,6 +432,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite(args)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

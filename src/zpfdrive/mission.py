@@ -134,6 +134,8 @@ class MissionSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "MissionSpec":
+        if not isinstance(d, Mapping):
+            raise MissionSpecError(f"mission spec must be a JSON object, got {type(d).__name__}")
         known = {
             "target_rate",
             "wheel_radius",

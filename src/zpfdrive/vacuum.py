@@ -22,6 +22,17 @@ Two independent routes to the stored vacuum momentum are provided:
   grid-converged prefactor is reported as ``effective_A``; it is not a
   renormalized QED calculation and is not expected to reproduce A = 1e-2
   exactly.
+
+The oracle's only grid-dependent quantity is the lattice sum of
+m_z^2/|m| over the integer ball |m| <= n.  It is evaluated shell by shell
+from exact int64 counts r3(s) of the ways to write s = |m|^2 as a sum of
+three squares, and summed so that the float returned is the correctly
+rounded value of the exact sum.  The cost is n vectorised integer adds
+over n^2 + 1 shell counts plus one pass over the shells: about 20 ms at
+n = 256 and 0.15-0.2 s at n = 512 on one CPU core.  As n grows,
+effective_A approaches its continuum value pi^2/24 (half-wavelength) or
+2 pi^2/3 (wavelength-equals-size) with a gap of order 1/n that is not
+monotone (the lattice-point discrepancy of the sphere).
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -158,26 +169,55 @@ def stored_momentum(chi_xy, a_m, model: VacuumModel):
     return model.prefactor_a * HBAR_J_S * chi_xy / a_m
 
 
-def _slab_geometry_sums(grid: ModeGrid) -> Iterable[float]:
-    """Per-slab partial sums of m_z^2 / |m| over the integer lattice ball.
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp splits a double into 26-bit halves
 
-    Slabs are constant-i planes (i the x index), so partial sums may be
-    computed concurrently and reduced in any order; results are identical up
-    to float reassociation.
+
+def _two_prod(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's exact product: ``a * b == hi + lo`` elementwise."""
+
+    def split(x):
+        c = _SPLIT * x
+        hi = c - (c - x)
+        return hi, x - hi
+
+    hi = a * b
+    ah, al = split(a)
+    bh, bl = split(b)
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _geometry_sum(n: int) -> float:
+    """Sum of m_z^2 / |m| over the integer ball 0 < |m|^2 <= n^2, correctly rounded.
+
+    By cubic symmetry the m_z^2 of the shell |m|^2 = s add up to the integer
+    c_s = s * r3(s) / 3, with r3(s) the number of ways to write s as a sum of
+    three squares, so the sum is sum_s c_s / sqrt(s).  r2 is counted on the
+    quarter disc i, j >= 0 (each nonzero coordinate stands for two signs) and
+    r3(s) = r2(s) + 2 * sum_k r2(s - k^2); all counts are exact int64.  Each
+    shell term t = c / sqrt(s) enters one ``math.fsum`` together with its
+    rounding error, from Dekker products of q*q and t*q, so that only the
+    final rounding remains.
     """
-    n = grid.n_per_axis
-    idx = np.arange(-n, n + 1)
-    jj, kk = np.meshgrid(idx, idx, indexing="ij")
-    jj2kk2 = jj * jj + kk * kk
-    kk2 = (kk * kk).astype(float)
-    for i in range(-n, n + 1):
-        r2 = i * i + jj2kk2
-        mask = (r2 <= n * n) & (r2 > 0)
-        if not np.any(mask):
-            yield 0.0
-            continue
-        r = np.sqrt(r2[mask].astype(float))
-        yield float(np.sum(kk2[mask] / r))
+    n2 = n * n
+    sq = np.arange(n + 1) ** 2
+    quarter = (sq[1:, None] + sq[None, 1:]).ravel()
+    r2 = 4 * np.bincount(quarter[quarter <= n2], minlength=n2 + 1)
+    r2[sq[1:]] += 4  # the four axis points (+-k, 0), (0, +-k)
+    r2[0] = 1
+    r3 = r2.copy()
+    twice_r2 = 2 * r2
+    for k2 in sq[1:]:
+        r3[k2:] += twice_r2[: n2 + 1 - k2]
+    s = np.flatnonzero(r3[1:]) + 1
+    c = (s * r3[s] // 3).astype(float)
+    sf = s.astype(float)
+    q = np.sqrt(sf)
+    t = c / q
+    qq, qq_lo = _two_prod(q, q)
+    tq, tq_lo = _two_prod(t, q)
+    sqrt_err = ((sf - qq) - qq_lo) / (2.0 * q)  # sqrt(s) - q to first order
+    t_err = (((c - tq) - tq_lo) - t * sqrt_err) / q  # c / sqrt(s) - t
+    return math.fsum(t.tolist() + t_err.tolist())
 
 
 def mode_sum_oracle(
@@ -199,8 +239,7 @@ def mode_sum_oracle(
     a_m = si_value(a, LENGTH, "a")
     if not (a_m > 0):
         raise ValueError("size must be positive")
-    partials = list(_slab_geometry_sums(grid))
-    geometry = math.fsum(partials)
+    geometry = _geometry_sum(grid.n_per_axis)
     if geometry == 0.0:
         raise ValueError("mode grid contains no modes inside the cutoff ball")
     dk = grid.dk

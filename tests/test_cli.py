@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -218,6 +219,47 @@ class TestDataCommands:
         assert first["type"] == "rotation"
         assert len(first["cumulative_v"]) == 3
 
+    def test_ledger_reads_each_series_file_once(self, capsys, tmp_path, series_file, monkeypatch):
+        particles_path = tmp_path / "particles.json"
+        particle = Particle(1e-9, 1000.0, MagnetoElectricTensor.from_xy(1e-3))
+        particles_path.write_text(json.dumps([particle_to_dict(particle)]))
+        copies = []
+        for i in range(3):
+            copy = tmp_path / f"series_{i}.csv"
+            shutil.copyfile(series_file, copy)
+            copies.append(str(copy))
+        loads = []
+        from_csv = FieldTimeSeries.from_csv.__func__
+
+        def counting_from_csv(cls, source):
+            if isinstance(source, str):  # a path; from_csv re-enters with the open file
+                loads.append(source)
+            return from_csv(cls, source)
+
+        monkeypatch.setattr(FieldTimeSeries, "from_csv", classmethod(counting_from_csv))
+        outputs = []
+        for paths in ([series_file] * 3, copies):
+            maneuvers_path = tmp_path / "maneuvers.json"
+            maneuvers_path.write_text(
+                json.dumps(
+                    [{"type": "field_modulation", "series_csv": path} for path in paths]
+                    + [{"type": "rotation", "axis": [0, 0, 1], "angle_rad": 1.0}]
+                )
+            )
+            loads.clear()
+            code, out, _ = run_cli(
+                capsys,
+                "ledger",
+                "--particles", str(particles_path),
+                "--maneuvers", str(maneuvers_path),
+                "--M-total", "1.0",
+            )
+            assert code == 0
+            assert len(loads) == len(set(paths))
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].strip().splitlines()) == 4
+
 
 class TestLedgerInputErrors:
     """A malformed particle or maneuver file ends in one error line, exit 1."""
@@ -301,6 +343,44 @@ class TestCliContract:
         )
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["mission", "solve", "sweep"])
+    @pytest.mark.parametrize("payload, kind", [([1, 2], "list"), (5, "int"), (None, "NoneType")])
+    def test_spec_that_is_not_an_object(self, capsys, tmp_path, command, payload, kind):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload))
+        argv = [command, "--spec", str(path)]
+        if command == "solve":
+            argv += ["--unknown", "chi0"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: mission spec must be a JSON object, got {kind}\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["vacuum-momentum", "--chi", "inf", "--a", "1e-9"], "--chi"),
+            (["vacuum-momentum", "--chi", "nan", "--a", "1e-9"], "--chi"),
+            (["vacuum-momentum", "--chi", "1e-3", "--a", "inf"], "--a"),
+            (["vacuum-momentum", "--chi", "1e-3", "--a", "1e-9", "--A", "nan"], "--A"),
+            (["delta-v-rot", "--chi", "nan", "--a", "1e-9", "--rho", "1000"], "--chi"),
+            (["delta-v-rot", "--chi", "1e-3", "--a", "nan", "--rho", "1000"], "--a"),
+            (["delta-v-rot", "--chi", "1e-3", "--a", "1e-9", "--rho", "inf"], "--rho"),
+            (["delta-v-rot", *DESIGN_ARGS[:-2], "--A=-inf"], "--A"),
+            (["delta-v-agg", "--chi", "1e-3", "--a", "1e-9", "--rho", "1000", "--N", "inf"], "--N"),
+            (["delta-v-agg", "--chi", "1e-3", "--a", "1e-9", "--rho", "nan", "--N", "8"], "--rho"),
+            (["oracle", "--chi", "inf", "--n", "8"], "--chi"),
+            (["oracle", "--chi", "nan", "--n", "8"], "--chi"),
+            (["oracle", "--chi", "1e-3", "--a", "1e-9,inf", "--n", "8"], "--a"),
+            (["oracle", "--chi", "1e-3", "--a", "nan", "--n", "8"], "--a"),
+        ],
+    )
+    def test_non_finite_flag_exits_one(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be finite") and err.count("\n") == 1
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
