@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[m.value for m in mission.SweepMode],
         default=mission.SweepMode.MASS_BUDGET.value,
     )
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; no effect")
     p.add_argument("--out", type=str, default=None)
     add_format(p)
 
@@ -348,19 +348,31 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+# sweep axis (MissionSpec field) -> argparse dest
+_SWEEP_DESTS = {
+    "chi0": "chi",
+    "particle_size": "a",
+    "particle_density": "rho",
+    "active_mass_fraction": "fraction",
+    "prefactor_A": "A",
+}
+
+
 def _cmd_sweep(args) -> int:
+    try:
+        return _sweep(args)
+    except mission.SweepValueError as exc:
+        flags = " ".join(f"--{_SWEEP_DESTS[k]} {v!r}" for k, v in exc.values.items())
+        raise ValueError(f"{flags} {exc.problem}") from None
+
+
+def _sweep(args) -> int:
     spec = mission.MissionSpec.from_json(args.spec)
     axes = {}
-    for flag, name in (
-        ("chi", "chi0"),
-        ("a", "particle_size"),
-        ("rho", "particle_density"),
-        ("fraction", "active_mass_fraction"),
-        ("A", "prefactor_A"),
-    ):
-        raw = getattr(args, flag)
+    for name, dest in _SWEEP_DESTS.items():
+        raw = getattr(args, dest)
         if raw is not None:
-            axes[name] = _parse_floats(raw, f"--{flag}")
+            axes[name] = _parse_floats(raw, f"--{dest}")
     mode = mission.SweepMode(args.mode)
     if args.format == "json":
         buf = io.StringIO()

@@ -34,7 +34,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .material import Particle, ParticleState, rotation_about
+from .material import Particle, ParticleState, check_chi_bound, rotation_about
 from .quantities import HBAR_J_S, LENGTH, MASS, MASS_DENSITY, VELOCITY, Quantity, si_value
 from .vacuum import VacuumModel, stored_momentum
 
@@ -304,7 +304,11 @@ def delta_v_aggregation(
     n_count: float,
     model: VacuumModel,
 ) -> Quantity:
-    """Velocity gain from merging N size-a units into one body of size N^(1/3)*a."""
+    """Velocity gain from merging N size-a units into one body of size N^(1/3)*a.
+
+    ``|chi|`` must be within the sanity bound.
+    """
+    check_chi_bound(chi)
     a_m = si_value(a, LENGTH, "a")
     rho_si = si_value(rho, MASS_DENSITY, "rho")
     if not (a_m > 0 and rho_si > 0):

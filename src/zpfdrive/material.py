@@ -32,6 +32,7 @@ from .quantities import MASS, Quantity
 __all__ = [
     "ORTHOGONALITY_TOL",
     "CHI0_SANITY_BOUND",
+    "check_chi_bound",
     "ImproperRotationError",
     "MagnetoElectricTensor",
     "Particle",
@@ -49,6 +50,12 @@ __all__ = [
 
 ORTHOGONALITY_TOL = 1e-12
 CHI0_SANITY_BOUND = 1.0
+
+
+def check_chi_bound(chi: float) -> None:
+    """Reject a scalar chi outside the tensor's sanity bound ``|chi| <= CHI0_SANITY_BOUND``."""
+    if not abs(chi) <= CHI0_SANITY_BOUND:
+        raise ValueError(f"|chi| = {abs(chi)!r} exceeds sanity bound {CHI0_SANITY_BOUND}")
 
 
 class ImproperRotationError(ValueError):

@@ -22,12 +22,15 @@ import io
 import itertools
 import json
 import math
+import operator
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .dynamics import delta_v_rotation, payload_delta_v
 from .material import MagnetoElectricTensor, Particle
@@ -40,6 +43,7 @@ __all__ = [
     "MissionSpecError",
     "InfeasibleError",
     "SweepCapError",
+    "SweepValueError",
     "SweepMode",
     "rate_to_tangential_v",
     "tangential_v_to_rate",
@@ -87,6 +91,23 @@ class SweepCapError(ValueError):
     """Requested sweep exceeds the configured combination cap."""
 
 
+# the range rule of every spec field; sweep axis values obey the same rules
+_FIELD_RULES: dict[str, Callable[[float], bool]] = {
+    "target_rate": lambda v: v > 0,
+    "wheel_radius": lambda v: v > 0,
+    "satellite_mass": lambda v: v > 0,
+    "active_mass_fraction": lambda v: 0 < v <= 1,
+    "particle_size": lambda v: v > 0,
+    "particle_density": lambda v: v > 0,
+    "chi0": lambda v: v > 0,
+    "prefactor_A": lambda v: v > 0,
+}
+
+
+def _field_ok(name: str, value: float) -> bool:
+    return math.isfinite(value) and _FIELD_RULES[name](value)
+
+
 @dataclass(frozen=True)
 class MissionSpec:
     """Design point for one attitude-correction cycle.
@@ -106,23 +127,13 @@ class MissionSpec:
 
     def field_errors(self, allow_unknown: str | None = None) -> list[str]:
         errors = []
-        checks = {
-            "target_rate": lambda v: v > 0,
-            "wheel_radius": lambda v: v > 0,
-            "satellite_mass": lambda v: v > 0,
-            "active_mass_fraction": lambda v: 0 < v <= 1,
-            "particle_size": lambda v: v > 0,
-            "particle_density": lambda v: v > 0,
-            "chi0": lambda v: v > 0,
-            "prefactor_A": lambda v: v > 0,
-        }
-        for name, ok in checks.items():
+        for name in _FIELD_RULES:
             value = getattr(self, name)
             if name == allow_unknown:
                 continue
             if value is None:
                 errors.append(f"{name} is not set")
-            elif not (math.isfinite(value) and ok(value)):
+            elif not _field_ok(name, value):
                 errors.append(f"{name} = {value} is out of range")
         return errors
 
@@ -344,32 +355,101 @@ class SweepMode(Enum):
 
 _SWEEP_AXES = ("chi0", "particle_size", "particle_density", "active_mass_fraction", "prefactor_A")
 DEFAULT_SWEEP_CAP = 10_000_000
+# rows computed, formatted and written together: memory is bounded by this,
+# not by the row count
+_SWEEP_BLOCK_ROWS = 1 << 15
+_FEASIBLE = ("false", "true")
 
 
-def _sweep_row(
-    base: MissionSpec, combo: tuple[float, ...], mode: SweepMode, required: float
-) -> str:
-    chi0, a_m, rho, fraction, pref_a = combo
-    if mode is SweepMode.MASS_BUDGET:
-        dv = 2.0 * pref_a * HBAR_J_S * chi0 / (rho * a_m**4)
-    else:
-        mass = rho * base.particle_size**3
-        dv = 2.0 * pref_a * HBAR_J_S * chi0 / (mass * a_m)
-    dv_payload = fraction * dv
-    rate = tangential_v_to_rate(dv_payload, base.wheel_radius)
-    feasible = dv_payload >= required
-    cells = [
-        repr(float(chi0)),
-        repr(float(a_m)),
-        repr(float(rho)),
-        repr(float(fraction)),
-        repr(float(pref_a)),
-        repr(float(dv)),
-        repr(float(dv_payload)),
-        repr(float(rate)),
-        "true" if feasible else "false",
-    ]
-    return ",".join(cells)
+class SweepValueError(ValueError):
+    """A sweep axis value out of range, or a grid row with a non-finite result.
+
+    ``values`` maps field names to the offending axis value, or to the five
+    inputs of the offending row; ``problem`` says what is wrong with them.
+    """
+
+    def __init__(self, values: Mapping[str, float], problem: str):
+        self.values = dict(values)
+        self.problem = problem
+        named = ", ".join(f"{k} = {v!r}" for k, v in self.values.items())
+        super().__init__(f"sweep {named} {problem}")
+
+
+def _grid_blocks(shape: Sequence[int], limit: int):
+    """Split a C-order grid into sub-grids of at most ``limit`` cells, in row order.
+
+    Yields one tuple of per-axis slices per block.  Axes after the split
+    axis are whole in every block and axes before it hold one index, so each
+    block is a C-order grid of its own whose rows follow those of the block
+    before it.
+    """
+    split = 0
+    while math.prod(shape[split + 1 :]) > limit:
+        split += 1
+    step = limit // math.prod(shape[split + 1 :])
+    whole = (slice(None),) * (len(shape) - split - 1)
+    for prefix in itertools.product(*map(range, shape[:split])):
+        head = tuple(slice(i, i + 1) for i in prefix)
+        for start in range(0, shape[split], step):
+            yield head + (slice(start, start + step),) + whole
+
+
+def _along(values: np.ndarray, axis: int) -> np.ndarray:
+    """``values`` shaped to broadcast along ``axis`` of the 5-axis sweep grid."""
+    return values.reshape((-1,) + (1,) * (len(_SWEEP_AXES) - 1 - axis))
+
+
+def _pow(x: float, n: int) -> float:
+    """``x**n`` by Python's float pow (libm ``pow``, bit for bit), inf on overflow."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
+def _float_strs(x: np.ndarray) -> list[str]:
+    """``repr`` of every element in C order, from one C-level repr of the list."""
+    return repr(x.ravel().tolist())[1:-1].split(", ")
+
+
+def _sweep_blocks(base: MissionSpec, lists: list[list[float]], mode: SweepMode):
+    """The sweep grid in row order, as one iterator of 9-cell string tuples per block.
+
+    Each block is one broadcasting evaluation over its slices of the five
+    axes, in the scalar formula's operation order, so every float equals the
+    one a per-row evaluation gives.  A block with a non-finite dv, dV or rate
+    raises :class:`SweepValueError` before it is yielded.
+    """
+    required = rate_to_tangential_v(base.target_rate, base.wheel_radius).value
+    vectors = [np.array(v) for v in lists]
+    a4 = np.array([_pow(a, 4) for a in lists[1]])
+    mass_per_size = _pow(base.particle_size, 3)
+    axis_strs = [[repr(v) for v in values] for values in lists]
+    for block in _grid_blocks([len(v) for v in lists], _SWEEP_BLOCK_ROWS):
+        chi, a, rho, frac, pref = (_along(v[s], i) for i, (v, s) in enumerate(zip(vectors, block)))
+        with np.errstate(all="ignore"):  # non-finite results are refused below
+            if mode is SweepMode.MASS_BUDGET:
+                dv = 2.0 * pref * HBAR_J_S * chi / (rho * _along(a4[block[1]], 1))
+            else:
+                dv = 2.0 * pref * HBAR_J_S * chi / ((rho * mass_per_size) * a)
+            dvp = frac * dv
+            rate = dvp / base.wheel_radius * SECONDS_PER_DAY / RAD_PER_DEG
+        for name, col in (("dv_m_s", dv), ("dV_m_s", dvp), ("rate_deg_day", rate)):
+            bad = ~np.isfinite(col)
+            if bad.any():
+                row = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                values = {k: lists[i][block[i]][row[i]] for i, k in enumerate(_SWEEP_AXES)}
+                raise SweepValueError(values, f"gives a non-finite {name}")
+        # dv does not depend on the fraction axis: format it once, then broadcast
+        dv_strs = np.array(_float_strs(dv), dtype=object).reshape(dv.shape)
+        tails = zip(
+            np.broadcast_to(dv_strs, dvp.shape).ravel().tolist(),
+            _float_strs(dvp),
+            _float_strs(rate),
+            map(_FEASIBLE.__getitem__, (dvp >= required).ravel().tolist()),
+        )
+        heads = itertools.product(*(strs[s] for strs, s in zip(axis_strs, block)))
+        yield map(operator.add, heads, tails)
 
 
 def sweep(
@@ -383,9 +463,15 @@ def sweep(
     """Cartesian-product sweep over design parameters, emitted as CSV rows.
 
     Rows appear in deterministic lexicographic grid order (axis order
-    chi0, size, density, fraction, prefactor) regardless of ``jobs``; the
-    output is byte-identical across runs and parallelism levels.  Returns
-    the row count.
+    chi0, size, density, fraction, prefactor); the output is byte-identical
+    across runs.  Rows are computed and written in blocks of at most
+    ``_SWEEP_BLOCK_ROWS``, so memory does not grow with the row count.
+    Every axis value must pass the spec's rule for its field, and a row
+    whose dv, dV or rate is not finite raises :class:`SweepValueError`
+    before its block is written (earlier blocks stay written).  With
+    ``out=None`` the grid is computed and checked but nothing is written.
+    ``jobs`` is accepted for compatibility and has no effect.  Returns the
+    row count.
     """
     base = base.validated()
     bad = set(axes) - set(_SWEEP_AXES)
@@ -396,31 +482,25 @@ def sweep(
         values = [float(v) for v in axes.get(name, [getattr(base, name)])]
         if not values:
             raise ValueError(f"sweep axis {name} is empty")
+        for value in values:
+            if not _field_ok(name, value):
+                raise SweepValueError({name: value}, "is out of range")
         lists.append(values)
     total = math.prod(len(v) for v in lists)
     if total > max_rows:
         raise SweepCapError(f"sweep of {total} combinations exceeds cap {max_rows}")
-    required = rate_to_tangential_v(base.target_rate, base.wheel_radius).value
 
-    combos = itertools.product(*lists)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(lambda c: _sweep_row(base, c, mode, required), combos, chunksize=256)
-            )
-    else:
-        rows = [_sweep_row(base, c, mode, required) for c in combos]
-
-    if out is not None:
-        if isinstance(out, (str, Path)):
-            with open(out, "w", newline="") as fh:
-                _write_rows(fh, rows)
-        else:
-            _write_rows(out, rows)
-    return len(rows)
-
-
-def _write_rows(fh, rows: list[str]) -> None:
-    fh.write(",".join(SWEEP_CSV_HEADER) + "\n")
-    for row in rows:
-        fh.write(row + "\n")
+    blocks = _sweep_blocks(base, lists, mode)
+    # compute the first block now, so that a bad one raises before the output is opened
+    blocks = itertools.chain([next(blocks)], blocks)
+    if out is None:
+        for _ in blocks:
+            pass
+        return total
+    opened = open(out, "w", newline="") if isinstance(out, (str, Path)) else nullcontext(out)
+    with opened as fh:
+        fh.write(",".join(SWEEP_CSV_HEADER) + "\n")
+        for cells in blocks:
+            fh.write("\n".join(map(",".join, cells)))
+            fh.write("\n")
+    return total

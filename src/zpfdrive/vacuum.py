@@ -47,6 +47,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .material import check_chi_bound
 from .quantities import (
     ENERGY_DENSITY,
     LENGTH,
@@ -67,9 +68,12 @@ __all__ = [
     "mode_sum_oracle",
     "convergence_study",
     "ORACLE_CSV_HEADER",
+    "MAX_N_PER_AXIS",
 ]
 
 ORACLE_CSV_HEADER = ("n_per_axis", "a_m", "chi", "p_kg_m_s", "effective_A")
+# the oracle's memory grows as n^2 and its time as n^3: ~10 s and ~0.8 GB at 2048
+MAX_N_PER_AXIS = 2048
 
 
 class CutoffConvention(Enum):
@@ -112,6 +116,8 @@ class ModeGrid:
     def __post_init__(self) -> None:
         if self.n_per_axis < 8:
             raise ValueError("n_per_axis must be >= 8")
+        if self.n_per_axis > MAX_N_PER_AXIS:
+            raise ValueError(f"n_per_axis must be <= {MAX_N_PER_AXIS}, got {self.n_per_axis}")
         if not (self.k_cut > 0):
             raise ValueError("k_cut must be positive")
 
@@ -152,8 +158,9 @@ def vacuum_momentum_closed_form(
     """Stored vacuum momentum p = A * hbar * chi / a (kg m/s).
 
     Signed with chi; the direction is by convention the z-like axis dual to
-    the (x, y) component pair.
+    the (x, y) component pair.  ``|chi|`` must be within the sanity bound.
     """
+    check_chi_bound(chi_xy)
     a_m = si_value(a, LENGTH, "a")
     if not (a_m > 0):
         raise ValueError("size must be positive")
@@ -232,10 +239,11 @@ def mode_sum_oracle(
     distinguished (z-like) axis and ``effective_A = |p| a / (hbar |chi|)``,
     computed from the chi-independent geometric sum so it is defined for all
     chi.  ``axis_sign = -1`` reflects the distinguished axis, flipping the
-    sign of the momentum exactly.
+    sign of the momentum exactly.  ``|chi|`` must be within the sanity bound.
     """
     if axis_sign not in (+1, -1):
         raise ValueError("axis_sign must be +1 or -1")
+    check_chi_bound(chi_xy)
     a_m = si_value(a, LENGTH, "a")
     if not (a_m > 0):
         raise ValueError("size must be positive")
@@ -260,20 +268,20 @@ def convergence_study(
 
     CSV columns: n_per_axis, a_m, chi, p_kg_m_s, effective_A.
     """
+    # build (and so validate) every grid before the first oracle call
+    grids = [(n, a_m, ModeGrid.for_particle(a_m, n, convention)) for n in n_values for a_m in sizes_m]
     rows = []
-    for n in n_values:
-        for a_m in sizes_m:
-            grid = ModeGrid.for_particle(a_m, n, convention)
-            p, eff_a = mode_sum_oracle(chi_xy, a_m, grid)
-            rows.append(
-                {
-                    "n_per_axis": n,
-                    "a_m": a_m,
-                    "chi": chi_xy,
-                    "p_kg_m_s": p.value,
-                    "effective_A": eff_a,
-                }
-            )
+    for n, a_m, grid in grids:
+        p, eff_a = mode_sum_oracle(chi_xy, a_m, grid)
+        rows.append(
+            {
+                "n_per_axis": n,
+                "a_m": a_m,
+                "chi": chi_xy,
+                "p_kg_m_s": p.value,
+                "effective_A": eff_a,
+            }
+        )
     if out is not None:
         if isinstance(out, (str, Path)):
             with open(out, "w", newline="") as fh:

@@ -382,6 +382,56 @@ class TestCliContract:
         assert out == ""
         assert err.startswith(f"error: {flag} must be finite") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            (["--a", "0"], "--a 0.0 is out of range"),
+            (["--a", "1e-9,-2e-9"], "--a -2e-09 is out of range"),
+            (["--chi", "-1", "--fraction", "2"], "--chi -1.0 is out of range"),
+            (["--fraction", "0.5,2"], "--fraction 2.0 is out of range"),
+            (["--rho", "0"], "--rho 0.0 is out of range"),
+            (["--A=-1e-2"], "--A -0.01 is out of range"),
+            (
+                ["--a", "1e-9,1e-200"],
+                "--chi 0.001 --a 1e-200 --rho 1000.0 --fraction 0.5 --A 0.01"
+                " gives a non-finite dv_m_s",
+            ),
+            (
+                ["--chi", "1", "--rho", "1e-300", "--A", "1e300"],
+                "--chi 1.0 --a 1e-09 --rho 1e-300 --fraction 0.5 --A 1e+300"
+                " gives a non-finite dv_m_s",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bad_sweep_axis_exits_one(self, capsys, tmp_path, spec_file, axes, message, fmt):
+        out_path = tmp_path / "sweep.out"
+        argv = ["sweep", "--spec", spec_file, *axes, "--format", fmt]
+        for extra in ([], ["--out", str(out_path)]):
+            code, out, err = run_cli(capsys, *argv, *extra)
+            assert code == 1
+            assert out == ""
+            assert err == f"error: {message}\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["vacuum-momentum", "--chi", "5", "--a", "1e-9"], "|chi| = 5.0 exceeds sanity bound 1.0"),
+            (
+                ["delta-v-agg", "--chi", "-5", "--a", "1e-9", "--rho", "1000", "--N", "8"],
+                "|chi| = 5.0 exceeds sanity bound 1.0",
+            ),
+            (["oracle", "--chi", "2", "--n", "8"], "|chi| = 2.0 exceeds sanity bound 1.0"),
+            (["oracle", "--chi", "1e-3", "--n", "100000"], "n_per_axis must be <= 2048, got 100000"),
+        ],
+    )
+    def test_physics_bound_exits_one(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["delta-v-rot", "--chi", "1e-3"])  # missing required flags

@@ -294,6 +294,11 @@ class TestDeltaVAggregation:
         with pytest.raises(ValueError):
             delta_v_aggregation(1e-9, 1000.0, 1e-3, 0, VacuumModel())
 
+    def test_chi_sanity_bound(self):
+        assert delta_v_aggregation(1e-9, 1000.0, 1.0, 8, VacuumModel()).value > 0.0
+        with pytest.raises(ValueError, match="exceeds sanity bound"):
+            delta_v_aggregation(1e-9, 1000.0, -5.0, 8, VacuumModel())
+
     def test_accepts_dimension_tagged_inputs(self):
         from zpfdrive.quantities import LENGTH, MASS_DENSITY
 

@@ -1,10 +1,16 @@
 import io
+import itertools
 import math
+import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zpfdrive import mission
 from zpfdrive.mission import (
     InfeasibleError,
     MissionSpec,
@@ -13,6 +19,7 @@ from zpfdrive.mission import (
     SWEEP_CSV_HEADER,
     SweepCapError,
     SweepMode,
+    SweepValueError,
     analytic_solve_for_unknown,
     evaluate_mission,
     rate_to_tangential_v,
@@ -277,6 +284,143 @@ class TestSweep:
     def test_unsweepable_parameter_rejected(self):
         with pytest.raises(ValueError):
             sweep(design_point(), {"satellite_mass": [1.0]}, out=io.StringIO())
+
+
+def reference_row(base, combo, mode, required) -> str:
+    """One sweep row by the original per-row code, kept as the kernel's reference."""
+    chi0, a_m, rho, fraction, pref_a = combo
+    if mode is SweepMode.MASS_BUDGET:
+        dv = 2.0 * pref_a * HBAR_J_S * chi0 / (rho * a_m**4)
+    else:
+        mass = rho * base.particle_size**3
+        dv = 2.0 * pref_a * HBAR_J_S * chi0 / (mass * a_m)
+    dv_payload = fraction * dv
+    rate = tangential_v_to_rate(dv_payload, base.wheel_radius)
+    feasible = dv_payload >= required
+    cells = [repr(float(x)) for x in (chi0, a_m, rho, fraction, pref_a, dv, dv_payload, rate)]
+    return ",".join(cells + ["true" if feasible else "false"])
+
+
+def reference_sweep(base, axes, mode) -> str:
+    lists = [[float(v) for v in axes.get(k, [getattr(base, k)])] for k in mission._SWEEP_AXES]
+    required = rate_to_tangential_v(base.target_rate, base.wheel_radius).value
+    rows = [reference_row(base, c, mode, required) for c in itertools.product(*lists)]
+    return "".join(line + "\n" for line in [",".join(SWEEP_CSV_HEADER), *rows])
+
+
+def decades(lo_exp: int, hi_exp: int):
+    """Positive floats spanning the decades 10**lo_exp .. 10**hi_exp."""
+    return st.builds(
+        lambda m, e: m * 10.0**e, st.floats(1.0, 9.999), st.integers(lo_exp, hi_exp - 1)
+    )
+
+
+SWEEP_AXIS_VALUES = {
+    "chi0": decades(-7, 0),
+    "particle_size": decades(-11, -6),
+    "particle_density": decades(1, 5),
+    "active_mass_fraction": st.floats(1e-6, 1.0),
+    "prefactor_A": decades(-4, 0),
+}
+
+
+class TestSweepKernelEquivalence:
+    @settings(max_examples=60)
+    @given(
+        data=st.data(),
+        mode=st.sampled_from(list(SweepMode)),
+        block_rows=st.sampled_from([1, 5, 64, mission._SWEEP_BLOCK_ROWS]),
+    )
+    def test_matches_per_row_reference(self, data, mode, block_rows):
+        base = design_point(
+            wheel_radius=data.draw(st.floats(0.1, 10.0)),
+            particle_size=data.draw(decades(-10, -7)),
+        )
+        axes = {}
+        for name, values in SWEEP_AXIS_VALUES.items():
+            if data.draw(st.booleans()):
+                axes[name] = data.draw(st.lists(values, min_size=1, max_size=7))
+        buf = io.StringIO()
+        with mock.patch.object(mission, "_SWEEP_BLOCK_ROWS", block_rows):
+            count = sweep(base, axes, out=buf, mode=mode)
+        expected = reference_sweep(base, axes, mode)
+        assert buf.getvalue() == expected
+        assert count == expected.count("\n") - 1
+
+    @pytest.mark.parametrize("mode", list(SweepMode))
+    def test_grid_larger_than_a_block(self, mode):
+        axes = {
+            "chi0": list(np.geomspace(1e-6, 0.9, 8)),
+            "particle_size": list(np.geomspace(3e-10, 7e-8, 8)),
+            "particle_density": list(np.geomspace(20.0, 9e4, 8)),
+            "active_mass_fraction": list(np.linspace(0.01, 1.0, 8)),
+            "prefactor_A": list(np.geomspace(1e-4, 0.5, 9)),
+        }
+        assert 8**4 * 9 > mission._SWEEP_BLOCK_ROWS
+        buf = io.StringIO()
+        sweep(design_point(), axes, out=buf, mode=mode)
+        assert buf.getvalue() == reference_sweep(design_point(), axes, mode)
+
+    def test_pooled_sweep_runtime_guard(self, tmp_path):
+        # 10^5 rows, jobs=4: the per-row thread pool ran at ~10k rows/s
+        axes = {
+            "chi0": list(np.geomspace(1e-5, 1e-3, 100)),
+            "particle_size": list(np.geomspace(5e-10, 5e-9, 10)),
+            "particle_density": list(np.linspace(500.0, 5000.0, 10)),
+            "active_mass_fraction": list(np.linspace(0.1, 1.0, 10)),
+        }
+        t0 = time.perf_counter()
+        count = sweep(design_point(), axes, out=tmp_path / "sweep.csv", jobs=4)
+        elapsed = time.perf_counter() - t0
+        assert count == 100_000
+        assert elapsed < 1.5
+
+
+class TestSweepAxisValidation:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("chi0", -1.0),
+            ("chi0", 0.0),
+            ("particle_size", 0.0),
+            ("particle_density", -5.0),
+            ("active_mass_fraction", 2.0),
+            ("active_mass_fraction", 0.0),
+            ("prefactor_A", -1e-2),
+        ],
+    )
+    def test_out_of_range_axis_value(self, name, value):
+        buf = io.StringIO()
+        with pytest.raises(SweepValueError) as err:
+            sweep(design_point(), {name: [1e-3 if name != "particle_size" else 1e-9, value]}, buf)
+        assert err.value.values == {name: value}
+        assert err.value.problem == "is out of range"
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "mode, name, bad",
+        [
+            (SweepMode.MASS_BUDGET, "particle_size", 1e-200),  # a**4 underflows to 0
+            (SweepMode.FIXED_PARTICLE_MASS, "particle_density", 1e-300),  # rho*a^3 -> 0
+        ],
+    )
+    def test_non_finite_row_is_refused_before_its_block_is_written(self, mode, name, bad):
+        buf = io.StringIO()
+        good = getattr(design_point(), name)
+        with pytest.raises(SweepValueError) as err:
+            sweep(design_point(), {name: [good, bad]}, buf, mode=mode)
+        assert err.value.problem == "gives a non-finite dv_m_s"
+        row = {k: getattr(design_point(), k) for k in mission._SWEEP_AXES}
+        assert err.value.values == {**row, name: bad}
+        assert buf.getvalue() == ""
+
+    def test_earlier_blocks_stay_written(self):
+        buf = io.StringIO()
+        axes = {"particle_size": [1e-9, 1e-200]}
+        with mock.patch.object(mission, "_SWEEP_BLOCK_ROWS", 1):
+            with pytest.raises(SweepValueError):
+                sweep(design_point(), axes, buf)
+        assert buf.getvalue() == reference_sweep(design_point(), {}, SweepMode.MASS_BUDGET)
 
 
 class TestRandomInversion:

@@ -2,6 +2,7 @@ import io
 import math
 import time
 from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 
 from zpfdrive.quantities import ENERGY_DENSITY, HBAR_J_S, C_M_S, MOMENTUM, Quantity, LENGTH
 from zpfdrive.vacuum import (
+    MAX_N_PER_AXIS,
     CutoffConvention,
     ModeGrid,
     ORACLE_CSV_HEADER,
@@ -107,6 +109,15 @@ class TestClosedFormMomentum:
         tagged = vacuum_momentum_closed_form(1e-3, Quantity(1e-9, LENGTH), m)
         assert tagged.value == vacuum_momentum_closed_form(1e-3, 1e-9, m).value
 
+    def test_chi_sanity_bound(self):
+        m = VacuumModel()
+        assert vacuum_momentum_closed_form(-1.0, 1e-9, m).value < 0.0
+        for chi in (1.0 + 1e-15, -5.0):
+            with pytest.raises(ValueError, match="exceeds sanity bound"):
+                vacuum_momentum_closed_form(chi, 1e-9, m)
+            with pytest.raises(ValueError, match="exceeds sanity bound"):
+                mode_sum_oracle(chi, 1e-9, ModeGrid.for_particle(1e-9, 8))
+
 
 class TestModeGrid:
     def test_minimum_resolution_enforced(self):
@@ -116,6 +127,17 @@ class TestModeGrid:
     def test_cutoff_must_be_positive(self):
         with pytest.raises(ValueError):
             ModeGrid(n_per_axis=16, k_cut=0.0)
+
+    def test_maximum_resolution_enforced(self):
+        assert ModeGrid(n_per_axis=MAX_N_PER_AXIS, k_cut=1e9).n_per_axis == MAX_N_PER_AXIS
+        with pytest.raises(ValueError, match=f"must be <= {MAX_N_PER_AXIS}, got 100000"):
+            ModeGrid(n_per_axis=100_000, k_cut=1e9)
+
+    def test_study_validates_every_grid_before_computing(self):
+        with mock.patch("zpfdrive.vacuum._geometry_sum") as geometry:
+            with pytest.raises(ValueError, match="got 4096"):
+                convergence_study(1e-3, [1e-9], [16, 4096])
+        geometry.assert_not_called()
 
     def test_spacing(self):
         g = ModeGrid(n_per_axis=16, k_cut=math.pi / 1e-9)
