@@ -9,8 +9,6 @@ adds no arithmetic of its own: every number printed is a library result.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -359,14 +357,6 @@ _SWEEP_DESTS = {
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        return _sweep(args)
-    except mission.SweepValueError as exc:
-        flags = " ".join(f"--{_SWEEP_DESTS[k]} {v!r}" for k, v in exc.values.items())
-        raise ValueError(f"{flags} {exc.problem}") from None
-
-
-def _sweep(args) -> int:
     spec = mission.MissionSpec.from_json(args.spec)
     axes = {}
     for name, dest in _SWEEP_DESTS.items():
@@ -374,24 +364,14 @@ def _sweep(args) -> int:
         if raw is not None:
             axes[name] = _parse_floats(raw, f"--{dest}")
     mode = mission.SweepMode(args.mode)
-    if args.format == "json":
-        buf = io.StringIO()
-        mission.sweep(spec, axes, out=buf, mode=mode, jobs=args.jobs)
-        buf.seek(0)
-        rows = list(csv.DictReader(buf))
-        text = json.dumps(rows)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote {len(rows)} rows to {args.out}")
-        else:
-            print(text)
-        return 0
+    fmt = "json" if args.format == "json" else "csv"
+    try:
+        count = mission.sweep(spec, axes, out=args.out or sys.stdout, mode=mode, fmt=fmt)
+    except mission.SweepValueError as exc:
+        flags = " ".join(f"--{_SWEEP_DESTS[k]} {v!r}" for k, v in exc.values.items())
+        raise ValueError(f"{flags} {exc.problem}") from None
     if args.out:
-        count = mission.sweep(spec, axes, out=args.out, mode=mode, jobs=args.jobs)
         print(f"wrote {count} rows to {args.out}")
-    else:
-        mission.sweep(spec, axes, out=sys.stdout, mode=mode, jobs=args.jobs)
     return 0
 
 

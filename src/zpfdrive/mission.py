@@ -4,7 +4,7 @@ Converts an attitude-rate requirement (degrees per day at a lever-arm
 radius) into a required tangential velocity, evaluates the achievable
 payload velocity for one full pi-rotation cycle of the active
 magneto-electric mass, inverts the design chain for any single unknown, and
-sweeps parameter grids to CSV.
+sweeps parameter grids to CSV or JSON.
 
 One cycle means one pi-rotation of all active particles; sustained cycling
 rates are out of scope.  The achieved velocity is
@@ -14,6 +14,15 @@ rates are out of scope.  The achieved velocity is
 so the total satellite mass cancels and the margin is linear in chi0 and
 fraction and falls as 1/a^4 at fixed density (the mass-per-particle form
 hbar/(m*a) with m = rho*a^3 expanded).
+
+A sweep is one numpy broadcasting kernel over the five axis arrays, run on
+blocks of at most 2^15 grid rows that are formatted and written before the
+next is computed, so memory does not grow with the row count.  The kernel
+keeps the scalar formula's operation order (a^4 by Python's float pow), so
+every row is bit-identical to a per-row evaluation; the floats keep their
+shortest round-trip ``repr``, which dominates the run time.  Axis values
+obey the spec's per-field rules, and a non-finite row is refused before its
+block is written.
 """
 
 from __future__ import annotations
@@ -77,6 +86,14 @@ SWEEP_CSV_HEADER = (
     "rate_deg_day",
     "feasible",
 )
+# a JSON object per row, laid out as json.dumps writes it: the CSV cells
+# (float reprs, true/false) are JSON tokens already
+_SWEEP_JSON_ROW = "{" + ", ".join(f'"{k}": %s' for k in SWEEP_CSV_HEADER) + "}"
+# per output format: text before the rows, row formatter, row separator, text after
+_SWEEP_FORMATS = {
+    "csv": (",".join(SWEEP_CSV_HEADER) + "\n", ",".join, "\n", "\n"),
+    "json": ("[", _SWEEP_JSON_ROW.__mod__, ", ", "]\n"),
+}
 
 
 class MissionSpecError(ValueError):
@@ -459,8 +476,9 @@ def sweep(
     mode: SweepMode = SweepMode.MASS_BUDGET,
     max_rows: int = DEFAULT_SWEEP_CAP,
     jobs: int = 1,
+    fmt: str = "csv",
 ) -> int:
-    """Cartesian-product sweep over design parameters, emitted as CSV rows.
+    """Cartesian-product sweep over design parameters, emitted as CSV or JSON rows.
 
     Rows appear in deterministic lexicographic grid order (axis order
     chi0, size, density, fraction, prefactor); the output is byte-identical
@@ -470,9 +488,13 @@ def sweep(
     whose dv, dV or rate is not finite raises :class:`SweepValueError`
     before its block is written (earlier blocks stay written).  With
     ``out=None`` the grid is computed and checked but nothing is written.
-    ``jobs`` is accepted for compatibility and has no effect.  Returns the
-    row count.
+    ``fmt="json"`` writes the rows as one JSON list of objects keyed by the
+    CSV header, with numbers and booleans typed and every number equal to
+    its CSV cell.  ``jobs`` is accepted for compatibility and has no effect.
+    Returns the row count.
     """
+    if fmt not in _SWEEP_FORMATS:
+        raise ValueError(f"sweep format must be one of {sorted(_SWEEP_FORMATS)}, got {fmt!r}")
     base = base.validated()
     bad = set(axes) - set(_SWEEP_AXES)
     if bad:
@@ -498,9 +520,12 @@ def sweep(
             pass
         return total
     opened = open(out, "w", newline="") if isinstance(out, (str, Path)) else nullcontext(out)
+    head, row, sep, tail = _SWEEP_FORMATS[fmt]
     with opened as fh:
-        fh.write(",".join(SWEEP_CSV_HEADER) + "\n")
-        for cells in blocks:
-            fh.write("\n".join(map(",".join, cells)))
-            fh.write("\n")
+        fh.write(head)
+        for i, cells in enumerate(blocks):
+            if i:
+                fh.write(sep)
+            fh.write(sep.join(map(row, cells)))
+        fh.write(tail)
     return total

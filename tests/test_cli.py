@@ -134,6 +134,24 @@ class TestMissionCommands:
         assert lines[0] == "chi0,a_m,rho_kg_m3,fraction,A,dv_m_s,dV_m_s,rate_deg_day,feasible"
         assert len(lines) == 7
 
+    def test_sweep_json_is_typed_and_matches_csv(self, capsys, tmp_path, spec_file):
+        argv = ["sweep", "--spec", spec_file, "--chi", "1e-4,1e-3", "--a", "1e-9,2e-9"]
+        _, csv_out, _ = run_cli(capsys, *argv)
+        code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = json.loads(json_out)
+        header, *lines = csv_out.splitlines()
+        assert len(rows) == len(lines) == 4
+        for row, line in zip(rows, lines):
+            assert list(row) == header.split(",")
+            *numbers, feasible = line.split(",")
+            assert [repr(v) for v in list(row.values())[:-1]] == numbers
+            assert row["feasible"] is (feasible == "true")
+        out_path = tmp_path / "sweep.json"
+        code, out, _ = run_cli(capsys, *argv, "--format", "json", "--out", str(out_path))
+        assert out == f"wrote 4 rows to {out_path}\n"
+        assert out_path.read_text() == json_out
+
     def test_sweep_byte_identical_reruns(self, capsys, tmp_path, spec_file):
         texts = []
         for name in ("a.csv", "b.csv"):

@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import math
 import time
 from dataclasses import replace
@@ -285,6 +286,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(design_point(), {"satellite_mass": [1.0]}, out=io.StringIO())
 
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="sweep format"):
+            sweep(design_point(), {}, out=io.StringIO(), fmt="xml")
+
+    def test_json_rows_are_typed(self):
+        buf = io.StringIO()
+        sweep(design_point(), {"chi0": [1e-4, 1e-3]}, out=buf, fmt="json")
+        rows = json.loads(buf.getvalue())
+        assert [r["feasible"] for r in rows] == [False, True]
+        assert list(rows[1]) == list(SWEEP_CSV_HEADER)
+        assert rows[1]["dV_m_s"] == evaluate_mission(design_point()).achieved_tangential_v
+
 
 def reference_row(base, combo, mode, required) -> str:
     """One sweep row by the original per-row code, kept as the kernel's reference."""
@@ -306,6 +319,16 @@ def reference_sweep(base, axes, mode) -> str:
     required = rate_to_tangential_v(base.target_rate, base.wheel_radius).value
     rows = [reference_row(base, c, mode, required) for c in itertools.product(*lists)]
     return "".join(line + "\n" for line in [",".join(SWEEP_CSV_HEADER), *rows])
+
+
+def reference_json(csv_text: str) -> str:
+    """The sweep JSON that json.dumps writes for the typed values of CSV text."""
+    header, *rows = csv_text.splitlines()
+    typed = [
+        {k: v == "true" if k == "feasible" else float(v) for k, v in zip(header.split(","), r.split(","))}
+        for r in rows
+    ]
+    return json.dumps(typed) + "\n"
 
 
 def decades(lo_exp: int, hi_exp: int):
@@ -340,12 +363,13 @@ class TestSweepKernelEquivalence:
         for name, values in SWEEP_AXIS_VALUES.items():
             if data.draw(st.booleans()):
                 axes[name] = data.draw(st.lists(values, min_size=1, max_size=7))
-        buf = io.StringIO()
-        with mock.patch.object(mission, "_SWEEP_BLOCK_ROWS", block_rows):
-            count = sweep(base, axes, out=buf, mode=mode)
         expected = reference_sweep(base, axes, mode)
-        assert buf.getvalue() == expected
-        assert count == expected.count("\n") - 1
+        for fmt, want in (("csv", expected), ("json", reference_json(expected))):
+            buf = io.StringIO()
+            with mock.patch.object(mission, "_SWEEP_BLOCK_ROWS", block_rows):
+                count = sweep(base, axes, out=buf, mode=mode, fmt=fmt)
+            assert buf.getvalue() == want
+            assert count == expected.count("\n") - 1
 
     @pytest.mark.parametrize("mode", list(SweepMode))
     def test_grid_larger_than_a_block(self, mode):
@@ -420,7 +444,8 @@ class TestSweepAxisValidation:
         with mock.patch.object(mission, "_SWEEP_BLOCK_ROWS", 1):
             with pytest.raises(SweepValueError):
                 sweep(design_point(), axes, buf)
-        assert buf.getvalue() == reference_sweep(design_point(), {}, SweepMode.MASS_BUDGET)
+        header_and_first_row = reference_sweep(design_point(), {}, SweepMode.MASS_BUDGET)
+        assert buf.getvalue().splitlines() == header_and_first_row.splitlines()
 
 
 class TestRandomInversion:
