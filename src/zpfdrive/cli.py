@@ -366,7 +366,9 @@ def _cmd_sweep(args) -> int:
     mode = mission.SweepMode(args.mode)
     fmt = "json" if args.format == "json" else "csv"
     try:
-        count = mission.sweep(spec, axes, out=args.out or sys.stdout, mode=mode, fmt=fmt)
+        count = mission.sweep(
+            spec, axes, out=args.out or sys.stdout, mode=mode, jobs=args.jobs, fmt=fmt
+        )
     except mission.SweepValueError as exc:
         flags = " ".join(f"--{_SWEEP_DESTS[k]} {v!r}" for k, v in exc.values.items())
         raise ValueError(f"{flags} {exc.problem}") from None
