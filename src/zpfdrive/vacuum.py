@@ -72,7 +72,8 @@ __all__ = [
 ]
 
 ORACLE_CSV_HEADER = ("n_per_axis", "a_m", "chi", "p_kg_m_s", "effective_A")
-# the oracle's memory grows as n^2 and its time as n^3: ~10 s and ~0.8 GB at 2048
+# the oracle's memory grows as n^2 and its time as n^3: about 10 s and 0.8 GB
+# at n = 2048 on one CPU core
 MAX_N_PER_AXIS = 2048
 
 
