@@ -270,7 +270,9 @@ def convergence_study(
     CSV columns: n_per_axis, a_m, chi, p_kg_m_s, effective_A.
     """
     # build (and so validate) every grid before the first oracle call
-    grids = [(n, a_m, ModeGrid.for_particle(a_m, n, convention)) for n in n_values for a_m in sizes_m]
+    grids = [
+        (n, a_m, ModeGrid.for_particle(a_m, n, convention)) for n in n_values for a_m in sizes_m
+    ]
     rows = []
     for n, a_m, grid in grids:
         p, eff_a = mode_sum_oracle(chi_xy, a_m, grid)

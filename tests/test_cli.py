@@ -435,13 +435,19 @@ class TestCliContract:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["vacuum-momentum", "--chi", "5", "--a", "1e-9"], "|chi| = 5.0 exceeds sanity bound 1.0"),
+            (
+                ["vacuum-momentum", "--chi", "5", "--a", "1e-9"],
+                "|chi| = 5.0 exceeds sanity bound 1.0",
+            ),
             (
                 ["delta-v-agg", "--chi", "-5", "--a", "1e-9", "--rho", "1000", "--N", "8"],
                 "|chi| = 5.0 exceeds sanity bound 1.0",
             ),
             (["oracle", "--chi", "2", "--n", "8"], "|chi| = 2.0 exceeds sanity bound 1.0"),
-            (["oracle", "--chi", "1e-3", "--n", "100000"], "n_per_axis must be <= 2048, got 100000"),
+            (
+                ["oracle", "--chi", "1e-3", "--n", "100000"],
+                "n_per_axis must be <= 2048, got 100000",
+            ),
         ],
     )
     def test_physics_bound_exits_one(self, capsys, argv, message):

@@ -326,7 +326,10 @@ def reference_json(csv_text: str) -> str:
     """The sweep JSON that json.dumps writes for the typed values of CSV text."""
     header, *rows = csv_text.splitlines()
     typed = [
-        {k: v == "true" if k == "feasible" else float(v) for k, v in zip(header.split(","), r.split(","))}
+        {
+            k: v == "true" if k == "feasible" else float(v)
+            for k, v in zip(header.split(","), r.split(","))
+        }
         for r in rows
     ]
     return json.dumps(typed) + "\n"
