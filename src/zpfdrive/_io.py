@@ -1,0 +1,47 @@
+"""Streamed text output shared by every numeric CSV and JSON writer.  Floats print as
+their shortest round-trip ``repr``, taken per block from one C-level ``repr`` of a list.
+"""
+
+from __future__ import annotations
+
+import io
+from contextlib import nullcontext
+from pathlib import Path
+from typing import Iterable, Sequence, Union
+
+import numpy as np
+
+# rows per block when a CSV is written from float columns
+CSV_BLOCK_ROWS = 1 << 13
+
+
+def float_strs(x: np.ndarray) -> list[str]:
+    """``repr`` of every element in C order, from one C-level repr of the list."""
+    return repr(x.ravel().tolist())[1:-1].split(", ")
+
+
+def csv_blocks(columns: Sequence[np.ndarray]) -> Iterable[str]:
+    """CSV lines of equal-length float columns, one string per ``CSV_BLOCK_ROWS`` rows."""
+    for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        cells = iter(float_strs(np.column_stack([c[lo : lo + CSV_BLOCK_ROWS] for c in columns])))
+        yield "\n".join(map(",".join, zip(*[cells] * len(columns)))) + "\n"
+
+
+def write_blocks(
+    out: Union[str, Path, io.TextIOBase], blocks: Iterable[str], head="", sep="", tail=""
+) -> None:
+    """Write ``head``, the ``blocks`` joined by ``sep``, then ``tail`` to a path or a handle.
+
+    Memory holds one block.  The first block is computed before a path is
+    opened, so an error raised by it leaves no file behind.
+    """
+    blocks = iter(blocks)
+    first = next(blocks, "")
+    opened = open(out, "w", newline="") if isinstance(out, (str, Path)) else nullcontext(out)
+    with opened as fh:
+        fh.write(head)
+        fh.write(first)
+        for block in blocks:
+            fh.write(sep)
+            fh.write(block)
+        fh.write(tail)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import dynamics, material, mission, vacuum
+from . import _io, dynamics, material, mission, vacuum
 from .quantities import Quantity, unit_string
 
 __all__ = ["main", "build_parser"]
@@ -58,8 +58,9 @@ _FINITE_FLAGS = {
 }
 
 
-def _check_finite(args) -> None:
-    """Reject inf or NaN in any numeric physics flag, naming the flag."""
+def _check_flags(args) -> None:
+    """Reject inf or NaN in any numeric physics flag, and a size that
+    :func:`~zpfdrive.material.representable_size` refuses, naming the flag."""
     for dest, flag in _FINITE_FLAGS.items():
         raw = getattr(args, dest, None)
         if raw is None:
@@ -68,6 +69,8 @@ def _check_finite(args) -> None:
         for value in values:
             if not math.isfinite(value):
                 raise ValueError(f"{flag} must be finite, got {value!r}")
+            if dest == "a" and not material.representable_size(value):
+                raise ValueError(f"{flag} {value!r} is out of range")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,33 +241,19 @@ def _cmd_vacuum_momentum(args) -> int:
 def _cmd_oracle(args) -> int:
     sizes = _parse_floats(args.a, "--a")
     n_values = _parse_ints(args.n, "--n")
+    out = args.out or sys.stdout
+    csv_out = None if args.format == "json" else out
     rows = vacuum.convergence_study(
-        args.chi, sizes, n_values, convention=_CUTOFFS[args.cutoff]
+        args.chi, sizes, n_values, convention=_CUTOFFS[args.cutoff], out=csv_out
     )
-    if args.format == "json":
-        text = json.dumps(rows)
-    else:
-        lines = [",".join(vacuum.ORACLE_CSV_HEADER)]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(row["n_per_axis"]),
-                        repr(row["a_m"]),
-                        repr(row["chi"]),
-                        repr(row["p_kg_m_s"]),
-                        repr(row["effective_A"]),
-                    ]
-                )
-            )
-        text = "\n".join(lines)
+    if csv_out is None:
+        _io.write_blocks(out, [json.dumps(rows)], tail="\n")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
         print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        print(text)
     return 0
+
+
+_FORCE_COLUMNS = ("t_s", "f_dielectric", "f_magnetoelectric", "f_chi_rate", "f_total")
 
 
 def _cmd_force_decompose(args) -> int:
@@ -276,40 +265,23 @@ def _cmd_force_decompose(args) -> int:
         tensor=material.MagnetoElectricTensor.from_xy(args.chi),
         epsilon=args.epsilon,
     )
-    dec = dynamics.force_decomposed(particle, series)
-    total = dec.total  # a property that sums three arrays: read it once
+    with np.errstate(all="ignore"):  # non-finite terms are refused below
+        dec = dynamics.force_decomposed(particle, series)
+        terms = (dec.dielectric, dec.magnetoelectric, dec.chi_rate, dec.total)
+    bad = np.array([~np.isfinite(term) for term in terms])
+    if bad.any():
+        i = int(bad.any(axis=0).argmax())
+        name = _FORCE_COLUMNS[1 + int(bad[:, i].argmax())]
+        raise ValueError(f"{args.series}: t_s = {series.t[i].item()!r} gives a non-finite {name}")
+    columns = (series.t, *terms)
+    out = args.out or sys.stdout
     if args.format == "json":
-        text = json.dumps(
-            {
-                "t_s": [float(x) for x in series.t],
-                "f_dielectric": [float(x) for x in dec.dielectric],
-                "f_magnetoelectric": [float(x) for x in dec.magnetoelectric],
-                "f_chi_rate": [float(x) for x in dec.chi_rate],
-                "f_total": [float(x) for x in total],
-            }
-        )
+        payload = {k: col.tolist() for k, col in zip(_FORCE_COLUMNS, columns)}
+        _io.write_blocks(out, [json.dumps(payload)], tail="\n")
     else:
-        lines = ["t_s,f_dielectric,f_magnetoelectric,f_chi_rate,f_total"]
-        for i in range(series.t.size):
-            lines.append(
-                ",".join(
-                    repr(float(x))
-                    for x in (
-                        series.t[i],
-                        dec.dielectric[i],
-                        dec.magnetoelectric[i],
-                        dec.chi_rate[i],
-                        total[i],
-                    )
-                )
-            )
-        text = "\n".join(lines)
+        _io.write_blocks(out, _io.csv_blocks(columns), head=",".join(_FORCE_COLUMNS) + "\n")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
         print(f"wrote {series.t.size} samples to {args.out}")
-    else:
-        print(text)
     return 0
 
 
@@ -392,20 +364,13 @@ def _cmd_ledger(args) -> int:
             raise ValueError(f"{args.maneuvers}: maneuver {i}: {exc}") from None
     model = vacuum.VacuumModel(prefactor_a=args.A)
     ledger = dynamics.run_maneuver_sequence(state, maneuvers, args.m_total, model)
+    out = args.out or sys.stdout
     if args.format == "json":
-        text = json.dumps(ledger.entry_dicts())
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote {len(ledger.entries)} entries to {args.out}")
-        else:
-            print(text)
-        return 0
-    if args.out:
-        ledger.to_jsonl(args.out)
-        print(f"wrote {len(ledger.entries)} entries to {args.out}")
+        _io.write_blocks(out, [json.dumps(ledger.entry_dicts())], tail="\n")
     else:
-        ledger.to_jsonl(sys.stdout)
+        ledger.to_jsonl(out)
+    if args.out:
+        print(f"wrote {len(ledger.entries)} entries to {args.out}")
     return 0
 
 
@@ -426,7 +391,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_finite(args)
+        _check_flags(args)
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,12 @@ through which the quantum vacuum can contribute.  Time derivatives are
 second-order central differences with first-order one-sided endpoints, so
 the decomposition identity holds at interior points to O(dt^2).
 
+A series CSV given by path is read with ``np.loadtxt`` on the columns its
+header names; a file that ``loadtxt`` cannot read as the ``csv`` module
+would, and an open handle, go through a line-by-line reader that names the
+line and field of a bad cell.  Both give the same arrays, bit for bit.
+:meth:`FieldTimeSeries.to_csv` writes through the shared block writer.
+
 Maneuvers book momentum endpoint-wise against the closed-form vacuum model:
 a rotation transfers the change of stored vacuum momentum A*hbar*dchi/a, an
 aggregation of N size-a units into one size-L body (L = N^(1/3) a) transfers
@@ -26,14 +32,17 @@ order, as a scalar loop would sum them.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
+from . import _io
 from .material import Particle, ParticleState, check_chi_bound, rotation_about
 from .quantities import HBAR_J_S, LENGTH, MASS, MASS_DENSITY, VELOCITY, Quantity, si_value
 from .vacuum import VacuumModel, stored_momentum
@@ -73,6 +82,45 @@ class SeriesFormatError(ValueError):
     """Malformed field-series CSV; carries the offending line/field."""
 
 
+# the optional per-sample response parameters, named alike in the CSV and the series
+_CHI_FIELDS = ("chi0_xy", "kappa1", "kappa2", "kappa3")
+# series CSV column -> FieldTimeSeries field
+_SERIES_COLUMNS = {"t_s": "t", "E_x": "e_x", "B_y": "b_y", **{k: k for k in _CHI_FIELDS}}
+
+
+def _column_index(reader) -> dict[str, int]:
+    """Series column -> cell index, from the header row of a CSV ``reader``."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SeriesFormatError("empty series CSV") from None
+    header = [h.strip() for h in header]
+    for col in ("t_s", "E_x", "B_y"):
+        if col not in header:
+            raise SeriesFormatError(f"missing required column {col!r}")
+    if "chi0_xy" not in header and any(k in header for k in _CHI_FIELDS[1:]):
+        raise SeriesFormatError("chi0_xy column is required when kappa columns are present")
+    return {col: header.index(col) for col in _SERIES_COLUMNS if col in header}
+
+
+def _load_columns(path: Union[str, Path]) -> dict[str, np.ndarray]:
+    """The series columns of a CSV file by ``np.loadtxt``; ValueError where it cannot read it.
+
+    ``loadtxt`` does not split quoted cells as the ``csv`` module does, so
+    a file holding a quote character is refused before ``loadtxt`` sees it.
+    """
+    with open(path, newline="") as fh:
+        if any('"' in chunk for chunk in iter(functools.partial(fh.read, 1 << 20), "")):
+            raise ValueError("quoted cells")
+        fh.seek(0)
+        index = _column_index(csv.reader(fh))
+        usecols = list(index.values())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a file without data rows: the series refuses it
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=usecols)
+    return {_SERIES_COLUMNS[col]: row for col, row in zip(index, np.ascontiguousarray(data.T))}
+
+
 @dataclass(frozen=True, eq=False)
 class FieldTimeSeries:
     """Uniformly sampled E_x(t), B_y(t), with optional per-sample chi params.
@@ -92,11 +140,9 @@ class FieldTimeSeries:
 
     def __post_init__(self) -> None:
         arrays = {"t": self.t, "e_x": self.e_x, "b_y": self.b_y}
-        if self.chi0_xy is None and any(
-            getattr(self, k) is not None for k in ("kappa1", "kappa2", "kappa3")
-        ):
+        if self.chi0_xy is None and any(getattr(self, k) is not None for k in _CHI_FIELDS[1:]):
             raise SeriesFormatError("chi0_xy is required when kappa columns are present")
-        for k in ("chi0_xy", "kappa1", "kappa2", "kappa3"):
+        for k in _CHI_FIELDS:
             if getattr(self, k) is not None:
                 arrays[k] = getattr(self, k)
         n = None
@@ -148,24 +194,21 @@ class FieldTimeSeries:
 
     @classmethod
     def from_csv(cls, source: Union[str, Path, io.TextIOBase]) -> "FieldTimeSeries":
+        """Read a series CSV from a path (by ``np.loadtxt`` where it can) or an open handle.
+
+        A handle, and a file ``loadtxt`` cannot read, go through the line
+        reader below: it accepts what ``float()`` accepts, names the line and
+        field of a bad cell, and gives the same arrays as ``loadtxt``.
+        """
         if isinstance(source, (str, Path)):
-            with open(source, newline="") as fh:
-                return cls.from_csv(fh)
+            try:
+                columns = _load_columns(source)
+            except ValueError:
+                with open(source, newline="") as fh:
+                    return cls.from_csv(fh)
+            return cls(**columns)
         reader = csv.reader(source)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SeriesFormatError("empty series CSV") from None
-        header = [h.strip() for h in header]
-        required = ("t_s", "E_x", "B_y")
-        for col in required:
-            if col not in header:
-                raise SeriesFormatError(f"missing required column {col!r}")
-        optional = ("chi0_xy", "kappa1", "kappa2", "kappa3")
-        if "chi0_xy" not in header and any(k in header for k in optional[1:]):
-            raise SeriesFormatError("chi0_xy column is required when kappa columns are present")
-        index = {col: header.index(col) for col in required}
-        index.update({col: header.index(col) for col in optional if col in header})
+        index = _column_index(reader)
         columns: dict[str, list[float]] = {col: [] for col in index}
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
@@ -180,37 +223,13 @@ class FieldTimeSeries:
                     raise SeriesFormatError(
                         f"line {line_no}: field {col!r} is not a number: {cell!r}"
                     ) from None
-        kwargs = {
-            "t": np.array(columns["t_s"]),
-            "e_x": np.array(columns["E_x"]),
-            "b_y": np.array(columns["B_y"]),
-        }
-        if "chi0_xy" in columns:
-            kwargs["chi0_xy"] = np.array(columns["chi0_xy"])
-            for name in ("kappa1", "kappa2", "kappa3"):
-                if name in columns:
-                    kwargs[name] = np.array(columns[name])
-        return cls(**kwargs)
+        return cls(**{_SERIES_COLUMNS[col]: np.array(values) for col, values in columns.items()})
 
     def to_csv(self, target: Union[str, Path, io.TextIOBase]) -> None:
-        if isinstance(target, (str, Path)):
-            with open(target, "w", newline="") as fh:
-                self.to_csv(fh)
-                return
-        header = ["t_s", "E_x", "B_y"]
-        cols = [self.t, self.e_x, self.b_y]
-        if self.chi0_xy is not None:
-            header.append("chi0_xy")
-            cols.append(self.chi0_xy)
-            for name in ("kappa1", "kappa2", "kappa3"):
-                arr = getattr(self, name)
-                if arr is not None:
-                    header.append(name)
-                    cols.append(arr)
-        writer = csv.writer(target)
-        writer.writerow(header)
-        for row in zip(*cols):
-            writer.writerow([repr(float(x)) for x in row])
+        """Write the series as CSV to a path or an open handle, one line per sample."""
+        header = [col for col, name in _SERIES_COLUMNS.items() if getattr(self, name) is not None]
+        columns = [getattr(self, _SERIES_COLUMNS[col]) for col in header]
+        _io.write_blocks(target, _io.csv_blocks(columns), head=",".join(header) + "\n")
 
 
 def _ddt(y: np.ndarray, dt: float) -> np.ndarray:

@@ -21,6 +21,7 @@ lab-frame read is a few batched numpy operations over all particles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -33,6 +34,7 @@ __all__ = [
     "ORTHOGONALITY_TOL",
     "CHI0_SANITY_BOUND",
     "check_chi_bound",
+    "representable_size",
     "ImproperRotationError",
     "MagnetoElectricTensor",
     "Particle",
@@ -56,6 +58,22 @@ def check_chi_bound(chi: float) -> None:
     """Reject a scalar chi outside the tensor's sanity bound ``|chi| <= CHI0_SANITY_BOUND``."""
     if not abs(chi) <= CHI0_SANITY_BOUND:
         raise ValueError(f"|chi| = {abs(chi)!r} exceeds sanity bound {CHI0_SANITY_BOUND}")
+
+
+def representable_size(a: float) -> bool:
+    """Whether ``a > 0`` and ``a**4`` and ``1/a**4`` are finite and non-zero.
+
+    The closed forms divide by ``a**4`` (Python's float pow), so a size
+    outside about (1e-77, 1e77) m would end in a zero division, an overflow
+    or a meaningless 0.0.
+    """
+    if not a > 0:
+        return False
+    try:
+        a4 = a**4
+    except OverflowError:
+        return False
+    return 0.0 < a4 < math.inf and 1.0 / a4 < math.inf
 
 
 class ImproperRotationError(ValueError):

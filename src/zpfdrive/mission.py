@@ -16,13 +16,14 @@ fraction and falls as 1/a^4 at fixed density (the mass-per-particle form
 hbar/(m*a) with m = rho*a^3 expanded).
 
 A sweep is one numpy broadcasting kernel over the five axis arrays, run on
-blocks of at most 2^15 grid rows that are formatted and written before the
-next is computed, so memory does not grow with the row count.  The kernel
-keeps the scalar formula's operation order (a^4 by Python's float pow), so
-every row is bit-identical to a per-row evaluation; the floats keep their
-shortest round-trip ``repr``, which dominates the run time.  Axis values
-obey the spec's per-field rules, and a non-finite row is refused before its
-block is written.
+blocks of at most 2^15 grid rows that the shared block writer (``_io``)
+formats and writes before the next is computed, so memory does not grow with
+the row count.  The kernel keeps the scalar formula's operation order (a^4
+by Python's float pow), so every row is bit-identical to a per-row
+evaluation; the floats keep their shortest round-trip ``repr``, which
+dominates the run time.  Axis values obey the spec's per-field rules (a size
+must have a finite, non-zero a^4 and 1/a^4), and a non-finite row is refused
+before its block is written.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import json
 import math
 import operator
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -41,8 +41,9 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
+from . import _io
 from .dynamics import delta_v_rotation, payload_delta_v
-from .material import MagnetoElectricTensor, Particle
+from .material import MagnetoElectricTensor, Particle, representable_size
 from .quantities import HBAR_J_S, VELOCITY, Quantity, si_value
 from .vacuum import VacuumModel
 
@@ -114,7 +115,7 @@ _FIELD_RULES: dict[str, Callable[[float], bool]] = {
     "wheel_radius": lambda v: v > 0,
     "satellite_mass": lambda v: v > 0,
     "active_mass_fraction": lambda v: 0 < v <= 1,
-    "particle_size": lambda v: v > 0,
+    "particle_size": representable_size,
     "particle_density": lambda v: v > 0,
     "chi0": lambda v: v > 0,
     "prefactor_A": lambda v: v > 0,
@@ -416,19 +417,6 @@ def _along(values: np.ndarray, axis: int) -> np.ndarray:
     return values.reshape((-1,) + (1,) * (len(_SWEEP_AXES) - 1 - axis))
 
 
-def _pow(x: float, n: int) -> float:
-    """``x**n`` by Python's float pow (libm ``pow``, bit for bit), inf on overflow."""
-    try:
-        return x**n
-    except OverflowError:
-        return math.inf
-
-
-def _float_strs(x: np.ndarray) -> list[str]:
-    """``repr`` of every element in C order, from one C-level repr of the list."""
-    return repr(x.ravel().tolist())[1:-1].split(", ")
-
-
 def _sweep_blocks(base: MissionSpec, lists: list[list[float]], mode: SweepMode):
     """The sweep grid in row order, as one iterator of 9-cell string tuples per block.
 
@@ -439,8 +427,9 @@ def _sweep_blocks(base: MissionSpec, lists: list[list[float]], mode: SweepMode):
     """
     required = rate_to_tangential_v(base.target_rate, base.wheel_radius).value
     vectors = [np.array(v) for v in lists]
-    a4 = np.array([_pow(a, 4) for a in lists[1]])
-    mass_per_size = _pow(base.particle_size, 3)
+    # by Python's float pow (libm pow, bit for bit); sizes are representable, so no overflow
+    a4 = np.array([a**4 for a in lists[1]])
+    mass_per_size = base.particle_size**3
     axis_strs = [[repr(v) for v in values] for values in lists]
     for block in _grid_blocks([len(v) for v in lists], _SWEEP_BLOCK_ROWS):
         chi, a, rho, frac, pref = (_along(v[s], i) for i, (v, s) in enumerate(zip(vectors, block)))
@@ -458,11 +447,11 @@ def _sweep_blocks(base: MissionSpec, lists: list[list[float]], mode: SweepMode):
                 values = {k: lists[i][block[i]][row[i]] for i, k in enumerate(_SWEEP_AXES)}
                 raise SweepValueError(values, f"gives a non-finite {name}")
         # dv does not depend on the fraction axis: format it once, then broadcast
-        dv_strs = np.array(_float_strs(dv), dtype=object).reshape(dv.shape)
+        dv_strs = np.array(_io.float_strs(dv), dtype=object).reshape(dv.shape)
         tails = zip(
             np.broadcast_to(dv_strs, dvp.shape).ravel().tolist(),
-            _float_strs(dvp),
-            _float_strs(rate),
+            _io.float_strs(dvp),
+            _io.float_strs(rate),
             map(_FEASIBLE.__getitem__, (dvp >= required).ravel().tolist()),
         )
         heads = itertools.product(*(strs[s] for strs, s in zip(axis_strs, block)))
@@ -513,19 +502,10 @@ def sweep(
         raise SweepCapError(f"sweep of {total} combinations exceeds cap {max_rows}")
 
     blocks = _sweep_blocks(base, lists, mode)
-    # compute the first block now, so that a bad one raises before the output is opened
-    blocks = itertools.chain([next(blocks)], blocks)
     if out is None:
         for _ in blocks:
             pass
         return total
-    opened = open(out, "w", newline="") if isinstance(out, (str, Path)) else nullcontext(out)
     head, row, sep, tail = _SWEEP_FORMATS[fmt]
-    with opened as fh:
-        fh.write(head)
-        for i, cells in enumerate(blocks):
-            if i:
-                fh.write(sep)
-            fh.write(sep.join(map(row, cells)))
-        fh.write(tail)
+    _io.write_blocks(out, (sep.join(map(row, cells)) for cells in blocks), head, sep, tail)
     return total

@@ -37,7 +37,6 @@ monotone (the lattice-point discrepancy of the sphere).
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -47,6 +46,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from . import _io
 from .material import check_chi_bound
 from .quantities import (
     ENERGY_DENSITY,
@@ -233,6 +233,8 @@ def mode_sum_oracle(
     a: Union[Quantity, float],
     grid: ModeGrid,
     axis_sign: int = +1,
+    *,
+    geometry: float | None = None,
 ) -> tuple[Quantity, float]:
     """Discretized vacuum-mode momentum sum and its extracted prefactor.
 
@@ -241,6 +243,8 @@ def mode_sum_oracle(
     computed from the chi-independent geometric sum so it is defined for all
     chi.  ``axis_sign = -1`` reflects the distinguished axis, flipping the
     sign of the momentum exactly.  ``|chi|`` must be within the sanity bound.
+    ``geometry`` is ``_geometry_sum(grid.n_per_axis)`` when the caller has
+    it already, e.g. for several sizes at one resolution.
     """
     if axis_sign not in (+1, -1):
         raise ValueError("axis_sign must be +1 or -1")
@@ -248,7 +252,8 @@ def mode_sum_oracle(
     a_m = si_value(a, LENGTH, "a")
     if not (a_m > 0):
         raise ValueError("size must be positive")
-    geometry = _geometry_sum(grid.n_per_axis)
+    if geometry is None:
+        geometry = _geometry_sum(grid.n_per_axis)
     if geometry == 0.0:
         raise ValueError("mode grid contains no modes inside the cutoff ball")
     dk = grid.dk
@@ -267,15 +272,21 @@ def convergence_study(
 ) -> list[dict]:
     """Run the oracle over a (size, resolution) grid; optionally emit CSV.
 
-    CSV columns: n_per_axis, a_m, chi, p_kg_m_s, effective_A.
+    The lattice sum of each resolution is computed once, for all sizes.
+    CSV columns: n_per_axis, a_m, chi, p_kg_m_s, effective_A, floats as their
+    shortest round-trip ``repr``; ``out`` is a path or an open text handle.
     """
-    # build (and so validate) every grid before the first oracle call
+    # build (and so validate) every grid, and check chi, before the first lattice sum
     grids = [
         (n, a_m, ModeGrid.for_particle(a_m, n, convention)) for n in n_values for a_m in sizes_m
     ]
+    check_chi_bound(chi_xy)
+    geometry: dict[int, float] = {}
     rows = []
     for n, a_m, grid in grids:
-        p, eff_a = mode_sum_oracle(chi_xy, a_m, grid)
+        if n not in geometry:
+            geometry[n] = _geometry_sum(n)
+        p, eff_a = mode_sum_oracle(chi_xy, a_m, grid, geometry=geometry[n])
         rows.append(
             {
                 "n_per_axis": n,
@@ -286,16 +297,10 @@ def convergence_study(
             }
         )
     if out is not None:
-        if isinstance(out, (str, Path)):
-            with open(out, "w", newline="") as fh:
-                _write_csv(fh, rows)
-        else:
-            _write_csv(out, rows)
+        floats = ORACLE_CSV_HEADER[1:]
+        text = "".join(
+            ",".join([str(row["n_per_axis"])] + [repr(float(row[k])) for k in floats]) + "\n"
+            for row in rows
+        )
+        _io.write_blocks(out, [text], head=",".join(ORACLE_CSV_HEADER) + "\n")
     return rows
-
-
-def _write_csv(fh, rows: list[dict]) -> None:
-    writer = csv.DictWriter(fh, fieldnames=list(ORACLE_CSV_HEADER))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})

@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 
 from zpfdrive import cli
-from zpfdrive.dynamics import FieldTimeSeries, delta_v_aggregation, delta_v_rotation
+from zpfdrive.dynamics import (
+    FieldTimeSeries,
+    delta_v_aggregation,
+    delta_v_rotation,
+    force_decomposed,
+)
 from zpfdrive.material import MagnetoElectricTensor, Particle, particle_to_dict
 from zpfdrive.mission import MissionSpec, evaluate_mission
-from zpfdrive.vacuum import VacuumModel, vacuum_momentum_closed_form
+from zpfdrive.vacuum import VacuumModel, convergence_study, vacuum_momentum_closed_form
 
 
 def run_cli(capsys, *argv):
@@ -208,6 +213,78 @@ class TestDataCommands:
         columns = zip(*[[float(x) for x in row.split(",")] for row in rows])
         for name, column in zip(header.split(","), columns):
             assert list(column) == payload[name], name
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_force_decompose_bytes_equal_per_cell_reference(self, capsys, tmp_path, fmt):
+        n = 3 * 2**13 + 7  # crosses the writer's block boundaries, with a partial last block
+        rng = np.random.default_rng(5)
+        t = 1e-3 * np.arange(n)
+        series = FieldTimeSeries(
+            t=t,
+            e_x=np.sin(7 * t) + 1e-3 * rng.normal(size=n),
+            b_y=np.cos(3 * t) * 10.0 ** rng.integers(-8, 8, n),
+            chi0_xy=1e-3 * (1 + 0.1 * np.sin(t)),
+            kappa1=np.full(n, 2e-5),
+        )
+        path = tmp_path / "series.csv"
+        series.to_csv(path)
+        argv = ["force-decompose", "--series", str(path), "--epsilon", "2.5", "--format", fmt]
+        particle = Particle(1e-9, 1000.0, MagnetoElectricTensor.from_xy(0.0), epsilon=2.5)
+        dec = force_decomposed(particle, FieldTimeSeries.from_csv(path))
+        columns = (series.t, dec.dielectric, dec.magnetoelectric, dec.chi_rate, dec.total)
+        names = ("t_s", "f_dielectric", "f_magnetoelectric", "f_chi_rate", "f_total")
+        # the per-cell formatting the command used before its block writer
+        if fmt == "json":
+            want = json.dumps({k: [float(x) for x in c] for k, c in zip(names, columns)})
+        else:
+            rows = [",".join(repr(float(x)) for x in row) for row in zip(*columns)]
+            want = "\n".join([",".join(names)] + rows)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == want + "\n"
+        out_path = tmp_path / "forces.out"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(out_path))
+        assert out == f"wrote {n} samples to {out_path}\n"
+        assert out_path.read_bytes() == (want + "\n").encode()
+
+    def test_force_decompose_refuses_non_finite_terms(self, capsys, tmp_path):
+        t = 0.25 * np.arange(11)
+        b_y = np.ones(11)
+        b_y[4] = 1e200  # B^2 overflows; d(B^2)/dt is first inf at the sample before
+        path = tmp_path / "series.csv"
+        FieldTimeSeries(t=t, e_x=np.zeros(11), b_y=b_y).to_csv(path)
+        out_path = tmp_path / "forces.csv"
+        for fmt in ("text", "json"):
+            for extra in ([], ["--out", str(out_path)]):
+                argv = ["force-decompose", "--series", str(path), "--chi", "1e-3"]
+                code, out, err = run_cli(capsys, *argv, "--format", fmt, *extra)
+                assert code == 1
+                assert out == ""
+                assert err == f"error: {path}: t_s = 0.75 gives a non-finite f_magnetoelectric\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_oracle_bytes_equal_reference(self, capsys, tmp_path, fmt):
+        argv = ["oracle", "--chi=-2.5e-4", "--a", "1e-9,3.3e-9", "--n", "8,17", "--format", fmt]
+        rows = convergence_study(-2.5e-4, [1e-9, 3.3e-9], [8, 17])
+        if fmt == "json":
+            want = json.dumps(rows)
+        else:  # the command's own per-row formatting before the shared oracle writer
+            keys = ("a_m", "chi", "p_kg_m_s", "effective_A")
+            want = "\n".join(
+                ["n_per_axis,a_m,chi,p_kg_m_s,effective_A"]
+                + [",".join([str(r["n_per_axis"])] + [repr(r[k]) for k in keys]) for r in rows]
+            )
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == want + "\n"
+        out_path = tmp_path / "oracle.out"
+        run_cli(capsys, *argv, "--out", str(out_path))
+        assert out_path.read_bytes() == (want + "\n").encode()
+        if fmt == "text":
+            study_path = tmp_path / "study.csv"
+            convergence_study(-2.5e-4, [1e-9, 3.3e-9], [8, 17], out=study_path)
+            assert study_path.read_bytes() == (want + "\n").encode()
 
     def test_ledger(self, capsys, tmp_path):
         particles_path = tmp_path / "particles.json"
@@ -409,11 +486,7 @@ class TestCliContract:
             (["--fraction", "0.5,2"], "--fraction 2.0 is out of range"),
             (["--rho", "0"], "--rho 0.0 is out of range"),
             (["--A=-1e-2"], "--A -0.01 is out of range"),
-            (
-                ["--a", "1e-9,1e-200"],
-                "--chi 0.001 --a 1e-200 --rho 1000.0 --fraction 0.5 --A 0.01"
-                " gives a non-finite dv_m_s",
-            ),
+            (["--a", "1e-9,1e-200"], "--a 1e-200 is out of range"),  # a**4 underflows
             (
                 ["--chi", "1", "--rho", "1e-300", "--A", "1e300"],
                 "--chi 1.0 --a 1e-09 --rho 1e-300 --fraction 0.5 --A 1e+300"
@@ -455,6 +528,38 @@ class TestCliContract:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["delta-v-rot", "--chi", "1e-3", "--a", "1e-200", "--rho", "1000"], "1e-200"),
+            (["delta-v-rot", "--chi", "1e-3", "--a", "1e100", "--rho", "1000"], "1e+100"),
+            (["delta-v-rot", "--chi", "1e-3", "--a", "1e-78", "--rho", "1000"], "1e-78"),
+            (["delta-v-agg", "--chi", "1e-3", "--a", "1e-200", "--rho", "1", "--N", "8"], "1e-200"),
+            (["vacuum-momentum", "--chi", "1e-3", "--a", "2e77"], "2e+77"),
+            (["oracle", "--chi", "1e-3", "--a", "1e-9,1e-300", "--n", "8"], "1e-300"),
+        ],
+    )
+    def test_unrepresentable_size_flag_exits_one(self, capsys, argv, value):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --a {value} is out of range\n"
+
+    @pytest.mark.parametrize("size", [1e-200, 1e100])
+    @pytest.mark.parametrize("command", ["mission", "solve"])
+    def test_unrepresentable_spec_size_exits_one(self, capsys, tmp_path, spec_file, command, size):
+        spec = json.loads(open(spec_file).read())
+        spec["particle_size"] = size
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = [command, "--spec", str(path)]
+        if command == "solve":
+            argv += ["--unknown", "chi0"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: invalid mission spec: particle_size = {size!r} is out of range\n"
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

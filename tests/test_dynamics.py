@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zpfdrive import dynamics
 from zpfdrive.dynamics import (
     Aggregation,
     CavityModulation,
@@ -120,6 +121,133 @@ class TestFieldTimeSeries:
         csv_text = "t_s,E_x,B_y,kappa1\n0,0,1,0\n0.5,0,1,0\n1.0,0,1,0\n"
         with pytest.raises(SeriesFormatError):
             FieldTimeSeries.from_csv(io.StringIO(csv_text))
+
+
+_SERIES_FIELDS = ("t", "e_x", "b_y", "chi0_xy", "kappa1", "kappa2", "kappa3")
+
+
+def line_reader(path) -> FieldTimeSeries:
+    """The series as the line-by-line reader gives it (an open handle takes that path)."""
+    with open(path, newline="") as fh:
+        return FieldTimeSeries.from_csv(fh)
+
+
+def assert_same_bits(got: FieldTimeSeries, want: FieldTimeSeries) -> None:
+    for name in _SERIES_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.tobytes() == b.tobytes(), name
+
+
+def random_bit_doubles(n: int) -> np.ndarray:
+    rng = np.random.default_rng(11)
+    x = rng.integers(0, 2**64, size=2 * n, dtype=np.uint64).view(np.float64)
+    special = [5e-324, -5e-324, -0.0, 0.0, 2.2250738585072014e-308, 1.7976931348623157e308]
+    return np.concatenate([special, x[np.isfinite(x)]])[:n]
+
+
+class TestSeriesReader:
+    """``from_csv(path)`` reads by ``np.loadtxt`` and falls back to the line reader."""
+
+    N = 3000
+
+    def write(self, tmp_path, cols, fmt, newline="\n", blank_every=0, pad="", extra=False):
+        names = list(cols) + (["note"] if extra else [])
+        lines = [",".join(names)]
+        for i, row in enumerate(zip(*cols.values())):
+            cells = [pad + fmt(float(x)) + pad for x in row] + (["x y"] if extra else [])
+            lines.append(",".join(cells))
+            if blank_every and i % blank_every == 0:
+                lines.append("")
+        path = tmp_path / "series.csv"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        return path
+
+    def columns(self):
+        x = random_bit_doubles(self.N)
+        return {
+            "t_s": 1e-3 * np.arange(self.N),
+            "E_x": x,
+            "B_y": x[::-1],
+            "chi0_xy": np.roll(x, 7),
+            "kappa2": np.roll(x, 99),
+        }
+
+    @pytest.mark.parametrize("fmt", [repr, "%.17g".__mod__, "%.25e".__mod__, "%.6g".__mod__])
+    def test_random_bit_doubles_identical(self, tmp_path, fmt):
+        path = self.write(tmp_path, self.columns(), fmt)
+        fast = dynamics._load_columns(path)  # raises if loadtxt could not read the file
+        want = line_reader(path)
+        assert_same_bits(FieldTimeSeries(**fast), want)
+        assert_same_bits(FieldTimeSeries.from_csv(path), want)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            {"newline": "\r\n"},
+            {"newline": "\r"},
+            {"blank_every": 5},
+            {"pad": " \t"},
+            {"extra": True},
+            {"newline": "\r\n", "blank_every": 3, "pad": " ", "extra": True},
+        ],
+    )
+    def test_layouts_identical(self, tmp_path, layout):
+        path = self.write(tmp_path, self.columns(), repr, **layout)
+        dynamics._load_columns(path)
+        assert_same_bits(FieldTimeSeries.from_csv(path), line_reader(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            't_s,E_x,B_y\n"0",1,2\n1,"3",4\n2,5,"6"\n',
+            't_s,note,x,E_x,B_y\n0,"a,b",5,1,2\n1,"a,b",5,3,4\n2,"a,b",5,5,6\n',
+            "t_s,E_x,B_y\n0,1_000,2\n1,3,4\n2,5,6\n",
+            "t_s,E_x,B_y\n0,1,2\n,,\n1,3,4\n , , \n2,5,6\n",
+            "t_s,E_x,B_y\n\uff10,\uff11,\uff12\n1,3,4\n2,5,6\n",
+            "t_s,E_x,B_y\n0,1,2\n   \n1,3,4\n\t\n2,5,6\n",
+        ],
+        ids=["quoted", "quoted-comma", "underscore", "comma-only", "full-width", "blank-cells"],
+    )
+    def test_inputs_loadtxt_refuses_still_load(self, tmp_path, text):
+        path = tmp_path / "series.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError):
+            dynamics._load_columns(path)
+        got = FieldTimeSeries.from_csv(path)
+        assert got.t.tolist() == [0.0, 1.0, 2.0]
+        assert got.b_y.tolist() == [2.0, 4.0, 6.0]
+        assert_same_bits(got, line_reader(path))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,1,2\n1,oops,4\n2,5,6\n", "line 3: field 'E_x' is not a number: 'oops'"),
+            ("0,1,2\n\n1,3\n2,5,6\n", "line 4: missing field 'B_y'"),
+            ("0,1,2\n1,3,4\n2,5, \n", "line 4: field 'B_y' is not a number: ''"),
+            ("0,1,2\n1,nan,4\n2,5,6\n", "e_x contains non-finite samples"),
+            ("0,1,2\n1,3,4\n", "series needs at least 3 samples"),
+        ],
+    )
+    def test_bad_file_reports_line_and_field(self, tmp_path, body, message):
+        path = tmp_path / "series.csv"
+        path.write_text("t_s,E_x,B_y\n" + body)
+        with pytest.raises(SeriesFormatError) as err:
+            FieldTimeSeries.from_csv(path)
+        assert str(err.value) == message
+
+    def test_to_csv_writes_repr_cells_and_newlines(self, tmp_path):
+        x = random_bit_doubles(20_000)  # crosses the writer's block boundaries
+        series = FieldTimeSeries(t=np.arange(x.size) * 0.5, e_x=x, b_y=x[::-1], chi0_xy=x)
+        path = tmp_path / "series.csv"
+        series.to_csv(path)
+        rows = zip(series.t, series.e_x, series.b_y, series.chi0_xy)
+        want = "t_s,E_x,B_y,chi0_xy\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in rows
+        )
+        assert path.read_bytes() == want.encode()
+        assert_same_bits(FieldTimeSeries.from_csv(path), series)
 
 
 class TestForceDirect:

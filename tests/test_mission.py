@@ -411,6 +411,8 @@ class TestSweepAxisValidation:
             ("chi0", -1.0),
             ("chi0", 0.0),
             ("particle_size", 0.0),
+            ("particle_size", 1e-200),  # a**4 underflows to 0
+            ("particle_size", 1e100),  # a**4 overflows
             ("particle_density", -5.0),
             ("active_mass_fraction", 2.0),
             ("active_mass_fraction", 0.0),
@@ -428,7 +430,7 @@ class TestSweepAxisValidation:
     @pytest.mark.parametrize(
         "mode, name, bad",
         [
-            (SweepMode.MASS_BUDGET, "particle_size", 1e-200),  # a**4 underflows to 0
+            (SweepMode.MASS_BUDGET, "particle_density", 1e-300),  # rho*a^4 -> 0
             (SweepMode.FIXED_PARTICLE_MASS, "particle_density", 1e-300),  # rho*a^3 -> 0
         ],
     )
@@ -444,7 +446,7 @@ class TestSweepAxisValidation:
 
     def test_earlier_blocks_stay_written(self):
         buf = io.StringIO()
-        axes = {"particle_size": [1e-9, 1e-200]}
+        axes = {"particle_density": [1000.0, 1e-300]}
         with mock.patch.object(mission, "_SWEEP_BLOCK_ROWS", 1):
             with pytest.raises(SweepValueError):
                 sweep(design_point(), axes, buf)

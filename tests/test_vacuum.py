@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from zpfdrive import vacuum
 from zpfdrive.quantities import ENERGY_DENSITY, HBAR_J_S, C_M_S, MOMENTUM, Quantity, LENGTH
 from zpfdrive.vacuum import (
     MAX_N_PER_AXIS,
@@ -205,6 +206,34 @@ class TestConvergenceStudy:
         lines = buf.getvalue().strip().splitlines()
         assert lines[0].split(",") == list(ORACLE_CSV_HEADER)
         assert len(lines) == 5
+
+    def test_each_lattice_sum_computed_once(self, monkeypatch):
+        sums, oracle_ns = [], []
+        geometry_sum, oracle = vacuum._geometry_sum, vacuum.mode_sum_oracle
+
+        def counting_sum(n):
+            sums.append(n)
+            return geometry_sum(n)
+
+        def counting_oracle(chi, a, grid, *args, **kwargs):
+            oracle_ns.append(grid.n_per_axis)
+            return oracle(chi, a, grid, *args, **kwargs)
+
+        monkeypatch.setattr(vacuum, "_geometry_sum", counting_sum)
+        monkeypatch.setattr(vacuum, "mode_sum_oracle", counting_oracle)
+        sizes, n_values = [1e-9, 2e-9, 5e-9], [8, 16, 8]
+        rows = convergence_study(1e-3, sizes, n_values)
+        assert sums == [8, 16]
+        assert oracle_ns == [8, 8, 8, 16, 16, 16, 8, 8, 8]
+        for row in rows:
+            grid = ModeGrid.for_particle(row["a_m"], row["n_per_axis"])
+            p, eff_a = oracle(1e-3, row["a_m"], grid)
+            assert (row["p_kg_m_s"], row["effective_A"]) == (p.value, eff_a)
+
+    def test_chi_checked_before_the_first_lattice_sum(self, monkeypatch):
+        monkeypatch.setattr(vacuum, "_geometry_sum", None)  # calling it would fail differently
+        with pytest.raises(ValueError, match="exceeds sanity bound"):
+            convergence_study(2.0, [1e-9], [2048])
 
 
 def brute_force_geometry_sums(n_max: int) -> list[Decimal]:
