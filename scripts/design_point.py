@@ -16,7 +16,6 @@ from zpfdrive import (
     VacuumModel,
     delta_v_rotation,
     evaluate_mission,
-    payload_delta_v,
     solve_for_unknown,
     tangential_v_to_rate,
     vacuum_momentum_closed_form,
@@ -43,13 +42,13 @@ def main() -> None:
 
     p_vac = vacuum_momentum_closed_form(spec.chi0, spec.particle_size, model)
     dv = delta_v_rotation(particle, model)
-    payload = payload_delta_v(dv, spec.active_mass_fraction * spec.satellite_mass, spec.satellite_mass)
+    report = evaluate_mission(spec)
+    payload = report.achieved_tangential_v  # the active fraction of dv
     print(f"stored vacuum momentum : {p_vac.value:.4e} kg m/s per particle")
     print(f"pi-rotation delta-v    : {dv.value:.4e} m/s")
-    print(f"payload delta-V        : {payload.value:.4e} m/s")
+    print(f"payload delta-V        : {payload:.4e} m/s")
     print(f"equivalent rate        : {tangential_v_to_rate(payload, spec.wheel_radius):.3f} deg/day")
 
-    report = evaluate_mission(spec)
     print("design point          :", json.dumps(report.to_dict()))
 
     weak = evaluate_mission(

@@ -6,23 +6,12 @@ decomposition, an independent vacuum mode-summation oracle, and a satellite
 attitude-correction planner.
 """
 
-from .quantities import (
-    CODATA,
-    Constants,
-    DimensionError,
-    Direction,
-    Quantity,
-    convert_gaussian_si,
-    dimension_check,
-)
+from .quantities import DimensionError, Quantity
 from .material import (
     ImproperRotationError,
     MagnetoElectricTensor,
     Particle,
     ParticleState,
-    chi_effective,
-    particle_mass,
-    polarization,
     rotate_tensor,
     rotation_about,
 )
@@ -32,7 +21,6 @@ from .vacuum import (
     VacuumModel,
     convergence_study,
     mode_sum_oracle,
-    vacuum_b_squared,
     vacuum_momentum_closed_form,
 )
 from .dynamics import (
@@ -45,12 +33,10 @@ from .dynamics import (
     ManeuverError,
     Rotation,
     channel_cavity,
-    channel_chi_dot,
     delta_v_aggregation,
     delta_v_rotation,
     force_decomposed,
     force_direct,
-    payload_delta_v,
     run_maneuver_sequence,
 )
 from .mission import (

@@ -302,13 +302,6 @@ def _cmd_solve(args) -> int:
     spec = mission.MissionSpec.from_json(args.spec)
     value = mission.solve_for_unknown(spec, args.unknown)
     report = mission.evaluate_mission(replace(spec, **{args.unknown: value}))
-    report = mission.MissionReport(
-        required_tangential_v=report.required_tangential_v,
-        achieved_tangential_v=report.achieved_tangential_v,
-        feasible=report.feasible,
-        margin=report.margin,
-        solved_unknown=(args.unknown, value),
-    )
     if args.format == "json":
         unit = "m" if args.unknown == "particle_size" else "dimensionless"
         print(json.dumps({"quantity": args.unknown, "value": value, "unit": unit}))

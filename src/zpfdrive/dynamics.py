@@ -18,6 +18,9 @@ would, and an open handle, go through a line-by-line reader that names the
 line and field of a bad cell.  Both give the same arrays, bit for bit.
 :meth:`FieldTimeSeries.to_csv` writes through the shared block writer.
 
+The pi-rotation delta-v 2*A*hbar*chi/(m*a) is one elementwise kernel,
+:func:`rotation_dv`; the mission planner and its sweep call it too.
+
 Maneuvers book momentum endpoint-wise against the closed-form vacuum model:
 a rotation transfers the change of stored vacuum momentum A*hbar*dchi/a, an
 aggregation of N size-a units into one size-L body (L = N^(1/3) a) transfers
@@ -35,6 +38,7 @@ import csv
 import functools
 import io
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,10 +58,10 @@ __all__ = [
     "force_direct",
     "force_decomposed",
     "channel_cavity",
-    "channel_chi_dot",
+    "rotation_dv",
+    "checked_rotation_dv",
     "delta_v_rotation",
     "delta_v_aggregation",
-    "payload_delta_v",
     "Rotation",
     "Aggregation",
     "FieldModulation",
@@ -88,6 +92,15 @@ _CHI_FIELDS = ("chi0_xy", "kappa1", "kappa2", "kappa3")
 _SERIES_COLUMNS = {"t_s": "t", "E_x": "e_x", "B_y": "b_y", **{k: k for k in _CHI_FIELDS}}
 
 
+def _csv_rows(fh):
+    """The rows of ``csv.reader(fh)``; a line it cannot split raises SeriesFormatError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise SeriesFormatError(f"line {reader.line_num}: {exc}") from None
+
+
 def _column_index(reader) -> dict[str, int]:
     """Series column -> cell index, from the header row of a CSV ``reader``."""
     try:
@@ -113,7 +126,7 @@ def _load_columns(path: Union[str, Path]) -> dict[str, np.ndarray]:
         if any('"' in chunk for chunk in iter(functools.partial(fh.read, 1 << 20), "")):
             raise ValueError("quoted cells")
         fh.seek(0)
-        index = _column_index(csv.reader(fh))
+        index = _column_index(_csv_rows(fh))
         usecols = list(index.values())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a file without data rows: the series refuses it
@@ -207,7 +220,7 @@ class FieldTimeSeries:
                 with open(source, newline="") as fh:
                     return cls.from_csv(fh)
             return cls(**columns)
-        reader = csv.reader(source)
+        reader = _csv_rows(source)
         index = _column_index(reader)
         columns: dict[str, list[float]] = {col: [] for col in index}
         for line_no, row in enumerate(reader, start=2):
@@ -295,25 +308,32 @@ def channel_cavity(chi_xy, db2_dt, duration):
     return chi_xy * 0.5 * db2_dt * duration
 
 
-def channel_chi_dot(b2_vac, chi_start, chi_end):
-    """Impulse from a chi change at fixed <B^2_vac>: path-independent endpoint form."""
-    return b2_vac * (chi_end - chi_start)
+def rotation_dv(chi, m_a, prefactor_a):
+    """Velocity gain 2*A*hbar*chi/(m*a) of a pi-rotation that flips ``chi``, elementwise.
+
+    ``m_a`` is the particle's mass times its size: rho*a**4 for a cube of
+    side a, or (rho*a_base**3)*a at a fixed particle mass.  Arrays broadcast,
+    and the caller refuses non-finite results (see :func:`checked_rotation_dv`).
+    """
+    return 2.0 * prefactor_a * HBAR_J_S * chi / m_a
+
+
+def checked_rotation_dv(chi: float, m_a: float, prefactor_a: float) -> float:
+    """:func:`rotation_dv` of floats; ValueError where ``m_a`` is 0 or the gain is not finite."""
+    dv = rotation_dv(chi, m_a, prefactor_a) if m_a else math.inf
+    if not math.isfinite(dv):
+        raise ValueError(f"m*a = {m_a!r} gives a non-finite rotation delta-v")
+    return dv
 
 
 def delta_v_rotation(p: Particle, model: VacuumModel) -> Quantity:
     """Velocity gain of a particle whose chi0_xy flips sign under a pi rotation.
 
-    Evaluates A*hbar*2*chi/(rho*a^4) and cross-checks the equivalent
-    A*hbar*2*chi/(m*a) form with m = rho*a^3; signed with the particle's
-    current lab-frame chi0_xy.
+    :func:`checked_rotation_dv` with m*a = rho*a**4, signed with the
+    particle's current lab-frame chi0_xy.
     """
-    chi = p.chi0_xy
-    dv_density_form = model.prefactor_a * HBAR_J_S * 2.0 * chi / (p.density_rho * p.size_a**4)
-    dv_mass_form = model.prefactor_a * HBAR_J_S * 2.0 * chi / (p.mass * p.size_a)
-    scale = max(abs(dv_density_form), abs(dv_mass_form))
-    if abs(dv_density_form - dv_mass_form) > 1e-12 * scale:
-        raise AssertionError("rho*a^4 and m*a forms disagree beyond 1e-12")
-    return Quantity(dv_density_form, VELOCITY)
+    m_a = p.density_rho * p.size_a**4
+    return Quantity(checked_rotation_dv(p.chi0_xy, m_a, model.prefactor_a), VELOCITY)
 
 
 def delta_v_aggregation(
@@ -337,20 +357,6 @@ def delta_v_aggregation(
     big_l = n_count ** (1.0 / 3.0) * a_m
     dv = model.prefactor_a * (HBAR_J_S / rho_si) * chi * (1.0 / a_m**4 - 1.0 / big_l**4)
     return Quantity(dv, VELOCITY)
-
-
-def payload_delta_v(
-    dv: Union[Quantity, float],
-    m_active: Union[Quantity, float],
-    m_total: Union[Quantity, float],
-) -> Quantity:
-    """Payload velocity: dv scaled by the active-to-total mass ratio."""
-    dv_si = si_value(dv, VELOCITY, "dv")
-    m = si_value(m_active, MASS, "m_active")
-    big_m = si_value(m_total, MASS, "m_total")
-    if not (0 < m <= big_m):
-        raise ValueError("need 0 < m_active <= M_total")
-    return Quantity(dv_si * m / big_m, VELOCITY)
 
 
 # -- maneuvers and the impulse ledger ---------------------------------------

@@ -28,8 +28,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .quantities import MASS, Quantity
-
 __all__ = [
     "ORTHOGONALITY_TOL",
     "CHI0_SANITY_BOUND",
@@ -41,9 +39,6 @@ __all__ = [
     "ParticleState",
     "rotation_about",
     "rotate_tensor",
-    "chi_effective",
-    "polarization",
-    "particle_mass",
     "tensor_to_dict",
     "tensor_from_dict",
     "particle_to_dict",
@@ -256,7 +251,10 @@ class ParticleState:
                 raise ValueError(f"{name} must be N arrays of shape {shape}, got {a.shape}")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        _reject_first(~(self.size_a > 0), "size_a must be positive")
+        _reject_first(
+            ~np.array([representable_size(a) for a in self.size_a.tolist()], dtype=bool),
+            "size_a must be positive, with a finite, non-zero a^4 and 1/a^4",
+        )
         _reject_first(~(self.density > 0), "density must be positive")
         _reject_first(~(self.epsilon >= 1.0), "epsilon must be >= 1")
         _reject_first(~np.isfinite(self.chi0).all(axis=(1, 2)), "chi0 entries must be finite")
@@ -379,27 +377,6 @@ def rotate_tensor(t: MagnetoElectricTensor, r: object) -> MagnetoElectricTensor:
     return MagnetoElectricTensor(
         m @ t.chi0 @ m.T, t.kappa1, t.kappa2, t.kappa3
     )
-
-
-def chi_effective(t: MagnetoElectricTensor, e_x: float, b_y: float) -> float:
-    """Effective chi_xy: intrinsic plus field-induced terms."""
-    if not (np.isfinite(e_x) and np.isfinite(b_y)):
-        raise ValueError("fields must be finite")
-    return t.chi0_xy + t.kappa1 * e_x * b_y + t.kappa2 * e_x + t.kappa3 * b_y
-
-
-def polarization(p: Particle, e_x: float, b_y: float) -> float:
-    """P_x = epsilon*E_x + chi_xy(E_x, B_y)*B_y in the canonical convention.
-
-    Uses the particle's lab-frame tensor, so rotating the particle changes
-    the magneto-electric contribution.
-    """
-    return p.epsilon * e_x + chi_effective(p.oriented_tensor, e_x, b_y) * b_y
-
-
-def particle_mass(p: Particle) -> Quantity:
-    """Particle mass as a dimension-tagged quantity (kg)."""
-    return Quantity(p.mass, MASS)
 
 
 # -- JSON serialization ------------------------------------------------------

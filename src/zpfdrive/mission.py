@@ -7,13 +7,16 @@ magneto-electric mass, inverts the design chain for any single unknown, and
 sweeps parameter grids to CSV or JSON.
 
 One cycle means one pi-rotation of all active particles; sustained cycling
-rates are out of scope.  The achieved velocity is
+rates are out of scope.  The achieved velocity is the payload share of the
+rotation kernel :func:`~zpfdrive.dynamics.rotation_dv`,
 
-    dV = fraction * A * hbar * 2 * chi0 / (rho * a^4)
+    dV = fraction * dv,    dv = 2 * A * hbar * chi0 / (m * a),    m * a = rho * a^4
 
 so the total satellite mass cancels and the margin is linear in chi0 and
-fraction and falls as 1/a^4 at fixed density (the mass-per-particle form
-hbar/(m*a) with m = rho*a^3 expanded).
+fraction and falls as 1/a^4 at fixed density.  The mission evaluation, the
+solver, the closed-form inversion and the sweep all call that one kernel,
+so a mission's achieved velocity equals the sweep's dV_m_s cell for the
+same row, bit for bit.
 
 A sweep is one numpy broadcasting kernel over the five axis arrays, run on
 blocks of at most 2^15 grid rows that the shared block writer (``_io``)
@@ -34,7 +37,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, Union
@@ -42,10 +45,9 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from . import _io
-from .dynamics import delta_v_rotation, payload_delta_v
-from .material import MagnetoElectricTensor, Particle, representable_size
-from .quantities import HBAR_J_S, VELOCITY, Quantity, si_value
-from .vacuum import VacuumModel
+from .dynamics import checked_rotation_dv, rotation_dv
+from .material import CHI0_SANITY_BOUND, representable_size
+from .quantities import VELOCITY, Quantity, si_value
 
 __all__ = [
     "MissionSpec",
@@ -75,6 +77,9 @@ SOLVE_BRACKETS: dict[str, tuple[float, float]] = {
     "active_mass_fraction": (1e-8, 1.0),
     "particle_size": (1e-11, 1e-6),
 }
+
+# the fields of one design row: the sweep's axes, in order, and the arguments of _payload_v
+_SWEEP_AXES = ("chi0", "particle_size", "particle_density", "active_mass_fraction", "prefactor_A")
 
 SWEEP_CSV_HEADER = (
     "chi0",
@@ -117,7 +122,7 @@ _FIELD_RULES: dict[str, Callable[[float], bool]] = {
     "active_mass_fraction": lambda v: 0 < v <= 1,
     "particle_size": representable_size,
     "particle_density": lambda v: v > 0,
-    "chi0": lambda v: v > 0,
+    "chi0": lambda v: 0 < v <= CHI0_SANITY_BOUND,
     "prefactor_A": lambda v: v > 0,
 }
 
@@ -219,28 +224,25 @@ class MissionReport:
     achieved_tangential_v: float  # m/s
     feasible: bool
     margin: float  # achieved / required
-    solved_unknown: tuple[str, float] | None = None
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "required_tangential_v_m_s": self.required_tangential_v,
             "achieved_tangential_v_m_s": self.achieved_tangential_v,
             "feasible": self.feasible,
             "margin": self.margin,
         }
-        if self.solved_unknown is not None:
-            d["solved_unknown"] = {
-                "name": self.solved_unknown[0],
-                "value": self.solved_unknown[1],
-            }
-        return d
+
+
+def _tangential_v(rate_deg_day: float, radius: float) -> float:
+    return rate_deg_day * RAD_PER_DEG / SECONDS_PER_DAY * radius
 
 
 def rate_to_tangential_v(rate_deg_day: float, radius: float) -> Quantity:
     """Tangential velocity at ``radius`` for an attitude rate in deg/day."""
     if not (radius > 0):
         raise ValueError("radius must be positive")
-    return Quantity(rate_deg_day * RAD_PER_DEG / SECONDS_PER_DAY * radius, VELOCITY)
+    return Quantity(_tangential_v(rate_deg_day, radius), VELOCITY)
 
 
 def tangential_v_to_rate(v: Union[Quantity, float], radius: float) -> float:
@@ -251,23 +253,17 @@ def tangential_v_to_rate(v: Union[Quantity, float], radius: float) -> float:
     return v_si / radius * SECONDS_PER_DAY / RAD_PER_DEG
 
 
-def _achieved_v(spec: MissionSpec) -> float:
-    particle = Particle(
-        size_a=spec.particle_size,
-        density_rho=spec.particle_density,
-        tensor=MagnetoElectricTensor.from_xy(spec.chi0),
-    )
-    model = VacuumModel(prefactor_a=spec.prefactor_A)
-    dv = delta_v_rotation(particle, model)
-    active = spec.active_mass_fraction * spec.satellite_mass
-    return payload_delta_v(dv, active, spec.satellite_mass).value
+def _payload_v(chi0, particle_size, particle_density, active_mass_fraction, prefactor_A) -> float:
+    """fraction * dv of one pi-rotation cycle, as the sweep computes its dV_m_s cell."""
+    m_a = particle_density * particle_size**4
+    return active_mass_fraction * checked_rotation_dv(chi0, m_a, prefactor_A)
 
 
 def evaluate_mission(spec: MissionSpec) -> MissionReport:
     """Achieved vs required tangential velocity for one pi-rotation cycle."""
     spec = spec.validated()
-    required = rate_to_tangential_v(spec.target_rate, spec.wheel_radius).value
-    achieved = _achieved_v(spec)
+    required = _tangential_v(spec.target_rate, spec.wheel_radius)
+    achieved = _payload_v(*(getattr(spec, k) for k in _SWEEP_AXES))
     return MissionReport(
         required_tangential_v=required,
         achieved_tangential_v=achieved,
@@ -277,33 +273,19 @@ def evaluate_mission(spec: MissionSpec) -> MissionReport:
 
 
 def analytic_solve_for_unknown(spec: MissionSpec, unknown: str) -> float:
-    """Closed-form inversion of the design chain, used to cross-check bisection."""
+    """Closed-form inversion of the design chain, used to cross-check bisection.
+
+    The kernel is linear in chi0 and in the fraction, and a enters as a^-4.
+    """
     if unknown not in SOLVE_BRACKETS:
         raise ValueError(f"unknown must be one of {sorted(SOLVE_BRACKETS)}")
     spec.validated(allow_unknown=unknown)
-    required = rate_to_tangential_v(spec.target_rate, spec.wheel_radius).value
-    if unknown == "chi0":
-        return (
-            required
-            * spec.particle_density
-            * spec.particle_size**4
-            / (2.0 * spec.prefactor_A * HBAR_J_S * spec.active_mass_fraction)
-        )
-    if unknown == "active_mass_fraction":
-        return (
-            required
-            * spec.particle_density
-            * spec.particle_size**4
-            / (2.0 * spec.prefactor_A * HBAR_J_S * spec.chi0)
-        )
-    return (
-        2.0
-        * spec.prefactor_A
-        * HBAR_J_S
-        * spec.chi0
-        * spec.active_mass_fraction
-        / (spec.particle_density * required)
-    ) ** 0.25
+    required = _tangential_v(spec.target_rate, spec.wheel_radius)
+    fields = {k: getattr(spec, k) for k in _SWEEP_AXES}
+    at_one = _payload_v(**{**fields, unknown: 1.0})  # the payload velocity with the unknown at 1
+    if unknown == "particle_size":
+        return (at_one / required) ** 0.25
+    return required / at_one
 
 
 # a decade tighter than the 1e-9 the round-trip contract demands
@@ -324,10 +306,12 @@ def solve_for_unknown(spec: MissionSpec, unknown: str) -> float:
     if unknown not in SOLVE_BRACKETS:
         raise ValueError(f"unknown must be one of {sorted(SOLVE_BRACKETS)}")
     spec.validated(allow_unknown=unknown)
-    required = rate_to_tangential_v(spec.target_rate, spec.wheel_radius).value
+    required = _tangential_v(spec.target_rate, spec.wheel_radius)
+    fields = {k: getattr(spec, k) for k in _SWEEP_AXES}
 
     def excess(x: float) -> float:
-        return _achieved_v(replace(spec, **{unknown: x})) - required
+        fields[unknown] = x
+        return _payload_v(**fields) - required
 
     lo, hi = SOLVE_BRACKETS[unknown]
     increasing = unknown != "particle_size"
@@ -371,7 +355,6 @@ class SweepMode(Enum):
     FIXED_PARTICLE_MASS = "fixed-particle-mass"
 
 
-_SWEEP_AXES = ("chi0", "particle_size", "particle_density", "active_mass_fraction", "prefactor_A")
 DEFAULT_SWEEP_CAP = 10_000_000
 # rows computed, formatted and written together: memory is bounded by this,
 # not by the row count
@@ -425,7 +408,7 @@ def _sweep_blocks(base: MissionSpec, lists: list[list[float]], mode: SweepMode):
     one a per-row evaluation gives.  A block with a non-finite dv, dV or rate
     raises :class:`SweepValueError` before it is yielded.
     """
-    required = rate_to_tangential_v(base.target_rate, base.wheel_radius).value
+    required = _tangential_v(base.target_rate, base.wheel_radius)
     vectors = [np.array(v) for v in lists]
     # by Python's float pow (libm pow, bit for bit); sizes are representable, so no overflow
     a4 = np.array([a**4 for a in lists[1]])
@@ -435,9 +418,10 @@ def _sweep_blocks(base: MissionSpec, lists: list[list[float]], mode: SweepMode):
         chi, a, rho, frac, pref = (_along(v[s], i) for i, (v, s) in enumerate(zip(vectors, block)))
         with np.errstate(all="ignore"):  # non-finite results are refused below
             if mode is SweepMode.MASS_BUDGET:
-                dv = 2.0 * pref * HBAR_J_S * chi / (rho * _along(a4[block[1]], 1))
+                m_a = rho * _along(a4[block[1]], 1)
             else:
-                dv = 2.0 * pref * HBAR_J_S * chi / ((rho * mass_per_size) * a)
+                m_a = (rho * mass_per_size) * a
+            dv = rotation_dv(chi, m_a, pref)
             dvp = frac * dv
             rate = dvp / base.wheel_radius * SECONDS_PER_DAY / RAD_PER_DEG
         for name, col in (("dv_m_s", dv), ("dV_m_s", dvp), ("rate_deg_day", rate)):

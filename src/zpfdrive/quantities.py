@@ -1,4 +1,4 @@
-"""Unit-safe physical scalars and unit-convention conversion.
+"""Unit-safe physical scalars.
 
 Every physical number in this package is either a plain SI float with a
 unit-suffixed name, or a :class:`Quantity` carrying an explicit dimension
@@ -6,9 +6,8 @@ vector.  Dimensions are exponent vectors over the four base dimensions
 
     (length, mass, time, current)
 
-stored as exact :class:`fractions.Fraction` values.  Half-integer exponents
-are required because Gaussian-convention field strengths carry dimension
-g^(1/2) cm^(-1/2) s^(-1).
+stored as exact :class:`fractions.Fraction` values, so rational powers of a
+quantity keep exact exponents.
 
 Arithmetic rules:
 
@@ -18,14 +17,15 @@ Arithmetic rules:
 
 Mechanical quantities are SI throughout; the magneto-electric constant chi
 stays dimensionless (Gaussian convention), with all convention factors
-absorbed into the single calibration prefactor of the vacuum model.
+absorbed into the single calibration prefactor of the vacuum model.  The
+public closed forms return a :class:`Quantity`, whose unit the CLI prints
+with :func:`unit_string`.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Union
 
@@ -33,13 +33,7 @@ __all__ = [
     "Dim",
     "DimensionError",
     "Quantity",
-    "Constants",
-    "CODATA",
     "HBAR_J_S",
-    "C_M_S",
-    "Direction",
-    "convert_gaussian_si",
-    "dimension_check",
     "si_value",
     "unit_string",
     "dim",
@@ -55,9 +49,6 @@ __all__ = [
     "ACTION",
     "MASS_DENSITY",
     "FREQUENCY",
-    "E_FIELD_SI",
-    "B_FIELD_SI",
-    "FIELD_GAUSSIAN",
     "ENERGY_DENSITY",
 ]
 
@@ -82,10 +73,6 @@ ACTION: Dim = dim(length=2, mass=1, time=-1)  # J*s
 MASS_DENSITY: Dim = dim(length=-3, mass=1)
 FREQUENCY: Dim = dim(time=-1)
 
-E_FIELD_SI: Dim = dim(length=1, mass=1, time=-3, current=-1)  # V/m
-B_FIELD_SI: Dim = dim(mass=1, time=-2, current=-1)  # T
-# Gaussian E and B share one dimension: g^(1/2) cm^(-1/2) s^(-1).
-FIELD_GAUSSIAN: Dim = dim(length=Fraction(-1, 2), mass=Fraction(1, 2), time=-1)
 # Gaussian field squared == energy density (J/m^3 resp. erg/cm^3).
 ENERGY_DENSITY: Dim = dim(length=-1, mass=1, time=-2)
 
@@ -235,72 +222,6 @@ class Quantity:
 # -- constants -------------------------------------------------------------
 
 HBAR_J_S: float = 1.054571817e-34
-C_M_S: float = 2.99792458e8
-
-
-@dataclass(frozen=True)
-class Constants:
-    """CODATA-fixed fundamental constants, immutable."""
-
-    hbar: Quantity
-    c: Quantity
-
-
-CODATA = Constants(
-    hbar=Quantity(HBAR_J_S, ACTION),
-    c=Quantity(C_M_S, VELOCITY),
-)
-
-
-# -- conversions -----------------------------------------------------------
-
-
-class Direction(Enum):
-    TO_GAUSSIAN = "to_gaussian"
-    TO_SI = "to_si"
-
-
-# SI -> Gaussian multiplicative factors for the supported set.
-_B_SI_TO_G = 1.0e4  # 1 T = 1e4 G
-_E_SI_TO_G = 1.0e-4 / 2.99792458  # 1 V/m = (1/2.99792458)e-4 statV/cm
-_U_SI_TO_G = 10.0  # 1 J/m^3 = 10 erg/cm^3
-
-
-def convert_gaussian_si(
-    q: Quantity, direction: Direction, field_kind: str | None = None
-) -> Quantity:
-    """Convert a field or energy-density quantity between SI and Gaussian.
-
-    Gaussian E and B share one dimension vector, so converting a Gaussian
-    field back to SI needs ``field_kind`` ("electric" or "magnetic").
-    """
-    if direction is Direction.TO_GAUSSIAN:
-        if q.dim == E_FIELD_SI:
-            return Quantity(q.value * _E_SI_TO_G, FIELD_GAUSSIAN)
-        if q.dim == B_FIELD_SI:
-            return Quantity(q.value * _B_SI_TO_G, FIELD_GAUSSIAN)
-        if q.dim == ENERGY_DENSITY:
-            return Quantity(q.value * _U_SI_TO_G, ENERGY_DENSITY)
-    elif direction is Direction.TO_SI:
-        if q.dim == FIELD_GAUSSIAN:
-            if field_kind == "electric":
-                return Quantity(q.value / _E_SI_TO_G, E_FIELD_SI)
-            if field_kind == "magnetic":
-                return Quantity(q.value / _B_SI_TO_G, B_FIELD_SI)
-            raise DimensionError(
-                "Gaussian E and B share one dimension; pass field_kind="
-                "'electric' or 'magnetic'"
-            )
-        if q.dim == ENERGY_DENSITY:
-            return Quantity(q.value / _U_SI_TO_G, ENERGY_DENSITY)
-    raise DimensionError(f"unsupported dimension for convention conversion: {q.dim}")
-
-
-def dimension_check(expr: Union[Quantity, float]) -> Dim:
-    """Dimension vector of a composed expression (floats are dimensionless)."""
-    if isinstance(expr, Quantity):
-        return expr.dim
-    return DIMENSIONLESS
 
 
 def si_value(x: Union[Quantity, float], expected: Dim, name: str) -> float:
@@ -329,9 +250,6 @@ _COMMON_UNITS = {
     ACTION: "J s",
     MASS_DENSITY: "kg/m^3",
     FREQUENCY: "1/s",
-    E_FIELD_SI: "V/m",
-    B_FIELD_SI: "T",
-    FIELD_GAUSSIAN: "G",
     ENERGY_DENSITY: "J/m^3",
 }
 

@@ -1,4 +1,4 @@
-"""Zero-point field model: cutoff, <B^2>, vacuum momentum, mode-sum oracle.
+"""Zero-point field model: cutoff, vacuum momentum, mode-sum oracle.
 
 The zero-point spectrum is the standard Lorentz-invariant one: spectral
 energy density hbar*w^3/(2 pi^2 c^3) per unit volume and angular frequency,
@@ -48,21 +48,12 @@ import numpy as np
 
 from . import _io
 from .material import check_chi_bound
-from .quantities import (
-    ENERGY_DENSITY,
-    LENGTH,
-    MOMENTUM,
-    C_M_S,
-    HBAR_J_S,
-    Quantity,
-    si_value,
-)
+from .quantities import HBAR_J_S, LENGTH, MOMENTUM, Quantity, si_value
 
 __all__ = [
     "CutoffConvention",
     "VacuumModel",
     "ModeGrid",
-    "vacuum_b_squared",
     "vacuum_momentum_closed_form",
     "stored_momentum",
     "mode_sum_oracle",
@@ -100,12 +91,6 @@ class VacuumModel:
         if not (self.prefactor_a > 0):
             raise ValueError("prefactor_a must be positive")
 
-    def omega_cut(self, a: float) -> float:
-        """Cutoff angular frequency c * k_cut for a body of size ``a``."""
-        if not (a > 0):
-            raise ValueError("size must be positive")
-        return C_M_S * self.cutoff.k_cut(a)
-
 
 @dataclass(frozen=True)
 class ModeGrid:
@@ -136,21 +121,6 @@ class ModeGrid:
         if not (a > 0):
             raise ValueError("size must be positive")
         return cls(n_per_axis=n_per_axis, k_cut=convention.k_cut(a))
-
-
-def vacuum_b_squared(
-    a: Union[Quantity, float], model: VacuumModel
-) -> Quantity:
-    """<B^2_vac> below the size cutoff, Gaussian convention.
-
-    Closed-form integral of the zero-point spectral density up to the
-    cutoff: hbar * w_cut^4 / (2 pi c^3).  Scales as 1/a^4.
-    """
-    a_m = si_value(a, LENGTH, "a")
-    if not (a_m > 0):
-        raise ValueError("size must be positive")
-    w_cut = C_M_S * model.cutoff.k_cut(a_m)
-    return Quantity(HBAR_J_S * w_cut**4 / (2.0 * math.pi * C_M_S**3), ENERGY_DENSITY)
 
 
 def vacuum_momentum_closed_form(

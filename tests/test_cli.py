@@ -25,6 +25,7 @@ def run_cli(capsys, *argv):
 
 
 DESIGN_ARGS = ["--chi", "1e-3", "--a", "1e-9", "--rho", "1000", "--A", "1e-2"]
+ZERO_M_A = "m*a = 0.0 gives a non-finite rotation delta-v"
 
 
 @pytest.fixture
@@ -389,6 +390,14 @@ class TestLedgerInputErrors:
         err = self.run_ledger(capsys, tmp_path, [None], [self.ROTATION, rotation])
         assert "maneuvers.json: maneuver 1: missing field 'angle_rad'" in err
 
+    def test_unrepresentable_particle_size(self, capsys, tmp_path):
+        tiny = particle_to_dict(Particle(1e-320, 1000.0, MagnetoElectricTensor.from_xy(1e-3)))
+        err = self.run_ledger(capsys, tmp_path, [None, tiny], [self.ROTATION])
+        assert err.endswith(
+            "particles.json: particle 1: size_a must be positive, "
+            "with a finite, non-zero a^4 and 1/a^4\n"
+        )
+
 
 class TestCliContract:
     def test_identical_argv_byte_identical_output(self, capsys):
@@ -492,6 +501,7 @@ class TestCliContract:
                 "--chi 1.0 --a 1e-09 --rho 1e-300 --fraction 0.5 --A 1e+300"
                 " gives a non-finite dv_m_s",
             ),
+            (["--chi", "5,0.5"], "--chi 5.0 is out of range"),  # above the sanity bound
         ],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -520,6 +530,14 @@ class TestCliContract:
             (
                 ["oracle", "--chi", "1e-3", "--n", "100000"],
                 "n_per_axis must be <= 2048, got 100000",
+            ),
+            (
+                ["delta-v-rot", "--chi", "1e-3", "--a", "1e-9", "--rho", "1e-300"],
+                ZERO_M_A,  # rho * a^4 underflows
+            ),
+            (
+                ["delta-v-rot", "--chi", "1", "--a", "1e-9", "--rho", "1000", "--A", "1e308"],
+                f"m*a = {1000 * 1e-9**4!r} gives a non-finite rotation delta-v",
             ),
         ],
     )
@@ -560,6 +578,46 @@ class TestCliContract:
         assert code == 1
         assert out == ""
         assert err == f"error: invalid mission spec: particle_size = {size!r} is out of range\n"
+
+    @pytest.mark.parametrize(
+        "argv, field, value, message",
+        [
+            (["mission"], "chi0", 5.0, "invalid mission spec: chi0 = 5.0 is out of range"),
+            (
+                ["solve", "--unknown", "active_mass_fraction"],
+                "chi0",
+                5.0,
+                "invalid mission spec: chi0 = 5.0 is out of range",
+            ),
+            (["sweep"], "chi0", 5.0, "invalid mission spec: chi0 = 5.0 is out of range"),
+            # rho * a^4 underflows to 0
+            (["mission"], "particle_density", 1e-300, ZERO_M_A),
+            (["mission", "--format", "json"], "particle_density", 1e-300, ZERO_M_A),
+            (["solve", "--unknown", "chi0"], "particle_density", 1e-300, ZERO_M_A),
+            (["solve", "--unknown", "particle_size"], "particle_density", 1e-300, ZERO_M_A),
+        ],
+    )
+    def test_refused_spec_value_exits_one(
+        self, capsys, tmp_path, spec_file, argv, field, value, message
+    ):
+        with open(spec_file) as fh:
+            spec = json.load(fh)
+        spec[field] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, argv[0], "--spec", str(path), *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_series_cell_longer_than_the_csv_limit_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text('t_s,E_x,B_y\n0,1,2\n1,"' + "1" * 200_000 + '",3\n2,1,1\n')
+        code, out, err = run_cli(capsys, "force-decompose", "--series", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 3: field larger than field limit")
+        assert err.count("\n") == 1
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

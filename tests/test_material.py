@@ -10,17 +10,14 @@ from zpfdrive.material import (
     MagnetoElectricTensor,
     Particle,
     ParticleState,
-    chi_effective,
-    particle_mass,
     particle_from_dict,
     particle_to_dict,
-    polarization,
     rotate_tensor,
     rotation_about,
     tensor_from_dict,
     tensor_to_dict,
 )
-from zpfdrive.quantities import MASS
+from zpfdrive.dynamics import FieldTimeSeries
 
 PI_ABOUT_X = np.diag([1.0, -1.0, -1.0])  # exact pi rotation about x
 
@@ -33,6 +30,22 @@ entries = st.floats(min_value=-1e-3, max_value=1e-3, allow_nan=False)
 chi_matrices = st.tuples(*[entries for _ in range(9)]).map(
     lambda t: np.array(t).reshape(3, 3)
 )
+
+
+def _point_series(e_x: float, b_y: float) -> FieldTimeSeries:
+    """A three-sample series holding the fields (E_x, B_y) at every sample."""
+    return FieldTimeSeries(t=np.arange(3.0), e_x=np.full(3, e_x), b_y=np.full(3, b_y))
+
+
+def chi_effective(t: MagnetoElectricTensor, e_x: float, b_y: float) -> float:
+    """chi_xy(E, B) of ``t`` at one field point, by the series' response."""
+    series = _point_series(e_x, b_y)
+    return float(series.chi_response(t.chi0_xy, t.kappa1, t.kappa2, t.kappa3)[0])
+
+
+def polarization(p: Particle, e_x: float, b_y: float) -> float:
+    """P_x = epsilon*E_x + chi_xy*B_y at one field point, with the series' lab-frame chi."""
+    return p.epsilon * e_x + float(_point_series(e_x, b_y).chi_samples(p)[0]) * b_y
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -186,9 +199,7 @@ class TestPolarization:
 class TestParticle:
     def test_mass_nanoparticle(self):
         p = Particle(1e-9, 1000.0, MagnetoElectricTensor.from_xy(1e-3))
-        q = particle_mass(p)
-        assert q.value == pytest.approx(1e-24, rel=1e-14)
-        assert q.dim == MASS
+        assert p.mass == pytest.approx(1e-24, rel=1e-14)
 
     def test_mass_unit_cube(self):
         p = Particle(1.0, 1000.0, MagnetoElectricTensor.from_xy(1e-3))
@@ -340,6 +351,7 @@ class TestParticleState:
             ("chi0", [0, float("nan"), 0, 0, 0, 0, 0, 0, 0], "finite"),
             ("kappa2", float("inf"), "finite"),
             ("orientation", [1, 0, 0, 0, 1, 0, 0, 0, 1.1], "not orthogonal"),
+            ("size_a_m", 1e-320, "size_a must be positive, with a finite, non-zero a\\^4"),
         ],
     )
     def test_invalid_record_named_by_index(self, field, value, message):

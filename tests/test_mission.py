@@ -220,6 +220,23 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_for_unknown(design_point(), "satellite_mass")
 
+    @pytest.mark.parametrize("unknown", sorted(SOLVE_BRACKETS))
+    def test_runtime_under_a_millisecond(self, unknown):
+        spec = design_point(**{unknown: None})
+        runtime = math.inf
+        for _ in range(20):
+            t0 = time.perf_counter()
+            solve_for_unknown(spec, unknown)
+            runtime = min(runtime, time.perf_counter() - t0)
+        assert runtime < 1e-3
+
+    def test_zero_m_a_is_refused(self):
+        spec = design_point(particle_density=1e-300, chi0=None)  # rho * a^4 underflows to 0
+        with pytest.raises(ValueError, match="non-finite rotation delta-v"):
+            solve_for_unknown(spec, "chi0")
+        with pytest.raises(ValueError, match="non-finite rotation delta-v"):
+            analytic_solve_for_unknown(spec, "chi0")
+
 
 class TestSweep:
     def test_degenerate_grid_matches_evaluate(self):
@@ -349,6 +366,58 @@ SWEEP_AXIS_VALUES = {
     "active_mass_fraction": st.floats(1e-6, 1.0),
     "prefactor_A": decades(-4, 0),
 }
+
+
+def random_spec(rng: np.random.Generator) -> MissionSpec:
+    return design_point(
+        wheel_radius=float(rng.uniform(0.1, 10.0)),
+        active_mass_fraction=float(rng.uniform(1e-6, 1.0)),
+        particle_size=float(10.0 ** rng.uniform(-11, -6)),
+        particle_density=float(10.0 ** rng.uniform(1, 5)),
+        chi0=float(10.0 ** rng.uniform(-7, 0)),
+        prefactor_A=float(10.0 ** rng.uniform(-4, 0)),
+    )
+
+
+def sweep_cells(base: MissionSpec, axes: dict, mode: SweepMode) -> list[dict]:
+    buf = io.StringIO()
+    sweep(base, axes, out=buf, mode=mode)
+    header, *rows = buf.getvalue().splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+class TestMissionEqualsSweepCell:
+    """A mission's achieved velocity is the sweep's dV_m_s cell of the same row."""
+
+    def test_mass_budget_rows_bit_for_bit(self):
+        rng = np.random.default_rng(707)
+        for _ in range(200):
+            base = random_spec(rng)
+            axes = {
+                "chi0": [base.chi0, float(10.0 ** rng.uniform(-7, 0))],
+                "particle_size": [base.particle_size, float(10.0 ** rng.uniform(-11, -6))],
+                "particle_density": [float(10.0 ** rng.uniform(1, 5))],
+                "active_mass_fraction": [float(rng.uniform(1e-6, 1.0))],
+            }
+            for cells in sweep_cells(base, axes, SweepMode.MASS_BUDGET):
+                row = {k: float(cells[h]) for k, h in zip(mission._SWEEP_AXES, SWEEP_CSV_HEADER)}
+                report = evaluate_mission(replace(base, **row))
+                assert repr(report.achieved_tangential_v) == cells["dV_m_s"]
+                assert report.feasible == (cells["feasible"] == "true")
+
+    def test_fixed_particle_mass_rows_at_the_base_size(self):
+        # (rho * a_base^3) * a and rho * a^4 round differently, so agreement is to
+        # a few ulp here; it is exact where the two products are equal
+        rng = np.random.default_rng(708)
+        for _ in range(200):
+            base = random_spec(rng)
+            (cells,) = sweep_cells(base, {}, SweepMode.FIXED_PARTICLE_MASS)
+            achieved = evaluate_mission(base).achieved_tangential_v
+            a, rho = base.particle_size, base.particle_density
+            if (rho * a**3) * a == rho * a**4:
+                assert repr(achieved) == cells["dV_m_s"]
+            else:
+                assert achieved == pytest.approx(float(cells["dV_m_s"]), rel=1e-15)
 
 
 class TestSweepKernelEquivalence:

@@ -6,10 +6,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from zpfdrive import vacuum
-from zpfdrive.quantities import ENERGY_DENSITY, HBAR_J_S, C_M_S, MOMENTUM, Quantity, LENGTH
+from zpfdrive.quantities import MOMENTUM, Quantity, LENGTH
 from zpfdrive.vacuum import (
     MAX_N_PER_AXIS,
     CutoffConvention,
@@ -19,21 +18,8 @@ from zpfdrive.vacuum import (
     _geometry_sum,
     convergence_study,
     mode_sum_oracle,
-    vacuum_b_squared,
     vacuum_momentum_closed_form,
 )
-
-
-def b_squared_quadrature(omega_cut: float) -> float:
-    """Independent oracle: adaptive quadrature of the zero-point spectral
-    density hbar w^3/(2 pi^2 c^3) times 4 pi up to the cutoff."""
-    val, _ = quad(
-        lambda w: 4.0 * math.pi * HBAR_J_S * w**3 / (2.0 * math.pi**2 * C_M_S**3),
-        0.0,
-        omega_cut,
-        epsrel=1e-10,
-    )
-    return val
 
 
 class TestCutoff:
@@ -51,38 +37,6 @@ class TestCutoff:
     def test_prefactor_must_be_positive(self):
         with pytest.raises(ValueError):
             VacuumModel(prefactor_a=0.0)
-
-
-class TestVacuumBSquared:
-    def test_doubling_size_divides_by_sixteen(self):
-        m = VacuumModel()
-        assert vacuum_b_squared(2e-9, m).value == pytest.approx(
-            vacuum_b_squared(1e-9, m).value / 16.0, rel=1e-14
-        )
-
-    def test_infinite_size_limit_is_zero(self):
-        assert vacuum_b_squared(math.inf, VacuumModel()).value == 0.0
-
-    def test_matches_quadrature_at_nanometer(self):
-        m = VacuumModel()
-        expected = b_squared_quadrature(m.omega_cut(1e-9))
-        assert vacuum_b_squared(1e-9, m).value == pytest.approx(expected, rel=1e-6)
-
-    @pytest.mark.parametrize("convention", list(CutoffConvention))
-    def test_matches_quadrature_over_log_spaced_sizes(self, convention):
-        m = VacuumModel(cutoff=convention)
-        for a in np.geomspace(1e-10, 1e-5, 10):
-            expected = b_squared_quadrature(m.omega_cut(float(a)))
-            assert vacuum_b_squared(float(a), m).value == pytest.approx(expected, rel=1e-6)
-
-    def test_nonpositive_size_rejected(self):
-        with pytest.raises(ValueError):
-            vacuum_b_squared(0.0, VacuumModel())
-        with pytest.raises(ValueError):
-            vacuum_b_squared(-1e-9, VacuumModel())
-
-    def test_dimension_tag(self):
-        assert vacuum_b_squared(1e-9, VacuumModel()).dim == ENERGY_DENSITY
 
 
 class TestClosedFormMomentum:
