@@ -9,6 +9,7 @@ adds no arithmetic of its own: every number printed is a library result.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -74,6 +75,7 @@ def _check_flags(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the zpfdrive argv grammar on every call."""
     parser = argparse.ArgumentParser(
         prog="zpfdrive",
         description="Vacuum momentum transfer for magneto-electric particles.",
@@ -157,6 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     return parser
+
+
+# main's parser, built on its first call: building one takes longer than a
+# small command's own work.  It binds this module's builder, so a wrapper put
+# in place of the build_parser attribute never ends up inside it.
+_main_parser = functools.cache(build_parser)
 
 
 def _load_json_list(path: str, what: str) -> list:
@@ -257,7 +265,10 @@ _FORCE_COLUMNS = ("t_s", "f_dielectric", "f_magnetoelectric", "f_chi_rate", "f_t
 
 
 def _cmd_force_decompose(args) -> int:
-    series = dynamics.FieldTimeSeries.from_csv(args.series)
+    try:
+        series = dynamics.FieldTimeSeries.from_csv(args.series)
+    except ValueError as exc:
+        raise ValueError(f"{args.series}: {exc}") from None
     # size and density do not enter the force terms; only epsilon and chi do
     particle = material.Particle(
         size_a=1e-9,
@@ -381,8 +392,8 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one CLI call and return its exit code; callable any number of times."""
+    args = _main_parser().parse_args(argv)
     try:
         _check_flags(args)
         return _COMMANDS[args.command](args)

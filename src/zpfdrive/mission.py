@@ -158,6 +158,14 @@ class MissionSpec:
                 errors.append(f"{name} is not set")
             elif not _field_ok(name, value):
                 errors.append(f"{name} = {value} is out of range")
+        if not any(e.startswith(("target_rate ", "wheel_radius ")) for e in errors):
+            required = _tangential_v(self.target_rate, self.wheel_radius)
+            if not (0 < required < math.inf):  # margin = achieved / required
+                errors.append(
+                    f"target_rate = {self.target_rate} at wheel_radius = {self.wheel_radius}"
+                    f" gives a required velocity of {required} m/s,"
+                    " not a positive finite number"
+                )
         return errors
 
     def validated(self, allow_unknown: str | None = None) -> "MissionSpec":

@@ -85,7 +85,6 @@ class VacuumModel:
     """Calibration of the vacuum-momentum closed forms."""
 
     prefactor_a: float = 1e-2
-    cutoff: CutoffConvention = CutoffConvention.WAVELENGTH_EQUALS_SIZE
 
     def __post_init__(self) -> None:
         if not (self.prefactor_a > 0):

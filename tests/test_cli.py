@@ -26,6 +26,10 @@ def run_cli(capsys, *argv):
 
 DESIGN_ARGS = ["--chi", "1e-3", "--a", "1e-9", "--rho", "1000", "--A", "1e-2"]
 ZERO_M_A = "m*a = 0.0 gives a non-finite rotation delta-v"
+ZERO_REQUIRED = (
+    "invalid mission spec: target_rate = 1e-320 at wheel_radius = 1.0"
+    " gives a required velocity of 0.0 m/s, not a positive finite number"
+)
 
 
 @pytest.fixture
@@ -357,6 +361,42 @@ class TestDataCommands:
         assert len(outputs[0].strip().splitlines()) == 4
 
 
+def fresh_process(*argv):
+    """Exit code, stdout and stderr of one CLI call in a new interpreter."""
+    result = subprocess.run(
+        [sys.executable, "-m", "zpfdrive.cli", *argv], capture_output=True, text=True
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+class TestParserReuse:
+    """main parses every call of a process with one parser: no call leaks into the next."""
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            # the second sweep takes chi0 from the spec
+            (["sweep", "--spec", "SPEC", "--chi", "1e-4,2e-4"], ["sweep", "--spec", "SPEC"]),
+            (["oracle", "--chi", "1e-3", "--n", "16"], ["oracle", "--chi", "1e-3"]),
+            (["mission", "--spec", "SPEC", "--format", "json"], ["mission", "--spec", "SPEC"]),
+            (["delta-v-rot", "--chi", "1e-3"], ["delta-v-rot", *DESIGN_ARGS]),  # usage error
+        ],
+    )
+    def test_second_call_equals_a_fresh_process(self, capsys, spec_file, first, second):
+        first, second = ([spec_file if x == "SPEC" else x for x in v] for v in (first, second))
+        try:
+            first_result = run_cli(capsys, *first)
+        except SystemExit as exc:
+            first_result = (exc.code, *capsys.readouterr())
+        result = run_cli(capsys, *second)
+        assert result == fresh_process(*second)
+        assert result[0] == 0
+        assert first_result[:2] != result[:2]
+
+
 class TestLedgerInputErrors:
     """A malformed particle or maneuver file ends in one error line, exit 1."""
 
@@ -595,6 +635,11 @@ class TestCliContract:
             (["mission", "--format", "json"], "particle_density", 1e-300, ZERO_M_A),
             (["solve", "--unknown", "chi0"], "particle_density", 1e-300, ZERO_M_A),
             (["solve", "--unknown", "particle_size"], "particle_density", 1e-300, ZERO_M_A),
+            # target_rate * pi/180/86400 * wheel_radius underflows to 0
+            (["mission"], "target_rate", 1e-320, ZERO_REQUIRED),
+            (["solve", "--unknown", "chi0"], "target_rate", 1e-320, ZERO_REQUIRED),
+            (["solve", "--unknown", "particle_size"], "target_rate", 1e-320, ZERO_REQUIRED),
+            (["sweep"], "target_rate", 1e-320, ZERO_REQUIRED),
         ],
     )
     def test_refused_spec_value_exits_one(
@@ -616,7 +661,7 @@ class TestCliContract:
         code, out, err = run_cli(capsys, "force-decompose", "--series", str(path))
         assert code == 1
         assert out == ""
-        assert err.startswith("error: line 3: field larger than field limit")
+        assert err.startswith(f"error: {path}: line 3: field larger than field limit")
         assert err.count("\n") == 1
 
     def test_usage_error_exits_two(self):

@@ -28,7 +28,12 @@ from zpfdrive.dynamics import (
 from zpfdrive.material import MagnetoElectricTensor, Particle, ParticleState, rotation_about
 from zpfdrive.mission import MissionSpec, MissionSpecError, evaluate_mission
 from zpfdrive.quantities import HBAR_J_S, VELOCITY, Quantity
-from zpfdrive.vacuum import VacuumModel, stored_momentum, vacuum_momentum_closed_form
+from zpfdrive.vacuum import (
+    CutoffConvention,
+    VacuumModel,
+    stored_momentum,
+    vacuum_momentum_closed_form,
+)
 
 
 def particle(chi=1e-3, a=1e-9, rho=1000.0, eps=1.0, **kappas):
@@ -480,25 +485,24 @@ class TestPayloadDeltaV:
             evaluate_mission(mission_spec(active_mass_fraction=1.1))
 
 
-def b_squared(a: float, model: VacuumModel) -> float:
+def b_squared(a: float) -> float:
     """<B^2_vac> below the size cutoff: hbar * w_cut^4 / (2 pi c^3), w_cut = c * k_cut(a)."""
     c = 2.99792458e8
-    return HBAR_J_S * (c * model.cutoff.k_cut(a)) ** 4 / (2.0 * math.pi * c**3)
+    k_cut = CutoffConvention.WAVELENGTH_EQUALS_SIZE.k_cut(a)
+    return HBAR_J_S * (c * k_cut) ** 4 / (2.0 * math.pi * c**3)
 
 
 class TestAggregationVersusCavity:
     def test_cutoff_ratio_is_quartic(self):
-        m = VacuumModel()
         a, big_l = 1e-9, 1e-7  # L >> a
-        ratio = b_squared(a, m) / b_squared(big_l, m)
+        ratio = b_squared(a) / b_squared(big_l)
         assert ratio == pytest.approx((big_l / a) ** 4, rel=1e-12)
 
     def test_aggregation_scale_beats_any_bounded_cavity_ramp(self):
-        m = VacuumModel()
         chi = 1e-3
         a, big_l = 1e-9, 1e-7
-        aggregation_scale = chi * 0.5 * b_squared(a, m)
-        b2_l = b_squared(big_l, m)
+        aggregation_scale = chi * 0.5 * b_squared(a)
+        b2_l = b_squared(big_l)
         for fraction in (1.0, 0.5, 0.1):
             cavity = channel_cavity(chi, fraction * b2_l, 1.0)
             assert aggregation_scale > cavity

@@ -32,7 +32,6 @@ class TestCutoff:
     def test_default_model(self):
         m = VacuumModel()
         assert m.prefactor_a == 1e-2
-        assert m.cutoff is CutoffConvention.WAVELENGTH_EQUALS_SIZE
 
     def test_prefactor_must_be_positive(self):
         with pytest.raises(ValueError):
