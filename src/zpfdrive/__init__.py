@@ -6,7 +6,7 @@ decomposition, an independent vacuum mode-summation oracle, and a satellite
 attitude-correction planner.
 """
 
-from .quantities import DimensionError, Quantity
+from .quantities import Quantity
 from .material import (
     ImproperRotationError,
     MagnetoElectricTensor,

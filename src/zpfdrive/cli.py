@@ -19,15 +19,18 @@ from typing import Sequence
 import numpy as np
 
 from . import _io, dynamics, material, mission, vacuum
-from .quantities import Quantity, unit_string
+from .quantities import Quantity
 
 __all__ = ["main", "build_parser"]
 
 
 def _single_value(args, name: str, q: Quantity) -> str:
+    """The one output line of a single-value command; a non-finite value is refused."""
+    if not math.isfinite(q.value):
+        raise ValueError(f"{name} = {q.value!r} {q.unit} is not finite")
     if args.format == "json":
-        return json.dumps({"quantity": name, "value": q.value, "unit": unit_string(q.dim)})
-    return f"{name} = {q.value:.6g} {unit_string(q.dim)}"
+        return json.dumps({"quantity": name, "value": q.value, "unit": q.unit})
+    return f"{name} = {q.value:.6g} {q.unit}"
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -367,7 +370,11 @@ def _cmd_ledger(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{args.maneuvers}: maneuver {i}: {exc}") from None
     model = vacuum.VacuumModel(prefactor_a=args.A)
-    ledger = dynamics.run_maneuver_sequence(state, maneuvers, args.m_total, model)
+    with np.errstate(all="ignore"):  # a non-finite booking is refused by the ledger
+        try:
+            ledger = dynamics.run_maneuver_sequence(state, maneuvers, args.m_total, model)
+        except dynamics.ManeuverError as exc:
+            raise ValueError(f"{args.maneuvers}: {exc}") from None
     out = args.out or sys.stdout
     if args.format == "json":
         _io.write_blocks(out, [json.dumps(ledger.entry_dicts())], tail="\n")

@@ -47,8 +47,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import _io
-from .material import Particle, ParticleState, check_chi_bound, rotation_about
-from .quantities import HBAR_J_S, LENGTH, MASS, MASS_DENSITY, VELOCITY, Quantity, si_value
+from .material import Particle, ParticleState, check_chi_bound, representable_size, rotation_about
+from .quantities import HBAR_J_S, Quantity
 from .vacuum import VacuumModel, stored_momentum
 
 __all__ = [
@@ -296,14 +296,12 @@ def _vacuum_terms(chi: np.ndarray, s: FieldTimeSeries) -> tuple[np.ndarray, np.n
     return chi * 0.5 * _ddt(s.b_y**2, dt), s.b_y**2 * _ddt(chi, dt)
 
 
-def channel_cavity(chi_xy, db2_dt, duration):
+def channel_cavity(chi_xy, db2_dt, duration: float):
     """Impulse from cavity-modulated <B^2_vac>: chi * (1/2) * dB2_dt * duration.
 
-    Constant-rate approximation; written operator-only so dimension-tagged
-    arguments flow through.
+    Constant-rate approximation, elementwise over ``chi_xy``; ``duration`` in s.
     """
-    d = duration.value if isinstance(duration, Quantity) else float(duration)
-    if not (d > 0):
+    if not (duration > 0):
         raise ValueError("duration must be positive")
     return chi_xy * 0.5 * db2_dt * duration
 
@@ -333,30 +331,29 @@ def delta_v_rotation(p: Particle, model: VacuumModel) -> Quantity:
     particle's current lab-frame chi0_xy.
     """
     m_a = p.density_rho * p.size_a**4
-    return Quantity(checked_rotation_dv(p.chi0_xy, m_a, model.prefactor_a), VELOCITY)
+    return Quantity(float(checked_rotation_dv(p.chi0_xy, m_a, model.prefactor_a)), "m/s")
 
 
 def delta_v_aggregation(
-    a: Union[Quantity, float],
-    rho: Union[Quantity, float],
-    chi: float,
-    n_count: float,
-    model: VacuumModel,
+    a: float, rho: float, chi: float, n_count: float, model: VacuumModel
 ) -> Quantity:
     """Velocity gain from merging N size-a units into one body of size N^(1/3)*a.
 
-    ``|chi|`` must be within the sanity bound.
+    ``|chi|`` must be within the sanity bound, and the merged size must be
+    one that :func:`~zpfdrive.material.representable_size` accepts.
     """
     check_chi_bound(chi)
-    a_m = si_value(a, LENGTH, "a")
-    rho_si = si_value(rho, MASS_DENSITY, "rho")
-    if not (a_m > 0 and rho_si > 0):
+    if not (a > 0 and rho > 0):
         raise ValueError("a and rho must be positive")
     if not (n_count >= 1):
         raise ValueError("N must be >= 1")
-    big_l = n_count ** (1.0 / 3.0) * a_m
-    dv = model.prefactor_a * (HBAR_J_S / rho_si) * chi * (1.0 / a_m**4 - 1.0 / big_l**4)
-    return Quantity(dv, VELOCITY)
+    big_l = n_count ** (1.0 / 3.0) * a
+    if not representable_size(big_l):
+        raise ValueError(
+            f"N = {n_count!r} and a = {a!r} give a merged size of {big_l!r} m, out of range"
+        )
+    dv = model.prefactor_a * (HBAR_J_S / rho) * chi * (1.0 / a**4 - 1.0 / big_l**4)
+    return Quantity(float(dv), "m/s")
 
 
 # -- maneuvers and the impulse ledger ---------------------------------------
@@ -460,18 +457,22 @@ class ImpulseLedger:
         dp_vacuum = np.asarray(dp_vacuum, dtype=float)
         residual = np.linalg.norm(dp_particles + dp_vacuum)
         scale = max(np.linalg.norm(dp_particles), np.linalg.norm(dp_vacuum))
-        if residual > CONSERVATION_RTOL * scale:
+        if not residual <= CONSERVATION_RTOL * scale:  # NaN fails too
             raise ValueError(
                 f"momentum conservation violated: |dp_p + dp_v| = {residual:g} "
                 f"exceeds {CONSERVATION_RTOL:g} * {scale:g}"
             )
-        self._cumulative_dp = self._cumulative_dp + dp_particles
+        cumulative_dp = self._cumulative_dp + dp_particles
+        cumulative_v = cumulative_dp / self.m_total
+        if not np.isfinite(cumulative_v).all():
+            raise ValueError(f"cumulative velocity {cumulative_v.tolist()} m/s is not finite")
+        self._cumulative_dp = cumulative_dp
         entry = LedgerEntry(
             maneuver_id=len(self.entries),
             kind=kind,
             dp_particles=dp_particles,
             dp_vacuum=dp_vacuum,
-            cumulative_v=self.cumulative_v.copy(),
+            cumulative_v=cumulative_v,
         )
         self.entries.append(entry)
         return entry
@@ -561,7 +562,7 @@ def _book_cavity(state: ParticleState, mv: CavityModulation) -> np.ndarray:
 def run_maneuver_sequence(
     particles: Union[Sequence[Particle], ParticleState],
     maneuvers: Sequence[Maneuver],
-    m_total: Union[Quantity, float],
+    m_total: float,
     model: VacuumModel,
 ) -> ImpulseLedger:
     """Apply maneuvers in order, booking each into a conservation-checked ledger.
@@ -572,8 +573,7 @@ def run_maneuver_sequence(
     failure raises :class:`ManeuverError` carrying the index of the
     offending maneuver and the ledger accumulated so far.
     """
-    m_total_si = si_value(m_total, MASS, "m_total")
-    ledger = ImpulseLedger(m_total_si)
+    ledger = ImpulseLedger(m_total)
     state = (
         particles
         if isinstance(particles, ParticleState)

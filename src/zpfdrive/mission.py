@@ -47,7 +47,7 @@ import numpy as np
 from . import _io
 from .dynamics import checked_rotation_dv, rotation_dv
 from .material import CHI0_SANITY_BOUND, representable_size
-from .quantities import VELOCITY, Quantity, si_value
+from .quantities import Quantity
 
 __all__ = [
     "MissionSpec",
@@ -250,15 +250,14 @@ def rate_to_tangential_v(rate_deg_day: float, radius: float) -> Quantity:
     """Tangential velocity at ``radius`` for an attitude rate in deg/day."""
     if not (radius > 0):
         raise ValueError("radius must be positive")
-    return Quantity(_tangential_v(rate_deg_day, radius), VELOCITY)
+    return Quantity(float(_tangential_v(rate_deg_day, radius)), "m/s")
 
 
-def tangential_v_to_rate(v: Union[Quantity, float], radius: float) -> float:
+def tangential_v_to_rate(v: float, radius: float) -> float:
     """Attitude rate in deg/day equivalent to tangential velocity ``v``."""
     if not (radius > 0):
         raise ValueError("radius must be positive")
-    v_si = si_value(v, VELOCITY, "v")
-    return v_si / radius * SECONDS_PER_DAY / RAD_PER_DEG
+    return v / radius * SECONDS_PER_DAY / RAD_PER_DEG
 
 
 def _payload_v(chi0, particle_size, particle_density, active_mass_fraction, prefactor_A) -> float:

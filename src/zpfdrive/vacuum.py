@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _io
 from .material import check_chi_bound
-from .quantities import HBAR_J_S, LENGTH, MOMENTUM, Quantity, si_value
+from .quantities import HBAR_J_S, Quantity
 
 __all__ = [
     "CutoffConvention",
@@ -122,19 +122,16 @@ class ModeGrid:
         return cls(n_per_axis=n_per_axis, k_cut=convention.k_cut(a))
 
 
-def vacuum_momentum_closed_form(
-    chi_xy: float, a: Union[Quantity, float], model: VacuumModel
-) -> Quantity:
+def vacuum_momentum_closed_form(chi_xy: float, a: float, model: VacuumModel) -> Quantity:
     """Stored vacuum momentum p = A * hbar * chi / a (kg m/s).
 
     Signed with chi; the direction is by convention the z-like axis dual to
     the (x, y) component pair.  ``|chi|`` must be within the sanity bound.
     """
     check_chi_bound(chi_xy)
-    a_m = si_value(a, LENGTH, "a")
-    if not (a_m > 0):
+    if not (a > 0):
         raise ValueError("size must be positive")
-    return Quantity(stored_momentum(chi_xy, a_m, model), MOMENTUM)
+    return Quantity(float(stored_momentum(chi_xy, a, model)), "kg m/s")
 
 
 def stored_momentum(chi_xy, a_m, model: VacuumModel):
@@ -199,9 +196,8 @@ def _geometry_sum(n: int) -> float:
 
 def mode_sum_oracle(
     chi_xy: float,
-    a: Union[Quantity, float],
+    a: float,
     grid: ModeGrid,
-    axis_sign: int = +1,
     *,
     geometry: float | None = None,
 ) -> tuple[Quantity, float]:
@@ -210,16 +206,12 @@ def mode_sum_oracle(
     Returns ``(p, effective_A)`` where ``p`` is the net momentum along the
     distinguished (z-like) axis and ``effective_A = |p| a / (hbar |chi|)``,
     computed from the chi-independent geometric sum so it is defined for all
-    chi.  ``axis_sign = -1`` reflects the distinguished axis, flipping the
-    sign of the momentum exactly.  ``|chi|`` must be within the sanity bound.
+    chi.  ``|chi|`` must be within the sanity bound.
     ``geometry`` is ``_geometry_sum(grid.n_per_axis)`` when the caller has
     it already, e.g. for several sizes at one resolution.
     """
-    if axis_sign not in (+1, -1):
-        raise ValueError("axis_sign must be +1 or -1")
     check_chi_bound(chi_xy)
-    a_m = si_value(a, LENGTH, "a")
-    if not (a_m > 0):
+    if not (a > 0):
         raise ValueError("size must be positive")
     if geometry is None:
         geometry = _geometry_sum(grid.n_per_axis)
@@ -227,9 +219,9 @@ def mode_sum_oracle(
         raise ValueError("mode grid contains no modes inside the cutoff ball")
     dk = grid.dk
     # mode weight a^3 dk^3/(2 pi)^3, momentum hbar|k|/2, two polarizations
-    effective_a = (dk * a_m / (2.0 * math.pi)) ** 3 * dk * a_m * geometry
-    p = axis_sign * chi_xy * (HBAR_J_S / a_m) * effective_a
-    return Quantity(p, MOMENTUM), effective_a
+    effective_a = (dk * a / (2.0 * math.pi)) ** 3 * dk * a * geometry
+    p = chi_xy * (HBAR_J_S / a) * effective_a
+    return Quantity(float(p), "kg m/s"), effective_a
 
 
 def convergence_study(

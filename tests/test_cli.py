@@ -105,6 +105,65 @@ class TestSingleValueCommands:
         assert payload["value"] == vacuum_momentum_closed_form(1e-3, 1e-9, VacuumModel()).value
         assert payload["unit"] == "kg m/s"
 
+    AGG_ARGS = ["--chi", "1e-3", "--a", "1e-9", "--rho", "1000", "--N", "8"]
+
+    @pytest.mark.parametrize(
+        "argv, text, json_line",
+        [
+            (
+                ["delta-v-rot", *DESIGN_ARGS],
+                "delta_v_rotation = 2.10914e-06 m/s\n",
+                '{"quantity": "delta_v_rotation", "value": 2.1091436339999995e-06,'
+                ' "unit": "m/s"}\n',
+            ),
+            (
+                ["delta-v-agg", *AGG_ARGS],
+                "delta_v_aggregation = 9.88661e-07 m/s\n",
+                '{"quantity": "delta_v_aggregation", "value": 9.886610784375e-07,'
+                ' "unit": "m/s"}\n',
+            ),
+            (
+                ["vacuum-momentum", "--chi", "1e-3", "--a", "1e-9"],
+                "vacuum_momentum = 1.05457e-30 kg m/s\n",
+                '{"quantity": "vacuum_momentum", "value": 1.054571817e-30,'
+                ' "unit": "kg m/s"}\n',
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_output_bytes(self, capsys, argv, text, json_line, fmt):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == (json_line if fmt == "json" else text)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["delta-v-agg", "--chi", "1e-3", "--a", "1e-70", "--rho", "1e-300", "--N", "8"],
+                "delta_v_aggregation = inf m/s is not finite",
+            ),
+            (
+                ["vacuum-momentum", "--chi", "1e-3", "--a", "1e-70", "--A", "1e300"],
+                "vacuum_momentum = inf kg m/s is not finite",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_non_finite_value_refused(self, capsys, argv, message, fmt):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    def test_aggregation_merged_size_out_of_range(self, capsys):
+        argv = ["delta-v-agg", "--chi", "1e-3", "--a", "1e-9", "--rho", "1000", "--N", "1e300"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        merged = "9.999999999999872e+90 m"  # 1e300 ** (1/3) * 1e-9
+        assert err == (
+            f"error: N = 1e+300 and a = 1e-09 give a merged size of {merged}, out of range\n"
+        )
+
 
 class TestMissionCommands:
     def test_mission_text(self, capsys, spec_file):
@@ -429,6 +488,13 @@ class TestLedgerInputErrors:
         rotation = {"type": "rotation", "axis": [1, 0, 0]}
         err = self.run_ledger(capsys, tmp_path, [None], [self.ROTATION, rotation])
         assert "maneuvers.json: maneuver 1: missing field 'angle_rad'" in err
+
+    def test_non_finite_booking(self, capsys, tmp_path):
+        # N * p(a_m) overflows: the booking is [NaN, NaN, inf], refused by the ledger
+        aggregation = {"type": "aggregation", "N": 1e300, "a_m": 1e-300, "direction": [0, 0, 1]}
+        err = self.run_ledger(capsys, tmp_path, [None], [aggregation])
+        assert err.startswith("error: ") and "maneuvers.json: maneuver 0 failed: " in err
+        assert "momentum conservation violated" in err
 
     def test_unrepresentable_particle_size(self, capsys, tmp_path):
         tiny = particle_to_dict(Particle(1e-320, 1000.0, MagnetoElectricTensor.from_xy(1e-3)))

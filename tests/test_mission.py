@@ -62,7 +62,7 @@ class TestRateConversion:
     def test_round_trip_identity(self):
         for rate in (0.1, 1.0, 4.95, 123.0):
             v = rate_to_tangential_v(rate, 2.5)
-            assert tangential_v_to_rate(v, 2.5) == pytest.approx(rate, rel=1e-12)
+            assert tangential_v_to_rate(v.value, 2.5) == pytest.approx(rate, rel=1e-12)
 
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):

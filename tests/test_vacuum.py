@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from zpfdrive import vacuum
-from zpfdrive.quantities import MOMENTUM, Quantity, LENGTH
 from zpfdrive.vacuum import (
     MAX_N_PER_AXIS,
     CutoffConvention,
@@ -46,7 +45,7 @@ class TestClosedFormMomentum:
         # 1e-2 * 1.054571817e-34 * 1e-3 / 1e-9
         p = vacuum_momentum_closed_form(1e-3, 1e-9, VacuumModel())
         assert p.value == pytest.approx(1.054571817e-30, rel=1e-14)
-        assert p.dim == MOMENTUM
+        assert p.unit == "kg m/s"
 
     def test_odd_in_chi(self):
         m = VacuumModel()
@@ -57,11 +56,6 @@ class TestClosedFormMomentum:
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ValueError):
             vacuum_momentum_closed_form(1e-3, 0.0, VacuumModel())
-
-    def test_accepts_tagged_length(self):
-        m = VacuumModel()
-        tagged = vacuum_momentum_closed_form(1e-3, Quantity(1e-9, LENGTH), m)
-        assert tagged.value == vacuum_momentum_closed_form(1e-3, 1e-9, m).value
 
     def test_chi_sanity_bound(self):
         m = VacuumModel()
@@ -117,12 +111,6 @@ class TestModeSumOracle:
         p_2a, _ = mode_sum_oracle(1e-3, 2e-9, ModeGrid.for_particle(2e-9, n))
         assert abs(p_2a.value) == pytest.approx(abs(p_a.value) / 2.0, rel=0.02)
 
-    def test_axis_reflection_flips_sign(self):
-        g = ModeGrid.for_particle(1e-9, 16)
-        p_fwd, _ = mode_sum_oracle(1e-3, 1e-9, g, axis_sign=+1)
-        p_rev, _ = mode_sum_oracle(1e-3, 1e-9, g, axis_sign=-1)
-        assert p_rev.value == -p_fwd.value
-
     def test_sign_agrees_with_closed_form(self):
         g = ModeGrid.for_particle(1e-9, 16)
         m = VacuumModel()
@@ -145,10 +133,6 @@ class TestModeSumOracle:
         _, a1 = mode_sum_oracle(1e-3, 1e-9, g)
         _, a2 = mode_sum_oracle(5e-4, 1e-9, g)
         assert a1 == a2
-
-    def test_bad_axis_sign_rejected(self):
-        with pytest.raises(ValueError):
-            mode_sum_oracle(1e-3, 1e-9, ModeGrid.for_particle(1e-9, 16), axis_sign=0)
 
 
 class TestConvergenceStudy:
