@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import replace
 from typing import Sequence
@@ -25,56 +24,46 @@ __all__ = ["main", "build_parser"]
 
 
 def _single_value(args, name: str, q: Quantity) -> str:
-    """The one output line of a single-value command; a non-finite value is refused."""
-    if not math.isfinite(q.value):
-        raise ValueError(f"{name} = {q.value!r} {q.unit} is not finite")
+    """The one output line of a single-value command (the library refuses non-finite values)."""
     if args.format == "json":
         return json.dumps({"quantity": name, "value": q.value, "unit": q.unit})
     return f"{name} = {q.value:.6g} {q.unit}"
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, convert=float) -> list:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        return [convert(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-
-
-def _parse_ints(text: str, flag: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        kind = "integers" if convert is int else "numbers"
+        raise ValueError(f"{flag} expects comma-separated {kind}, got {text!r}") from None
 
 
 _CUTOFFS = {c.value: c for c in vacuum.CutoffConvention}
 
-# every numeric physics flag, by argparse dest; inf and NaN are rejected for all
-_FINITE_FLAGS = {
-    "chi": "--chi",
-    "a": "--a",
-    "rho": "--rho",
-    "N": "--N",
-    "A": "--A",
-    "fraction": "--fraction",
-    "epsilon": "--epsilon",
-    "m_total": "--M-total",
+# every numeric physics flag, by argparse dest: the flag and its rule in material.RULES
+_FLAG_RULES = {
+    "chi": ("--chi", "chi"),
+    "a": ("--a", "size"),
+    "rho": ("--rho", "positive"),
+    "N": ("--N", "at_least_one"),
+    "A": ("--A", "positive"),
+    "fraction": ("--fraction", "unit"),
+    "epsilon": ("--epsilon", "at_least_one"),
+    "m_total": ("--M-total", "positive"),
 }
 
 
 def _check_flags(args) -> None:
-    """Reject inf or NaN in any numeric physics flag, and a size that
-    :func:`~zpfdrive.material.representable_size` refuses, naming the flag."""
-    for dest, flag in _FINITE_FLAGS.items():
+    """Check each value of each numeric physics flag against its rule, naming the flag.  A
+    sweep's flags are axes: :func:`~zpfdrive.mission.sweep` applies the spec field rules."""
+    for dest, (flag, rule) in _FLAG_RULES.items():
         raw = getattr(args, dest, None)
         if raw is None:
             continue
-        values = _parse_floats(raw, flag) if isinstance(raw, str) else [raw]
-        for value in values:
-            if not math.isfinite(value):
-                raise ValueError(f"{flag} must be finite, got {value!r}")
-            if dest == "a" and not material.representable_size(value):
-                raise ValueError(f"{flag} {value!r} is out of range")
+        if args.command == "sweep":
+            rule = "finite"
+        for value in _parse_list(raw, flag) if isinstance(raw, str) else [raw]:
+            material.check(flag, value, rule)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,36 +170,24 @@ def _load_json_list(path: str, what: str) -> list:
     return records
 
 
-def _field(d: dict, key: str, convert=float):
-    if key not in d:
-        raise ValueError(f"missing field {key!r}")
-    try:
-        return convert(d[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"field {key!r}: {exc}") from None
-
-
-def _vector3(v: object) -> list[float]:
-    a = np.array(v, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"expected 3 numbers, got {v!r}")
-    return a.tolist()
-
-
 def _load_maneuver(
     d: object, series_by_path: dict[str, dynamics.FieldTimeSeries]
 ) -> dynamics.Maneuver:
     if not isinstance(d, dict):
         raise ValueError(f"expected an object, got {type(d).__name__}")
+    field = functools.partial(material.record_field, d)
     kind = d.get("type")
+    # a vector is passed on as it is: the maneuver normalizes it once
     if kind == "rotation":
-        return dynamics.Rotation(axis=_field(d, "axis", _vector3), angle=_field(d, "angle_rad"))
+        return dynamics.Rotation(axis=field("axis", None), angle=field("angle_rad"))
     if kind == "aggregation":
         return dynamics.Aggregation(
-            n=_field(d, "N"), size_a=_field(d, "a_m"), direction=_field(d, "direction", _vector3)
+            n=field("N"),
+            size_a=material.check("a_m", field("a_m"), "size"),
+            direction=field("direction", None),
         )
     if kind == "field_modulation":
-        path = _field(d, "series_csv", str)
+        path = field("series_csv", str)
         if path not in series_by_path:  # series arrays are read-only: share one per file
             try:
                 series_by_path[path] = dynamics.FieldTimeSeries.from_csv(path)
@@ -219,7 +196,7 @@ def _load_maneuver(
         return dynamics.FieldModulation(series=series_by_path[path])
     if kind == "cavity_modulation":
         return dynamics.CavityModulation(
-            db2_dt=_field(d, "dB2_dt"), duration=_field(d, "duration_s")
+            db2_dt=field("dB2_dt"), duration=field("duration_s")
         )
     raise ValueError(f"field 'type': unknown maneuver type {kind!r}")
 
@@ -250,8 +227,8 @@ def _cmd_vacuum_momentum(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    sizes = _parse_floats(args.a, "--a")
-    n_values = _parse_ints(args.n, "--n")
+    sizes = _parse_list(args.a, "--a")
+    n_values = _parse_list(args.n, "--n", int)
     out = args.out or sys.stdout
     csv_out = None if args.format == "json" else out
     rows = vacuum.convergence_study(
@@ -341,7 +318,7 @@ def _cmd_sweep(args) -> int:
     for name, dest in _SWEEP_DESTS.items():
         raw = getattr(args, dest)
         if raw is not None:
-            axes[name] = _parse_floats(raw, f"--{dest}")
+            axes[name] = _parse_list(raw, f"--{dest}")
     mode = mission.SweepMode(args.mode)
     fmt = "json" if args.format == "json" else "csv"
     try:

@@ -47,7 +47,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import _io
-from .material import Particle, ParticleState, check_chi_bound, representable_size, rotation_about
+from .material import (
+    Particle, ParticleState, check, representable_size, rotation_about, unit_vector
+)
 from .quantities import HBAR_J_S, Quantity
 from .vacuum import VacuumModel, stored_momentum
 
@@ -301,8 +303,7 @@ def channel_cavity(chi_xy, db2_dt, duration: float):
 
     Constant-rate approximation, elementwise over ``chi_xy``; ``duration`` in s.
     """
-    if not (duration > 0):
-        raise ValueError("duration must be positive")
+    check("duration", duration, "positive")
     return chi_xy * 0.5 * db2_dt * duration
 
 
@@ -339,36 +340,26 @@ def delta_v_aggregation(
 ) -> Quantity:
     """Velocity gain from merging N size-a units into one body of size N^(1/3)*a.
 
-    ``|chi|`` must be within the sanity bound, and the merged size must be
-    one that :func:`~zpfdrive.material.representable_size` accepts.
+    The arguments obey the rules of :data:`~zpfdrive.material.RULES`, the
+    merged size is one that :func:`~zpfdrive.material.representable_size`
+    accepts, and a non-finite gain is refused.
     """
-    check_chi_bound(chi)
-    if not (a > 0 and rho > 0):
-        raise ValueError("a and rho must be positive")
-    if not (n_count >= 1):
-        raise ValueError("N must be >= 1")
+    check("chi", chi, "chi")
+    check("a", a, "size")
+    check("rho", rho, "positive")
+    check("N", n_count, "at_least_one")
     big_l = n_count ** (1.0 / 3.0) * a
     if not representable_size(big_l):
         raise ValueError(
             f"N = {n_count!r} and a = {a!r} give a merged size of {big_l!r} m, out of range"
         )
-    dv = model.prefactor_a * (HBAR_J_S / rho) * chi * (1.0 / a**4 - 1.0 / big_l**4)
-    return Quantity(float(dv), "m/s")
+    dv = float(model.prefactor_a * (HBAR_J_S / rho) * chi * (1.0 / a**4 - 1.0 / big_l**4))
+    if not math.isfinite(dv):
+        raise ValueError(f"delta_v_aggregation = {dv!r} m/s is not finite")
+    return Quantity(dv, "m/s")
 
 
 # -- maneuvers and the impulse ledger ---------------------------------------
-
-
-def _unit_vector(v: object, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector")
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0 or not np.isfinite(norm):
-        raise ValueError(f"{name} must be finite and nonzero")
-    arr = arr / norm
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,8 +374,8 @@ class Rotation:
     angle: float  # rad
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "axis", _unit_vector(self.axis, "axis"))
-        object.__setattr__(self, "angle", float(self.angle))
+        object.__setattr__(self, "axis", unit_vector(self.axis, "axis"))
+        object.__setattr__(self, "angle", check("angle", float(self.angle), "finite"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,11 +387,9 @@ class Aggregation:
     direction: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.n >= 1):
-            raise ValueError("N must be >= 1")
-        if not (self.size_a > 0):
-            raise ValueError("size_a must be positive")
-        object.__setattr__(self, "direction", _unit_vector(self.direction, "direction"))
+        check("N", self.n, "at_least_one")
+        check("size_a", self.size_a, "size")
+        object.__setattr__(self, "direction", unit_vector(self.direction, "direction"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,8 +407,7 @@ class CavityModulation:
     duration: float  # s
 
     def __post_init__(self) -> None:
-        if not (self.duration > 0):
-            raise ValueError("duration must be positive")
+        check("duration", self.duration, "positive")
 
 
 Maneuver = Union[Rotation, Aggregation, FieldModulation, CavityModulation]
@@ -442,9 +430,7 @@ class ImpulseLedger:
     """
 
     def __init__(self, m_total: float) -> None:
-        if not (m_total > 0):
-            raise ValueError("M_total must be positive")
-        self.m_total = float(m_total)
+        self.m_total = float(check("M_total", m_total, "positive"))
         self.entries: list[LedgerEntry] = []
         self._cumulative_dp = np.zeros(3)
 
@@ -455,9 +441,12 @@ class ImpulseLedger:
     def append(self, kind: str, dp_particles: np.ndarray, dp_vacuum: np.ndarray) -> LedgerEntry:
         dp_particles = np.asarray(dp_particles, dtype=float)
         dp_vacuum = np.asarray(dp_vacuum, dtype=float)
+        for dp in (dp_particles, dp_vacuum):
+            if not np.isfinite(dp).all():
+                raise ValueError(f"booking {dp.tolist()} kg m/s is not finite")
         residual = np.linalg.norm(dp_particles + dp_vacuum)
         scale = max(np.linalg.norm(dp_particles), np.linalg.norm(dp_vacuum))
-        if not residual <= CONSERVATION_RTOL * scale:  # NaN fails too
+        if not residual <= CONSERVATION_RTOL * scale:
             raise ValueError(
                 f"momentum conservation violated: |dp_p + dp_v| = {residual:g} "
                 f"exceeds {CONSERVATION_RTOL:g} * {scale:g}"
@@ -491,12 +480,7 @@ class ImpulseLedger:
 
     def to_jsonl(self, target: Union[str, Path, io.TextIOBase]) -> None:
         """One JSON object per maneuver, in execution order."""
-        if isinstance(target, (str, Path)):
-            with open(target, "w") as fh:
-                self.to_jsonl(fh)
-                return
-        for d in self.entry_dicts():
-            target.write(json.dumps(d) + "\n")
+        _io.write_blocks(target, (json.dumps(d) + "\n" for d in self.entry_dicts()))
 
 
 class ManeuverError(ValueError):

@@ -24,15 +24,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "ORTHOGONALITY_TOL",
     "CHI0_SANITY_BOUND",
-    "check_chi_bound",
+    "RULES",
+    "check",
     "representable_size",
+    "record_field",
+    "unit_vector",
     "ImproperRotationError",
     "MagnetoElectricTensor",
     "Particle",
@@ -49,12 +52,6 @@ ORTHOGONALITY_TOL = 1e-12
 CHI0_SANITY_BOUND = 1.0
 
 
-def check_chi_bound(chi: float) -> None:
-    """Reject a scalar chi outside the tensor's sanity bound ``|chi| <= CHI0_SANITY_BOUND``."""
-    if not abs(chi) <= CHI0_SANITY_BOUND:
-        raise ValueError(f"|chi| = {abs(chi)!r} exceeds sanity bound {CHI0_SANITY_BOUND}")
-
-
 def representable_size(a: float) -> bool:
     """Whether ``a > 0`` and ``a**4`` and ``1/a**4`` are finite and non-zero.
 
@@ -69,6 +66,65 @@ def representable_size(a: float) -> bool:
     except OverflowError:
         return False
     return 0.0 < a4 < math.inf and 1.0 / a4 < math.inf
+
+
+# the range rule of every numeric input (flags, spec fields, closed-form
+# arguments, records), by name; NaN and +-inf fail every rule
+RULES: dict[str, Callable[[float], bool]] = {
+    "finite": math.isfinite,
+    "positive": lambda v: 0 < v < math.inf,
+    "size": representable_size,
+    "chi": lambda v: abs(v) <= CHI0_SANITY_BOUND,
+    "unit": lambda v: 0 < v <= 1,
+    "at_least_one": lambda v: 1 <= v < math.inf,
+}
+
+
+def check(name: str, value: float, rule: str) -> float:
+    """``value`` if it obeys ``RULES[rule]``, else a ValueError that names ``name``."""
+    if RULES[rule](value):
+        return value
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    raise ValueError(f"{name} {value!r} is out of range")
+
+
+def unit_vector(v: object, name: str) -> np.ndarray:
+    """``v / np.linalg.norm(v)`` as a read-only 3-vector; ValueError unless ``v`` is finite
+    and nonzero.  Where that norm overflows or underflows, ``v`` is first divided by its
+    largest ``|entry|``."""
+    try:
+        arr = np.array(v, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.shape != (3,):
+        raise ValueError(f"{name} must be a 3-vector")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(arr)
+    if not 0.0 < norm < math.inf:
+        largest = np.max(np.abs(arr))
+        if not 0.0 < largest < math.inf:
+            raise ValueError(f"{name} must be finite and nonzero")
+        arr = arr / largest
+        norm = np.linalg.norm(arr)
+    unit = arr / norm
+    unit.flags.writeable = False
+    return unit
+
+
+def record_field(d: Mapping, key: str, convert: Callable = float, default: object = None):
+    """``convert(d[key])`` (no ``convert``: the value itself), or of ``default`` where ``key``
+    is absent (no default: required); a missing field or a refused value names ``key``."""
+    if key in d:
+        value = d[key]
+    elif default is None:
+        raise ValueError(f"missing field {key!r}")
+    else:
+        value = default
+    try:
+        return value if convert is None else convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
 
 
 class ImproperRotationError(ValueError):
@@ -88,7 +144,9 @@ def _as_matrix(values: object, name: str) -> np.ndarray:
 
 
 def _check_proper_rotation(r: np.ndarray, tol: float = ORTHOGONALITY_TOL) -> None:
-    if np.max(np.abs(r.T @ r - np.eye(3))) > tol:
+    with np.errstate(all="ignore"):  # huge entries overflow to inf or NaN: not orthogonal
+        gram_error = np.max(np.abs(r.T @ r - np.eye(3)))
+    if not gram_error <= tol:
         raise ValueError("rotation matrix is not orthogonal to tolerance")
     det = float(np.linalg.det(r))
     if abs(det + 1.0) <= 1e-6:
@@ -114,10 +172,7 @@ class MagnetoElectricTensor:
             )
         object.__setattr__(self, "chi0", m)
         for k in ("kappa1", "kappa2", "kappa3"):
-            v = float(getattr(self, k))
-            if not np.isfinite(v):
-                raise ValueError(f"{k} must be finite")
-            object.__setattr__(self, k, v)
+            object.__setattr__(self, k, check(k, float(getattr(self, k)), "finite"))
 
     @classmethod
     def from_xy(
@@ -151,12 +206,9 @@ class Particle:
     epsilon: float = 1.0  # linear dielectric constant
 
     def __post_init__(self) -> None:
-        if not (self.size_a > 0):
-            raise ValueError("size_a must be positive")
-        if not (self.density_rho > 0):
-            raise ValueError("density_rho must be positive")
-        if not (self.epsilon >= 1.0):
-            raise ValueError("epsilon must be >= 1")
+        check("size_a", self.size_a, "positive")
+        check("density_rho", self.density_rho, "positive")
+        check("epsilon", self.epsilon, "at_least_one")
         r = _as_matrix(self.orientation, "orientation")
         _check_proper_rotation(r)
         object.__setattr__(self, "orientation", r)
@@ -207,9 +259,10 @@ def _reject_first(bad: np.ndarray, message: str) -> None:
 
 def _check_proper_rotations(r: np.ndarray) -> None:
     """:func:`_check_proper_rotation` over an (N, 3, 3) stack, naming the index."""
-    gram_error = np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3)).max(axis=(1, 2))
-    det_error = np.abs(np.linalg.det(r) - 1.0)
-    for i in np.flatnonzero((gram_error > ORTHOGONALITY_TOL) | (det_error > ORTHOGONALITY_TOL)):
+    with np.errstate(all="ignore"):  # as in _check_proper_rotation
+        gram_error = np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3)).max(axis=(1, 2))
+        det_error = np.abs(np.linalg.det(r) - 1.0)
+    for i in np.flatnonzero(~(gram_error <= ORTHOGONALITY_TOL) | ~(det_error <= ORTHOGONALITY_TOL)):
         try:
             _check_proper_rotation(r[i])
         except ValueError as exc:
@@ -255,8 +308,9 @@ class ParticleState:
             ~np.array([representable_size(a) for a in self.size_a.tolist()], dtype=bool),
             "size_a must be positive, with a finite, non-zero a^4 and 1/a^4",
         )
-        _reject_first(~(self.density > 0), "density must be positive")
-        _reject_first(~(self.epsilon >= 1.0), "epsilon must be >= 1")
+        # as the "positive" and "at_least_one" rules: +inf fails too
+        _reject_first(~((self.density > 0) & (self.density < np.inf)), "density must be positive")
+        _reject_first(~((self.epsilon >= 1) & (self.epsilon < np.inf)), "epsilon must be >= 1")
         _reject_first(~np.isfinite(self.chi0).all(axis=(1, 2)), "chi0 entries must be finite")
         _reject_first(
             np.abs(self.chi0).max(axis=(1, 2)) > CHI0_SANITY_BOUND,
@@ -302,7 +356,7 @@ class ParticleState:
             try:
                 for key in _RECORD_SCALARS:
                     scalars[key].append(_record_float(d, key))
-                chi0s.append(_required(d, "chi0"))
+                chi0s.append(record_field(d, "chi0", None))
             except ValueError as exc:
                 raise ValueError(f"particle {i}: {exc}") from None
             orientations.append(_record_orientation(d))
@@ -338,26 +392,20 @@ def _matrix_column(values: list, key: str) -> np.ndarray:
     """(N, 3, 3) from per-record 9-entry lists, flat or nested."""
     try:
         return np.array(values, dtype=float).reshape(len(values), 3, 3)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass  # ragged or malformed: convert record by record to find it
     rows = []
     for i, v in enumerate(values):
         try:
             rows.append(np.array(v, dtype=float).reshape(3, 3))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"particle {i}: field {key!r}: {exc}") from None
     return np.array(rows)
 
 
 def rotation_about(axis: object, angle: float) -> np.ndarray:
     """Proper rotation matrix for ``angle`` radians about ``axis`` (Rodrigues)."""
-    v = np.asarray(axis, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("axis must be a 3-vector")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0 or not np.isfinite(norm):
-        raise ValueError("axis must be a finite nonzero vector")
-    v = v / norm
+    v = unit_vector(axis, "axis")
     k = np.array(
         [
             [0.0, -v[2], v[1]],
@@ -396,19 +444,8 @@ _RECORD_SCALARS = {
 _IDENTITY = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
 
 
-def _required(d: Mapping, key: str) -> object:
-    if key not in d:
-        raise ValueError(f"missing field {key!r}")
-    return d[key]
-
-
 def _record_float(d: Mapping, key: str) -> float:
-    default = _RECORD_SCALARS[key]
-    value = _required(d, key) if default is None else d.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"field {key!r}: {exc}") from None
+    return record_field(d, key, default=_RECORD_SCALARS[key])
 
 
 def _record_orientation(d: Mapping) -> object:
@@ -427,7 +464,7 @@ def tensor_to_dict(t: MagnetoElectricTensor) -> dict:
 
 def tensor_from_dict(d: Mapping) -> MagnetoElectricTensor:
     return MagnetoElectricTensor(
-        chi0=np.array(_required(d, "chi0"), dtype=float).reshape(3, 3),
+        chi0=record_field(d, "chi0", None),
         kappa1=_record_float(d, "kappa1"),
         kappa2=_record_float(d, "kappa2"),
         kappa3=_record_float(d, "kappa3"),

@@ -37,16 +37,16 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from . import _io
 from .dynamics import checked_rotation_dv, rotation_dv
-from .material import CHI0_SANITY_BOUND, representable_size
+from .material import RULES, check
 from .quantities import Quantity
 
 __all__ = [
@@ -114,21 +114,18 @@ class SweepCapError(ValueError):
     """Requested sweep exceeds the configured combination cap."""
 
 
-# the range rule of every spec field; sweep axis values obey the same rules
-_FIELD_RULES: dict[str, Callable[[float], bool]] = {
-    "target_rate": lambda v: v > 0,
-    "wheel_radius": lambda v: v > 0,
-    "satellite_mass": lambda v: v > 0,
-    "active_mass_fraction": lambda v: 0 < v <= 1,
-    "particle_size": representable_size,
-    "particle_density": lambda v: v > 0,
-    "chi0": lambda v: 0 < v <= CHI0_SANITY_BOUND,
-    "prefactor_A": lambda v: v > 0,
+# the range rule (a name in material.RULES) of every spec field, sweep axes included;
+# chi0 is positive here, and "unit" bounds it by the tensor's sanity bound 1
+_FIELD_RULES = {
+    "target_rate": "positive",
+    "wheel_radius": "positive",
+    "satellite_mass": "positive",
+    "active_mass_fraction": "unit",
+    "particle_size": "size",
+    "particle_density": "positive",
+    "chi0": "unit",
+    "prefactor_A": "positive",
 }
-
-
-def _field_ok(name: str, value: float) -> bool:
-    return math.isfinite(value) and _FIELD_RULES[name](value)
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ class MissionSpec:
                 continue
             if value is None:
                 errors.append(f"{name} is not set")
-            elif not _field_ok(name, value):
+            elif not RULES[_FIELD_RULES[name]](value):
                 errors.append(f"{name} = {value} is out of range")
         if not any(e.startswith(("target_rate ", "wheel_radius ")) for e in errors):
             required = _tangential_v(self.target_rate, self.wheel_radius)
@@ -178,28 +175,16 @@ class MissionSpec:
     def from_dict(cls, d: Mapping) -> "MissionSpec":
         if not isinstance(d, Mapping):
             raise MissionSpecError(f"mission spec must be a JSON object, got {type(d).__name__}")
-        known = {
-            "target_rate",
-            "wheel_radius",
-            "satellite_mass",
-            "active_mass_fraction",
-            "particle_size",
-            "particle_density",
-            "chi0",
-            "prefactor_A",
-        }
-        unknown_keys = set(d) - known
+        known = [f.name for f in fields(cls)]
+        unknown_keys = set(d) - set(known)
         if unknown_keys:
             raise MissionSpecError(f"unknown mission spec fields: {sorted(unknown_keys)}")
         values = {}
         for k in known:
             raw = d.get(k)
-            if raw is None:
-                values[k] = None
-                continue
             try:
-                values[k] = float(raw)
-            except (TypeError, ValueError):
+                values[k] = None if raw is None else float(raw)
+            except (TypeError, ValueError, OverflowError):
                 raise MissionSpecError(f"field {k!r} is not a number: {raw!r}") from None
         missing = [k for k, v in values.items() if v is None and k not in SOLVE_BRACKETS]
         if missing:
@@ -214,16 +199,7 @@ class MissionSpec:
         return cls.from_dict(json.load(source))
 
     def to_dict(self) -> dict:
-        return {
-            "target_rate": self.target_rate,
-            "wheel_radius": self.wheel_radius,
-            "satellite_mass": self.satellite_mass,
-            "active_mass_fraction": self.active_mass_fraction,
-            "particle_size": self.particle_size,
-            "particle_density": self.particle_density,
-            "chi0": self.chi0,
-            "prefactor_A": self.prefactor_A,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -248,15 +224,13 @@ def _tangential_v(rate_deg_day: float, radius: float) -> float:
 
 def rate_to_tangential_v(rate_deg_day: float, radius: float) -> Quantity:
     """Tangential velocity at ``radius`` for an attitude rate in deg/day."""
-    if not (radius > 0):
-        raise ValueError("radius must be positive")
+    check("radius", radius, "positive")
     return Quantity(float(_tangential_v(rate_deg_day, radius)), "m/s")
 
 
 def tangential_v_to_rate(v: float, radius: float) -> float:
     """Attitude rate in deg/day equivalent to tangential velocity ``v``."""
-    if not (radius > 0):
-        raise ValueError("radius must be positive")
+    check("radius", radius, "positive")
     return v / radius * SECONDS_PER_DAY / RAD_PER_DEG
 
 
@@ -267,15 +241,22 @@ def _payload_v(chi0, particle_size, particle_density, active_mass_fraction, pref
 
 
 def evaluate_mission(spec: MissionSpec) -> MissionReport:
-    """Achieved vs required tangential velocity for one pi-rotation cycle."""
+    """Achieved vs required tangential velocity for one pi-rotation cycle; a margin that
+    overflows (a tiny required velocity) is refused like an invalid field."""
     spec = spec.validated()
     required = _tangential_v(spec.target_rate, spec.wheel_radius)
     achieved = _payload_v(*(getattr(spec, k) for k in _SWEEP_AXES))
+    margin = achieved / required
+    if not math.isfinite(margin):
+        raise MissionSpecError(
+            f"invalid mission spec: target_rate = {spec.target_rate} at wheel_radius ="
+            f" {spec.wheel_radius} gives a margin of {margin}, not a finite number"
+        )
     return MissionReport(
         required_tangential_v=required,
         achieved_tangential_v=achieved,
         feasible=achieved >= required,
-        margin=achieved / required,
+        margin=margin,
     )
 
 
@@ -485,7 +466,7 @@ def sweep(
         if not values:
             raise ValueError(f"sweep axis {name} is empty")
         for value in values:
-            if not _field_ok(name, value):
+            if not RULES[_FIELD_RULES[name]](value):
                 raise SweepValueError({name: value}, "is out of range")
         lists.append(values)
     total = math.prod(len(v) for v in lists)

@@ -47,7 +47,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import _io
-from .material import check_chi_bound
+from .material import check
 from .quantities import HBAR_J_S, Quantity
 
 __all__ = [
@@ -87,8 +87,7 @@ class VacuumModel:
     prefactor_a: float = 1e-2
 
     def __post_init__(self) -> None:
-        if not (self.prefactor_a > 0):
-            raise ValueError("prefactor_a must be positive")
+        check("prefactor_a", self.prefactor_a, "positive")
 
 
 @dataclass(frozen=True)
@@ -103,8 +102,7 @@ class ModeGrid:
             raise ValueError("n_per_axis must be >= 8")
         if self.n_per_axis > MAX_N_PER_AXIS:
             raise ValueError(f"n_per_axis must be <= {MAX_N_PER_AXIS}, got {self.n_per_axis}")
-        if not (self.k_cut > 0):
-            raise ValueError("k_cut must be positive")
+        check("k_cut", self.k_cut, "positive")
 
     @property
     def dk(self) -> float:
@@ -117,21 +115,22 @@ class ModeGrid:
         n_per_axis: int,
         convention: CutoffConvention = CutoffConvention.HALF_WAVELENGTH,
     ) -> "ModeGrid":
-        if not (a > 0):
-            raise ValueError("size must be positive")
-        return cls(n_per_axis=n_per_axis, k_cut=convention.k_cut(a))
+        return cls(n_per_axis=n_per_axis, k_cut=convention.k_cut(check("a", a, "size")))
 
 
 def vacuum_momentum_closed_form(chi_xy: float, a: float, model: VacuumModel) -> Quantity:
     """Stored vacuum momentum p = A * hbar * chi / a (kg m/s).
 
     Signed with chi; the direction is by convention the z-like axis dual to
-    the (x, y) component pair.  ``|chi|`` must be within the sanity bound.
+    the (x, y) component pair.  ``|chi|`` must be within the sanity bound,
+    ``a`` must be a representable size, and a non-finite momentum is refused.
     """
-    check_chi_bound(chi_xy)
-    if not (a > 0):
-        raise ValueError("size must be positive")
-    return Quantity(float(stored_momentum(chi_xy, a, model)), "kg m/s")
+    check("chi_xy", chi_xy, "chi")
+    check("a", a, "size")
+    p = float(stored_momentum(chi_xy, a, model))
+    if not math.isfinite(p):
+        raise ValueError(f"vacuum_momentum = {p!r} kg m/s is not finite")
+    return Quantity(p, "kg m/s")
 
 
 def stored_momentum(chi_xy, a_m, model: VacuumModel):
@@ -210,9 +209,8 @@ def mode_sum_oracle(
     ``geometry`` is ``_geometry_sum(grid.n_per_axis)`` when the caller has
     it already, e.g. for several sizes at one resolution.
     """
-    check_chi_bound(chi_xy)
-    if not (a > 0):
-        raise ValueError("size must be positive")
+    check("chi_xy", chi_xy, "chi")
+    check("a", a, "size")
     if geometry is None:
         geometry = _geometry_sum(grid.n_per_axis)
     if geometry == 0.0:
@@ -241,22 +239,14 @@ def convergence_study(
     grids = [
         (n, a_m, ModeGrid.for_particle(a_m, n, convention)) for n in n_values for a_m in sizes_m
     ]
-    check_chi_bound(chi_xy)
+    check("chi_xy", chi_xy, "chi")
     geometry: dict[int, float] = {}
     rows = []
     for n, a_m, grid in grids:
         if n not in geometry:
             geometry[n] = _geometry_sum(n)
         p, eff_a = mode_sum_oracle(chi_xy, a_m, grid, geometry=geometry[n])
-        rows.append(
-            {
-                "n_per_axis": n,
-                "a_m": a_m,
-                "chi": chi_xy,
-                "p_kg_m_s": p.value,
-                "effective_A": eff_a,
-            }
-        )
+        rows.append(dict(zip(ORACLE_CSV_HEADER, (n, a_m, chi_xy, p.value, eff_a))))
     if out is not None:
         floats = ORACLE_CSV_HEADER[1:]
         text = "".join(

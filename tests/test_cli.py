@@ -187,6 +187,26 @@ class TestMissionCommands:
         assert payload["quantity"] == "chi0"
         assert payload["value"] == pytest.approx(9.48e-4, rel=1e-2)
 
+    @pytest.mark.parametrize(
+        "command, fields",
+        [
+            (["mission"], {"wheel_radius": 1e-300, "particle_density": 1e-9}),
+            (["mission", "--format", "json"], {"wheel_radius": 1e-300, "particle_density": 1e-9}),
+            (["solve", "--unknown", "chi0"], {"wheel_radius": 1e-300, "prefactor_A": 1e100}),
+        ],
+    )
+    def test_infinite_margin_refused(self, capsys, tmp_path, spec_file, command, fields):
+        with open(spec_file) as fh:
+            spec = {**json.load(fh), **fields}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, command[0], "--spec", str(path), *command[1:])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: invalid mission spec: target_rate = 4.95 at wheel_radius = 1e-300"
+            " gives a margin of inf, not a finite number\n"
+        )
+
     def test_sweep_to_file(self, capsys, tmp_path, spec_file):
         out_path = tmp_path / "sweep.csv"
         code, out, _ = run_cli(
@@ -490,11 +510,33 @@ class TestLedgerInputErrors:
         assert "maneuvers.json: maneuver 1: missing field 'angle_rad'" in err
 
     def test_non_finite_booking(self, capsys, tmp_path):
-        # N * p(a_m) overflows: the booking is [NaN, NaN, inf], refused by the ledger
-        aggregation = {"type": "aggregation", "N": 1e300, "a_m": 1e-300, "direction": [0, 0, 1]}
+        # B_y^2 overflows in the field-modulation impulse: the booking is NaN, refused by the ledger
+        series = tmp_path / "series.csv"
+        series.write_text("t_s,E_x,B_y,chi0_xy\n0,0,1,1e-3\n1,1,1e300,2e-3\n2,0,1,1e-3\n")
+        modulation = {"type": "field_modulation", "series_csv": str(series)}
+        err = self.run_ledger(capsys, tmp_path, [None], [modulation])
+        assert err.endswith(
+            "maneuvers.json: maneuver 0 failed: booking [nan, nan, nan] kg m/s is not finite\n"
+        )
+
+    @pytest.mark.parametrize("size", [1e-200, 1e100, 0.0])
+    def test_unrepresentable_aggregation_size(self, capsys, tmp_path, size):
+        aggregation = {"type": "aggregation", "N": 8, "a_m": size, "direction": [0, 0, 1]}
         err = self.run_ledger(capsys, tmp_path, [None], [aggregation])
-        assert err.startswith("error: ") and "maneuvers.json: maneuver 0 failed: " in err
-        assert "momentum conservation violated" in err
+        assert err.endswith(f"maneuvers.json: maneuver 0: a_m {size!r} is out of range\n")
+
+    def test_overflowing_axis_norm_books_as_its_direction(self, capsys, tmp_path):
+        particle = Particle(1e-9, 1e3, MagnetoElectricTensor.from_xy(1e-3))
+        p_path, m_path = tmp_path / "particles.json", tmp_path / "maneuvers.json"
+        p_path.write_text(json.dumps([particle_to_dict(particle)]))
+        argv = ["ledger", "--particles", str(p_path), "--maneuvers", str(m_path), "--M-total", "1"]
+        outputs = []
+        for axis in ([1e308, 1e308, 0], [1, 1, 0]):  # the first norm overflows
+            m_path.write_text(json.dumps([{**self.ROTATION, "axis": axis}]))
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     def test_unrepresentable_particle_size(self, capsys, tmp_path):
         tiny = particle_to_dict(Particle(1e-320, 1000.0, MagnetoElectricTensor.from_xy(1e-3)))
@@ -624,15 +666,12 @@ class TestCliContract:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (
-                ["vacuum-momentum", "--chi", "5", "--a", "1e-9"],
-                "|chi| = 5.0 exceeds sanity bound 1.0",
-            ),
+            (["vacuum-momentum", "--chi", "5", "--a", "1e-9"], "--chi 5.0 is out of range"),
             (
                 ["delta-v-agg", "--chi", "-5", "--a", "1e-9", "--rho", "1000", "--N", "8"],
-                "|chi| = 5.0 exceeds sanity bound 1.0",
+                "--chi -5.0 is out of range",
             ),
-            (["oracle", "--chi", "2", "--n", "8"], "|chi| = 2.0 exceeds sanity bound 1.0"),
+            (["oracle", "--chi", "2", "--n", "8"], "--chi 2.0 is out of range"),
             (
                 ["oracle", "--chi", "1e-3", "--n", "100000"],
                 "n_per_axis must be <= 2048, got 100000",
@@ -644,6 +683,18 @@ class TestCliContract:
             (
                 ["delta-v-rot", "--chi", "1", "--a", "1e-9", "--rho", "1000", "--A", "1e308"],
                 f"m*a = {1000 * 1e-9**4!r} gives a non-finite rotation delta-v",
+            ),
+            # each flag's rule is checked at the boundary, and the error names the flag
+            (["delta-v-rot", *DESIGN_ARGS[:4], "--rho=-1"], "--rho -1.0 is out of range"),
+            (["delta-v-rot", *DESIGN_ARGS[:-2], "--A=-1"], "--A -1.0 is out of range"),
+            (["delta-v-agg", *DESIGN_ARGS[:-2], "--N", "0.5"], "--N 0.5 is out of range"),
+            (
+                ["force-decompose", "--series", "unread.csv", "--epsilon", "0.5"],
+                "--epsilon 0.5 is out of range",
+            ),
+            (
+                ["ledger", "--particles", "p", "--maneuvers", "m", "--M-total", "0"],
+                "--M-total 0.0 is out of range",
             ),
         ],
     )

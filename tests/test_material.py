@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zpfdrive.material import (
+    RULES,
     ImproperRotationError,
     MagnetoElectricTensor,
     Particle,
@@ -16,6 +19,9 @@ from zpfdrive.material import (
     rotation_about,
     tensor_from_dict,
     tensor_to_dict,
+    check,
+    record_field,
+    unit_vector,
 )
 from zpfdrive.dynamics import FieldTimeSeries
 
@@ -352,6 +358,8 @@ class TestParticleState:
             ("kappa2", float("inf"), "finite"),
             ("orientation", [1, 0, 0, 0, 1, 0, 0, 0, 1.1], "not orthogonal"),
             ("size_a_m", 1e-320, "size_a must be positive, with a finite, non-zero a\\^4"),
+            ("density_kg_m3", float("inf"), "density must be positive"),
+            ("epsilon", float("inf"), "epsilon must be >= 1"),
         ],
     )
     def test_invalid_record_named_by_index(self, field, value, message):
@@ -394,3 +402,72 @@ class TestParticleState:
         )
         with pytest.raises(ValueError, match="particle 0: lab-frame"):
             state.chi0_xy
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    def test_non_finite_fails_every_rule(self, rule):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            assert not RULES[rule](value)
+            with pytest.raises(ValueError, match=f"^x must be finite, got {value!r}$"):
+                check("x", value, rule)
+
+    @pytest.mark.parametrize(
+        "rule, good, bad",
+        [
+            ("finite", [-1e308, 0.0, 5e-324], []),
+            ("positive", [5e-324, 1.7e308], [0.0, -1.0]),
+            ("size", [1e-9, 1e-77, 1e76], [0.0, -1e-9, 1e-78, 1e78]),
+            ("chi", [-1.0, 0.0, 1.0], [-1.0000000000000002, 5.0]),
+            ("unit", [5e-324, 0.5, 1.0], [0.0, -0.5, 1.0000000000000002]),
+            ("at_least_one", [1.0, 1e308], [0.5, 0.0]),
+        ],
+    )
+    def test_rule_bounds(self, rule, good, bad):
+        for value in good:
+            assert check("x", value, rule) == value
+        for value in bad:
+            with pytest.raises(ValueError, match=re.escape(f"x {value!r} is out of range")):
+                check("x", value, rule)
+
+    def test_unit_vector_keeps_the_bits_of_division_by_the_norm(self):
+        rng = np.random.default_rng(7)
+        for v in rng.normal(size=(50, 3)) * 10.0 ** rng.integers(-100, 100, size=(50, 1)):
+            assert np.array_equal(unit_vector(v, "v"), v / np.linalg.norm(v))
+
+    @pytest.mark.parametrize("v", [[1e308, 1e308, 0.0], [1e-200, -1e-200, 0.0], [5e-324, 0, 0]])
+    def test_unit_vector_of_an_overflowing_or_underflowing_norm(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = unit_vector(v, "v")
+        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(np.sign(u), np.sign(v))
+
+    @pytest.mark.parametrize(
+        "v, message",
+        [
+            ([0, 0, 0], "finite and nonzero"),
+            ([1, float("nan"), 0], "finite and nonzero"),
+            ([float("inf"), 0, 0], "finite and nonzero"),
+            ([1, 2], "a 3-vector"),
+            ([1, "x", 3], "a 3-vector"),
+            ([{}, 1, 2], "a 3-vector"),
+            ([10**400, 0, 0], "a 3-vector"),
+        ],
+    )
+    def test_unit_vector_refusals(self, v, message):
+        with pytest.raises(ValueError, match=f"^axis must be {message}$"):
+            unit_vector(v, "axis")
+
+    def test_record_field(self):
+        d = {"a": "2.5", "b": None, "c": 10**400}
+        assert record_field(d, "a") == 2.5
+        assert record_field(d, "z", default=1.0) == 1.0
+        assert record_field(d, "a", str, default=1.0) == "2.5"
+        assert record_field(d, "a", None) == "2.5"
+        with pytest.raises(ValueError, match="^missing field 'z'$"):
+            record_field(d, "z")
+        with pytest.raises(ValueError, match="^field 'b': float"):
+            record_field(d, "b")
+        with pytest.raises(ValueError, match="^field 'c': int too large"):
+            record_field(d, "c")
