@@ -47,7 +47,6 @@ from .mission import (
     SweepMode,
     analytic_solve_for_unknown,
     evaluate_mission,
-    rate_to_tangential_v,
     solve_for_unknown,
     sweep,
     tangential_v_to_rate,

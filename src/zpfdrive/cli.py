@@ -2,8 +2,10 @@
 
 All inputs are SI (meters, kg/m^3, tesla); output is text (6 significant
 digits), JSON (full precision), or CSV, selected with --format where it
-applies.  Exit codes: 0 success, 1 domain error, 2 usage error.  The CLI
-adds no arithmetic of its own: every number printed is a library result.
+applies.  Exit codes: 0 success, 1 a refused value (a domain error, or a
+flag value that is not a number), 2 a usage error (a missing required flag,
+an unknown flag or command).  The CLI adds no arithmetic of its own: every
+number printed is a library result.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ def _parse_list(text: str, flag: str, convert=float) -> list:
         raise ValueError(f"{flag} expects comma-separated {kind}, got {text!r}") from None
 
 
+class _Number(str):
+    """The text of a one-number flag: :func:`_check_flags` converts it, so that a value
+    that is not a number ends in one ``error:`` line, as a bad comma list does."""
+
+
 _CUTOFFS = {c.value: c for c in vacuum.CutoffConvention}
 
 # every numeric physics flag, by argparse dest: the flag and its rule in material.RULES
@@ -54,10 +61,16 @@ _FLAG_RULES = {
 
 
 def _check_flags(args) -> None:
-    """Check each value of each numeric physics flag against its rule, naming the flag.  A
-    sweep's flags are axes: :func:`~zpfdrive.mission.sweep` applies the spec field rules."""
+    """Convert each one-number flag and check each value against its flag's rule, naming
+    the flag.  A sweep's flags are axes: :func:`~zpfdrive.mission.sweep` applies the spec rules."""
     for dest, (flag, rule) in _FLAG_RULES.items():
         raw = getattr(args, dest, None)
+        if isinstance(raw, _Number):
+            try:
+                raw = float(raw)
+            except ValueError:
+                raise ValueError(f"{flag} expects a number, got {raw!r}") from None
+            setattr(args, dest, raw)
         if raw is None:
             continue
         if args.command == "sweep":
@@ -78,28 +91,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
     p = sub.add_parser("delta-v-rot", help="pi-rotation velocity gain of one particle")
-    p.add_argument("--chi", type=float, required=True, help="intrinsic chi0_xy")
-    p.add_argument("--a", type=float, required=True, help="particle size (m)")
-    p.add_argument("--rho", type=float, required=True, help="density (kg/m^3)")
-    p.add_argument("--A", type=float, default=1e-2, help="vacuum prefactor")
+    p.add_argument("--chi", type=_Number, required=True, help="intrinsic chi0_xy")
+    p.add_argument("--a", type=_Number, required=True, help="particle size (m)")
+    p.add_argument("--rho", type=_Number, required=True, help="density (kg/m^3)")
+    p.add_argument("--A", type=_Number, default=1e-2, help="vacuum prefactor")
     add_format(p)
 
     p = sub.add_parser("delta-v-agg", help="aggregation velocity gain")
-    p.add_argument("--chi", type=float, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--N", type=float, required=True, help="number of merged units")
-    p.add_argument("--A", type=float, default=1e-2)
+    p.add_argument("--chi", type=_Number, required=True)
+    p.add_argument("--a", type=_Number, required=True)
+    p.add_argument("--rho", type=_Number, required=True)
+    p.add_argument("--N", type=_Number, required=True, help="number of merged units")
+    p.add_argument("--A", type=_Number, default=1e-2)
     add_format(p)
 
     p = sub.add_parser("vacuum-momentum", help="closed-form stored vacuum momentum")
-    p.add_argument("--chi", type=float, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--A", type=float, default=1e-2)
+    p.add_argument("--chi", type=_Number, required=True)
+    p.add_argument("--a", type=_Number, required=True)
+    p.add_argument("--A", type=_Number, default=1e-2)
     add_format(p)
 
     p = sub.add_parser("oracle", help="mode-sum oracle convergence study (CSV)")
-    p.add_argument("--chi", type=float, required=True)
+    p.add_argument("--chi", type=_Number, required=True)
     p.add_argument("--a", type=str, default="1e-9", help="comma-separated sizes (m)")
     p.add_argument("--n", type=str, default="16,32,64", help="comma-separated n_per_axis")
     p.add_argument("--cutoff", choices=sorted(_CUTOFFS), default="half-wavelength")
@@ -108,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("force-decompose", help="three-term force decomposition of a series")
     p.add_argument("--series", type=str, required=True, help="field series CSV path")
-    p.add_argument("--chi", type=float, default=0.0, help="chi0_xy if series lacks chi columns")
-    p.add_argument("--epsilon", type=float, default=1.0)
+    p.add_argument("--chi", type=_Number, default=0.0, help="chi0_xy if series lacks chi columns")
+    p.add_argument("--epsilon", type=_Number, default=1.0)
     p.add_argument("--out", type=str, default=None)
     add_format(p)
 
@@ -145,8 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ledger", help="run a maneuver sequence, emit the impulse ledger")
     p.add_argument("--particles", type=str, required=True, help="JSON list of particles")
     p.add_argument("--maneuvers", type=str, required=True, help="JSON list of maneuvers")
-    p.add_argument("--M-total", dest="m_total", type=float, required=True, help="payload mass (kg)")
-    p.add_argument("--A", type=float, default=1e-2)
+    p.add_argument(
+        "--M-total", dest="m_total", type=_Number, required=True, help="payload mass (kg)"
+    )
+    p.add_argument("--A", type=_Number, default=1e-2)
     p.add_argument("--out", type=str, default=None, help="JSONL output path (default stdout)")
     add_format(p)
 
@@ -202,13 +217,8 @@ def _load_maneuver(
 
 
 def _cmd_delta_v_rot(args) -> int:
-    particle = material.Particle(
-        size_a=args.a,
-        density_rho=args.rho,
-        tensor=material.MagnetoElectricTensor.from_xy(args.chi),
-    )
-    model = vacuum.VacuumModel(prefactor_a=args.A)
-    print(_single_value(args, "delta_v_rotation", dynamics.delta_v_rotation(particle, model)))
+    dv = dynamics.checked_rotation_dv(args.chi, args.rho * args.a**4, args.A)
+    print(_single_value(args, "delta_v_rotation", Quantity(dv, "m/s")))
     return 0
 
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _io
 from .material import (
-    Particle, ParticleState, check, representable_size, rotation_about, unit_vector
+    RULES, Particle, ParticleState, check, representable_size, rotation_about, unit_vector
 )
 from .quantities import HBAR_J_S, Quantity
 from .vacuum import VacuumModel, stored_momentum
@@ -169,7 +169,7 @@ class FieldTimeSeries:
                 n = a.size
             elif a.size != n:
                 raise SeriesFormatError(f"{name} length {a.size} != {n}")
-            if not np.all(np.isfinite(a)):
+            if not RULES["finite"](a).all():
                 raise SeriesFormatError(f"{name} contains non-finite samples")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -275,11 +275,6 @@ class ForceDecomposition:
     @property
     def total(self) -> np.ndarray:
         return self.dielectric + self.magnetoelectric + self.chi_rate
-
-    @property
-    def quantum(self) -> np.ndarray:
-        """The two vacuum-capable terms."""
-        return self.magnetoelectric + self.chi_rate
 
 
 def force_decomposed(p: Particle, s: FieldTimeSeries) -> ForceDecomposition:

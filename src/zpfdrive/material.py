@@ -14,9 +14,15 @@ transformation law is defined for them here), and improper rotations are
 rejected because the parity behaviour of a magneto-electric pseudo-tensor is
 not modeled.
 
+Every numeric input obeys a rule of :data:`RULES`, whose predicates take
+floats and arrays alike.  One table of particle-field rules drives one
+validator: :class:`ParticleState` applies it to N rows, naming the first bad
+particle, and :class:`Particle` and :class:`MagnetoElectricTensor` to their
+one row.  Each rotation matrix is checked once, where it enters.
+
 :class:`ParticleState` holds many particles as arrays (struct of arrays) for
-the maneuver ledger: it is validated once at construction, and a rotation or a
-lab-frame read is a few batched numpy operations over all particles.
+the maneuver ledger: a rotation or a lab-frame read is a few batched numpy
+operations over all particles.
 """
 
 from __future__ import annotations
@@ -42,8 +48,6 @@ __all__ = [
     "ParticleState",
     "rotation_about",
     "rotate_tensor",
-    "tensor_to_dict",
-    "tensor_from_dict",
     "particle_to_dict",
     "particle_from_dict",
 ]
@@ -69,14 +73,15 @@ def representable_size(a: float) -> bool:
 
 
 # the range rule of every numeric input (flags, spec fields, closed-form
-# arguments, records), by name; NaN and +-inf fail every rule
-RULES: dict[str, Callable[[float], bool]] = {
-    "finite": math.isfinite,
-    "positive": lambda v: 0 < v < math.inf,
+# arguments, records), by name; NaN and +-inf fail every rule.  Each rule but
+# "size" (Python's float pow) also maps an array to its elementwise verdicts.
+RULES: dict[str, Callable] = {
+    "finite": lambda v: abs(v) < math.inf,
+    "positive": lambda v: (0 < v) & (v < math.inf),
     "size": representable_size,
     "chi": lambda v: abs(v) <= CHI0_SANITY_BOUND,
-    "unit": lambda v: 0 < v <= 1,
-    "at_least_one": lambda v: 1 <= v < math.inf,
+    "unit": lambda v: (0 < v) & (v <= 1),
+    "at_least_one": lambda v: (1 <= v) & (v < math.inf),
 }
 
 
@@ -137,22 +142,73 @@ def _as_matrix(values: object, name: str) -> np.ndarray:
         m = m.reshape(3, 3)
     if m.shape != (3, 3):
         raise ValueError(f"{name} must be a 3x3 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} entries must be finite")
     m.flags.writeable = False
     return m
 
 
-def _check_proper_rotation(r: np.ndarray, tol: float = ORTHOGONALITY_TOL) -> None:
+_CHI0_BOUND = f"|chi0| entries exceed sanity bound {CHI0_SANITY_BOUND}"
+# every particle field: its per-particle shape and its checks, (rule in RULES,
+# message), in validation order; ParticleState holds each as an (N, *shape) array
+_PARTICLE_FIELDS = {
+    "size_a": ((), [("size", "size_a must be positive, with a finite, non-zero a^4 and 1/a^4")]),
+    "density": ((), [("positive", "density must be positive")]),
+    "epsilon": ((), [("at_least_one", "epsilon must be >= 1")]),
+    "chi0": ((3, 3), [("finite", "chi0 entries must be finite"), ("chi", _CHI0_BOUND)]),
+    "kappa": ((3,), [("finite", "kappas must be finite")]),
+    "orientation": ((3, 3), [("finite", "orientation entries must be finite")]),
+}
+_KAPPAS = ("kappa1", "kappa2", "kappa3")
+
+
+def _reject_first(bad: np.ndarray, message: str, single: bool, error: type = ValueError) -> None:
+    """``error(message)`` for the first row where ``bad`` holds, named unless ``single``."""
+    if np.any(bad):
+        raise error(message if single else f"particle {int(np.argmax(bad))}: {message}")
+
+
+def _check_particles(fields: Mapping[str, object], single: bool = False) -> None:
+    """Apply the checks of ``_PARTICLE_FIELDS`` to the fields given, then check that each
+    orientation is a proper rotation.  A field is an (N, *shape) array, or with ``single``
+    one particle's value, and an error then names no index."""
+    rows = {k: np.array([v], dtype=float) if single else v for k, v in fields.items()}
+    for name, (_, checks) in _PARTICLE_FIELDS.items():
+        if name not in rows:
+            continue
+        for rule, message in checks:
+            if rule == "size":  # Python's float pow, entry by entry
+                ok = np.array([representable_size(a) for a in rows[name].tolist()], dtype=bool)
+            else:
+                ok = RULES[rule](rows[name])
+            _reject_first(~ok.all(axis=tuple(range(1, ok.ndim))), message, single)
+    if "orientation" in rows:
+        _check_rotations(rows["orientation"], single=single)
+
+
+def _check_rotations(r: np.ndarray, single: bool = False) -> None:
+    """Refuse the first matrix of an (N, 3, 3) stack that is not a proper rotation."""
     with np.errstate(all="ignore"):  # huge entries overflow to inf or NaN: not orthogonal
-        gram_error = np.max(np.abs(r.T @ r - np.eye(3)))
-    if not gram_error <= tol:
-        raise ValueError("rotation matrix is not orthogonal to tolerance")
-    det = float(np.linalg.det(r))
-    if abs(det + 1.0) <= 1e-6:
-        raise ImproperRotationError("improper rotation (det = -1) rejected")
-    if abs(det - 1.0) > tol:
-        raise ValueError(f"rotation determinant {det} not +1 within {tol}")
+        gram_error = np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3)).max(axis=(1, 2))
+        det = np.linalg.det(r)
+    bad = ~(gram_error <= ORTHOGONALITY_TOL) | ~(np.abs(det - 1.0) <= ORTHOGONALITY_TOL)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    error = ValueError
+    message = f"rotation determinant {float(det[i])} not +1 within {ORTHOGONALITY_TOL}"
+    if not gram_error[i] <= ORTHOGONALITY_TOL:
+        message = "rotation matrix is not orthogonal to tolerance"
+    elif abs(det[i] + 1.0) <= 1e-6:
+        error, message = ImproperRotationError, "improper rotation (det = -1) rejected"
+    _reject_first(bad, message, single, error)
+
+
+def _proper_rotation(r: object) -> np.ndarray:
+    """``r`` as a 3x3 float matrix; ValueError unless it is a proper rotation."""
+    m = np.asarray(r, dtype=float)
+    if m.shape != (3, 3):
+        raise ValueError("rotation must be a 3x3 matrix")
+    _check_rotations(m[None], single=True)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,14 +221,11 @@ class MagnetoElectricTensor:
     kappa3: float = 0.0  # response per B
 
     def __post_init__(self) -> None:
-        m = _as_matrix(self.chi0, "chi0")
-        if np.max(np.abs(m)) > CHI0_SANITY_BOUND:
-            raise ValueError(
-                f"|chi0| entries exceed sanity bound {CHI0_SANITY_BOUND}"
-            )
-        object.__setattr__(self, "chi0", m)
-        for k in ("kappa1", "kappa2", "kappa3"):
-            object.__setattr__(self, k, check(k, float(getattr(self, k)), "finite"))
+        object.__setattr__(self, "chi0", _as_matrix(self.chi0, "chi0"))
+        for k in _KAPPAS:
+            object.__setattr__(self, k, float(getattr(self, k)))
+        kappa = [getattr(self, k) for k in _KAPPAS]
+        _check_particles({"chi0": self.chi0, "kappa": kappa}, single=True)
 
     @classmethod
     def from_xy(
@@ -206,12 +259,11 @@ class Particle:
     epsilon: float = 1.0  # linear dielectric constant
 
     def __post_init__(self) -> None:
-        check("size_a", self.size_a, "positive")
-        check("density_rho", self.density_rho, "positive")
-        check("epsilon", self.epsilon, "at_least_one")
-        r = _as_matrix(self.orientation, "orientation")
-        _check_proper_rotation(r)
-        object.__setattr__(self, "orientation", r)
+        for k in ("size_a", "density_rho", "epsilon"):
+            object.__setattr__(self, k, float(getattr(self, k)))
+        object.__setattr__(self, "orientation", _as_matrix(self.orientation, "orientation"))
+        fields = {"size_a": self.size_a, "density": self.density_rho, "epsilon": self.epsilon}
+        _check_particles({**fields, "orientation": self.orientation}, single=True)
 
     @property
     def mass(self) -> float:
@@ -220,8 +272,10 @@ class Particle:
 
     @property
     def oriented_tensor(self) -> MagnetoElectricTensor:
-        """Response tensor expressed in the lab frame."""
-        return rotate_tensor(self.tensor, self.orientation)
+        """Response tensor expressed in the lab frame, by the orientation checked at
+        construction."""
+        r = self.orientation
+        return replace(self.tensor, chi0=r @ self.tensor.chi0 @ r.T)
 
     @property
     def chi0_xy(self) -> float:
@@ -234,9 +288,8 @@ class Particle:
         The composed orientation is re-orthonormalized (nearest proper
         rotation via SVD) so long maneuver chains cannot drift.
         """
-        m = np.asarray(r, dtype=float)
-        _check_proper_rotation(m)
-        return replace(self, orientation=_nearest_rotation(m @ self.orientation))
+        composed = _proper_rotation(r) @ self.orientation
+        return replace(self, orientation=_nearest_rotation(composed))
 
 
 _FLIP_Z = np.diag([1.0, 1.0, -1.0])
@@ -252,41 +305,14 @@ def _nearest_rotation(composed: np.ndarray) -> np.ndarray:
     return nearest
 
 
-def _reject_first(bad: np.ndarray, message: str) -> None:
-    if np.any(bad):
-        raise ValueError(f"particle {int(np.argmax(bad))}: {message}")
-
-
-def _check_proper_rotations(r: np.ndarray) -> None:
-    """:func:`_check_proper_rotation` over an (N, 3, 3) stack, naming the index."""
-    with np.errstate(all="ignore"):  # as in _check_proper_rotation
-        gram_error = np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3)).max(axis=(1, 2))
-        det_error = np.abs(np.linalg.det(r) - 1.0)
-    for i in np.flatnonzero(~(gram_error <= ORTHOGONALITY_TOL) | ~(det_error <= ORTHOGONALITY_TOL)):
-        try:
-            _check_proper_rotation(r[i])
-        except ValueError as exc:
-            raise type(exc)(f"particle {i}: {exc}") from None
-
-
-# (field, per-particle shape) of ParticleState, in validation order
-_STATE_FIELDS = (
-    ("size_a", ()),
-    ("density", ()),
-    ("epsilon", ()),
-    ("chi0", (3, 3)),
-    ("kappa", (3,)),
-    ("orientation", (3, 3)),
-)
-
-
 @dataclass(frozen=True, eq=False)
 class ParticleState:
     """N particles as arrays: what a list of :class:`Particle` holds, per field.
 
-    Construction converts and checks every field batched, with the checks of
-    :class:`Particle` and :class:`MagnetoElectricTensor`; an error names the
-    particle index.  The arrays are read-only, so a valid state stays valid.
+    Construction converts every field and applies the particle checks batched,
+    the same checks :class:`Particle` and :class:`MagnetoElectricTensor` apply;
+    an error names the particle index.  The arrays are read-only, so a valid
+    state stays valid.
     """
 
     size_a: np.ndarray  # (N,) m
@@ -298,29 +324,13 @@ class ParticleState:
 
     def __post_init__(self) -> None:
         n = np.shape(self.size_a)[0] if np.ndim(self.size_a) == 1 else -1
-        for name, shape in _STATE_FIELDS:
+        for name, (shape, _) in _PARTICLE_FIELDS.items():
             a = np.array(getattr(self, name), dtype=float)
             if n < 0 or a.shape != (n, *shape):
                 raise ValueError(f"{name} must be N arrays of shape {shape}, got {a.shape}")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        _reject_first(
-            ~np.array([representable_size(a) for a in self.size_a.tolist()], dtype=bool),
-            "size_a must be positive, with a finite, non-zero a^4 and 1/a^4",
-        )
-        # as the "positive" and "at_least_one" rules: +inf fails too
-        _reject_first(~((self.density > 0) & (self.density < np.inf)), "density must be positive")
-        _reject_first(~((self.epsilon >= 1) & (self.epsilon < np.inf)), "epsilon must be >= 1")
-        _reject_first(~np.isfinite(self.chi0).all(axis=(1, 2)), "chi0 entries must be finite")
-        _reject_first(
-            np.abs(self.chi0).max(axis=(1, 2)) > CHI0_SANITY_BOUND,
-            f"|chi0| entries exceed sanity bound {CHI0_SANITY_BOUND}",
-        )
-        _reject_first(~np.isfinite(self.kappa).all(axis=1), "kappas must be finite")
-        _reject_first(
-            ~np.isfinite(self.orientation).all(axis=(1, 2)), "orientation entries must be finite"
-        )
-        _check_proper_rotations(self.orientation)
+        _check_particles({name: getattr(self, name) for name in _PARTICLE_FIELDS})
 
     def __len__(self) -> int:
         return self.size_a.shape[0]
@@ -334,9 +344,7 @@ class ParticleState:
             density=[p.density_rho for p in ps],
             epsilon=[p.epsilon for p in ps],
             chi0=np.reshape([p.tensor.chi0 for p in ps], (n, 3, 3)),
-            kappa=np.reshape(
-                [(p.tensor.kappa1, p.tensor.kappa2, p.tensor.kappa3) for p in ps], (n, 3)
-            ),
+            kappa=np.reshape([[getattr(p.tensor, k) for k in _KAPPAS] for p in ps], (n, 3)),
             orientation=np.reshape([p.orientation for p in ps], (n, 3, 3)),
         )
 
@@ -365,7 +373,7 @@ class ParticleState:
             density=scalars["density_kg_m3"],
             epsilon=scalars["epsilon"],
             chi0=_matrix_column(chi0s, "chi0"),
-            kappa=np.array([scalars[k] for k in ("kappa1", "kappa2", "kappa3")]).T,
+            kappa=np.array([scalars[k] for k in _KAPPAS]).T,
             orientation=_matrix_column(orientations, "orientation"),
         )
 
@@ -373,19 +381,16 @@ class ParticleState:
     def chi0_xy(self) -> np.ndarray:
         """Lab-frame intrinsic xy components: one batched R chi0 R^T."""
         lab = self.orientation @ self.chi0 @ np.swapaxes(self.orientation, 1, 2)
-        _reject_first(
-            np.abs(lab).max(axis=(1, 2)) > CHI0_SANITY_BOUND,
-            f"lab-frame |chi0| entries exceed sanity bound {CHI0_SANITY_BOUND}",
-        )
+        bad = np.abs(lab).max(axis=(1, 2)) > CHI0_SANITY_BOUND
+        _reject_first(bad, f"lab-frame {_CHI0_BOUND}", single=False)
         xy = lab[:, 0, 1].copy()
         xy.flags.writeable = False
         return xy
 
     def rotated(self, r: np.ndarray) -> "ParticleState":
         """State after rotating every particle by ``r`` (see :meth:`Particle.rotated`)."""
-        m = np.asarray(r, dtype=float)
-        _check_proper_rotation(m)
-        return replace(self, orientation=_nearest_rotation(m @ self.orientation))
+        composed = _proper_rotation(r) @ self.orientation
+        return replace(self, orientation=_nearest_rotation(composed))
 
 
 def _matrix_column(values: list, key: str) -> np.ndarray:
@@ -418,13 +423,8 @@ def rotation_about(axis: object, angle: float) -> np.ndarray:
 
 def rotate_tensor(t: MagnetoElectricTensor, r: object) -> MagnetoElectricTensor:
     """Orthogonal conjugation chi0' = R chi0 R^T; kappas carried through unchanged."""
-    m = np.asarray(r, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError("rotation must be a 3x3 matrix")
-    _check_proper_rotation(m)
-    return MagnetoElectricTensor(
-        m @ t.chi0 @ m.T, t.kappa1, t.kappa2, t.kappa3
-    )
+    m = _proper_rotation(r)
+    return replace(t, chi0=m @ t.chi0 @ m.T)
 
 
 # -- JSON serialization ------------------------------------------------------
@@ -453,42 +453,25 @@ def _record_orientation(d: Mapping) -> object:
     return _IDENTITY if orientation is None else orientation
 
 
-def tensor_to_dict(t: MagnetoElectricTensor) -> dict:
+def particle_to_dict(p: Particle) -> dict:
+    t = p.tensor
     return {
         "chi0": [float(x) for x in t.chi0.reshape(9)],
-        "kappa1": t.kappa1,
-        "kappa2": t.kappa2,
-        "kappa3": t.kappa3,
+        **{k: getattr(t, k) for k in _KAPPAS},
+        "size_a_m": p.size_a,
+        "density_kg_m3": p.density_rho,
+        "epsilon": p.epsilon,
+        "orientation": [float(x) for x in p.orientation.reshape(9)],
     }
-
-
-def tensor_from_dict(d: Mapping) -> MagnetoElectricTensor:
-    return MagnetoElectricTensor(
-        chi0=record_field(d, "chi0", None),
-        kappa1=_record_float(d, "kappa1"),
-        kappa2=_record_float(d, "kappa2"),
-        kappa3=_record_float(d, "kappa3"),
-    )
-
-
-def particle_to_dict(p: Particle) -> dict:
-    d = tensor_to_dict(p.tensor)
-    d.update(
-        {
-            "size_a_m": p.size_a,
-            "density_kg_m3": p.density_rho,
-            "epsilon": p.epsilon,
-            "orientation": [float(x) for x in p.orientation.reshape(9)],
-        }
-    )
-    return d
 
 
 def particle_from_dict(d: Mapping) -> Particle:
     return Particle(
         size_a=_record_float(d, "size_a_m"),
         density_rho=_record_float(d, "density_kg_m3"),
-        tensor=tensor_from_dict(d),
+        tensor=MagnetoElectricTensor(
+            record_field(d, "chi0", None), *(_record_float(d, k) for k in _KAPPAS)
+        ),
         orientation=np.array(_record_orientation(d), dtype=float).reshape(3, 3),
         epsilon=_record_float(d, "epsilon"),
     )

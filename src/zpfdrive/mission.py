@@ -47,7 +47,6 @@ import numpy as np
 from . import _io
 from .dynamics import checked_rotation_dv, rotation_dv
 from .material import RULES, check
-from .quantities import Quantity
 
 __all__ = [
     "MissionSpec",
@@ -57,7 +56,6 @@ __all__ = [
     "SweepCapError",
     "SweepValueError",
     "SweepMode",
-    "rate_to_tangential_v",
     "tangential_v_to_rate",
     "evaluate_mission",
     "solve_for_unknown",
@@ -220,12 +218,6 @@ class MissionReport:
 
 def _tangential_v(rate_deg_day: float, radius: float) -> float:
     return rate_deg_day * RAD_PER_DEG / SECONDS_PER_DAY * radius
-
-
-def rate_to_tangential_v(rate_deg_day: float, radius: float) -> Quantity:
-    """Tangential velocity at ``radius`` for an attitude rate in deg/day."""
-    check("radius", radius, "positive")
-    return Quantity(float(_tangential_v(rate_deg_day, radius)), "m/s")
 
 
 def tangential_v_to_rate(v: float, radius: float) -> float:

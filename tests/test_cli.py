@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import shutil
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zpfdrive import cli
 from zpfdrive.dynamics import (
@@ -135,6 +140,34 @@ class TestSingleValueCommands:
         code, out, err = run_cli(capsys, *argv, "--format", fmt)
         assert (code, err) == (0, "")
         assert out == (json_line if fmt == "json" else text)
+
+    @given(
+        chi=st.floats(-1.0, 1.0).filter(bool),
+        a=st.floats(1e-77, 1e76),
+        rho=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        prefactor=st.floats(0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_delta_v_rot_is_the_particle_value_bit_for_bit(self, chi, a, rho, prefactor):
+        # "--chi=" form: argparse takes a separate "-4e-07" for an option
+        argv = [f"--chi={chi!r}", f"--a={a!r}", f"--rho={rho!r}", f"--A={prefactor!r}"]
+        particle = Particle(a, rho, MagnetoElectricTensor.from_xy(chi))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(["delta-v-rot", *argv, "--format", "json"])
+        try:
+            expected = delta_v_rotation(particle, VacuumModel(prefactor)).value
+        except ValueError as exc:  # a zero or overflowing m*a, or an overflowing gain
+            assert (code, stdout.getvalue(), stderr.getvalue()) == (1, "", f"error: {exc}\n")
+            return
+        assert code == 0
+        value = json.loads(stdout.getvalue())["value"]
+        assert struct.pack("<d", value) == struct.pack("<d", expected)
+
+    def test_delta_v_rot_keeps_the_sign_of_a_negative_zero_chi(self, capsys):
+        argv = ["delta-v-rot", "--chi", "-0.0", "--a", "1e-9", "--rho", "1000"]
+        assert run_cli(capsys, *argv) == (0, "delta_v_rotation = -0 m/s\n", "")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert out == '{"quantity": "delta_v_rotation", "value": -0.0, "unit": "m/s"}\n'
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -539,7 +572,8 @@ class TestLedgerInputErrors:
         assert outputs[0] == outputs[1]
 
     def test_unrepresentable_particle_size(self, capsys, tmp_path):
-        tiny = particle_to_dict(Particle(1e-320, 1000.0, MagnetoElectricTensor.from_xy(1e-3)))
+        # Particle refuses this size too, so the record is written directly
+        tiny = {"chi0": [0, 1e-3] + [0] * 7, "size_a_m": 1e-320, "density_kg_m3": 1000.0}
         err = self.run_ledger(capsys, tmp_path, [None, tiny], [self.ROTATION])
         assert err.endswith(
             "particles.json: particle 1: size_a must be positive, "
@@ -785,6 +819,31 @@ class TestCliContract:
         with pytest.raises(SystemExit) as exc:
             cli.main(["delta-v-rot", "--chi", "1e-3"])  # missing required flags
         assert exc.value.code == 2
+
+    def test_unknown_command_exits_two(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["warp-drive", *DESIGN_ARGS])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag, text",
+        [
+            (["delta-v-rot", "--chi", "abc", "--a", "1e-9", "--rho", "1000"], "--chi", "'abc'"),
+            (["delta-v-rot", "--chi=", "--a", "1e-9", "--rho", "1000"], "--chi", "''"),
+            (["delta-v-agg", *DESIGN_ARGS[:-2], "--N", "8x"], "--N", "'8x'"),
+            (["vacuum-momentum", "--chi", "1e-3", "--a", "1e-9", "--A", "1,2"], "--A", "'1,2'"),
+            (["oracle", "--chi", "0x1", "--n", "8"], "--chi", "'0x1'"),
+            (["force-decompose", "--series", "s.csv", "--epsilon", "e"], "--epsilon", "'e'"),
+            (
+                ["ledger", "--particles", "p.json", "--maneuvers", "m.json", "--M-total", "1 kg"],
+                "--M-total",
+                "'1 kg'",
+            ),
+        ],
+    )
+    def test_non_numeric_flag_exits_one(self, capsys, argv, flag, text):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {flag} expects a number, got {text}\n")
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -324,8 +324,10 @@ class TestForceDecomposed:
     def test_quantum_terms_exclude_dielectric(self):
         s = sinusoid_series()
         dec = force_decomposed(particle(chi=1e-3, eps=2.0), s)
-        assert np.array_equal(dec.quantum, dec.magnetoelectric + dec.chi_rate)
-        assert np.array_equal(dec.total, dec.dielectric + dec.quantum)
+        classical = force_decomposed(particle(chi=0.0, eps=2.0), s)
+        assert np.array_equal(dec.dielectric, classical.dielectric)
+        assert not np.any(classical.magnetoelectric) and not np.any(classical.chi_rate)
+        assert np.array_equal(classical.total, classical.dielectric)
 
 
 class TestChannels:

@@ -1,12 +1,14 @@
 import json
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zpfdrive import material
 from zpfdrive.material import (
     RULES,
     ImproperRotationError,
@@ -17,8 +19,6 @@ from zpfdrive.material import (
     particle_to_dict,
     rotate_tensor,
     rotation_about,
-    tensor_from_dict,
-    tensor_to_dict,
     check,
     record_field,
     unit_vector,
@@ -285,9 +285,9 @@ class TestSerialization:
 
     def test_tensor_round_trip(self):
         t = MagnetoElectricTensor.from_xy(1e-3, kappa2=0.4)
-        back = tensor_from_dict(tensor_to_dict(t))
+        back = particle_from_dict(particle_to_dict(Particle(1e-9, 1e3, t))).tensor
         assert np.array_equal(back.chi0, t.chi0)
-        assert back.kappa2 == 0.4
+        assert (back.kappa1, back.kappa2, back.kappa3) == (0.0, 0.4, 0.0)
 
 
 def random_particles(rng: np.random.Generator, n: int) -> list[Particle]:
@@ -328,7 +328,7 @@ class TestParticleState:
         with pytest.raises(ValueError, match="field 'kappa2'"):
             particle_from_dict({**record, "kappa2": None})
         with pytest.raises(ValueError, match="missing field 'chi0'"):
-            tensor_from_dict({})
+            particle_from_dict({k: v for k, v in record.items() if k != "chi0"})
 
     def test_lab_frame_chi_and_rotation_match_particle_bit_for_bit(self):
         rng = np.random.default_rng(2)
@@ -365,8 +365,36 @@ class TestParticleState:
     def test_invalid_record_named_by_index(self, field, value, message):
         records = [particle_to_dict(p) for p in random_particles(np.random.default_rng(3), 4)]
         records[2][field] = value
-        with pytest.raises(ValueError, match=f"particle 2: .*{message}"):
+        with pytest.raises(ValueError, match=f"particle 2: .*{message}") as state_error:
             ParticleState.from_dicts(records)
+        # Particle and MagnetoElectricTensor apply the same table to one particle
+        with pytest.raises(ValueError) as particle_error:
+            particle_from_dict(records[2])
+        assert type(particle_error.value) is type(state_error.value)
+        assert str(particle_error.value) == str(state_error.value).removeprefix("particle 2: ")
+
+    def test_each_rotation_checked_once(self):
+        calls = []
+        original = material._check_rotations
+
+        def counting(r, **kwargs):
+            calls.append(r.shape[0])
+            return original(r, **kwargs)
+
+        t = MagnetoElectricTensor(np.arange(9).reshape(3, 3) * 1e-4)
+        r = rotation_about([1, 2, 3], 0.4)
+        with mock.patch.object(material, "_check_rotations", counting):
+            p = Particle(1e-9, 1e3, t, orientation=r)
+            assert calls == [1]
+            rotate_tensor(t, r)
+            assert calls == [1, 1]
+            assert p.chi0_xy == rotate_tensor(t, r).chi0_xy
+            calls.clear()
+            p.chi0_xy
+            p.oriented_tensor
+            assert calls == []
+            ParticleState.from_particles([p, p, p])
+            assert calls == [3]
 
     def test_improper_orientation_rejected(self):
         records = [particle_to_dict(p) for p in random_particles(np.random.default_rng(4), 3)]

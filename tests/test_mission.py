@@ -23,7 +23,6 @@ from zpfdrive.mission import (
     SweepValueError,
     analytic_solve_for_unknown,
     evaluate_mission,
-    rate_to_tangential_v,
     solve_for_unknown,
     sweep,
     tangential_v_to_rate,
@@ -46,27 +45,30 @@ def design_point(**overrides) -> MissionSpec:
     return MissionSpec(**base)
 
 
+def required_v(rate: float, radius: float) -> float:
+    """The tangential velocity that a mission at ``rate`` deg/day and ``radius`` requires."""
+    report = evaluate_mission(design_point(target_rate=rate, wheel_radius=radius))
+    return report.required_tangential_v
+
+
 class TestRateConversion:
     def test_several_degrees_per_day_is_a_micron_per_second(self):
-        v = rate_to_tangential_v(4.95, 1.0)
-        assert v.value == pytest.approx(1.0e-6, rel=1e-3)
+        assert required_v(4.95, 1.0) == pytest.approx(1.0e-6, rel=1e-3)
 
     def test_zero_rate(self):
-        assert rate_to_tangential_v(0.0, 1.0).value == 0.0
+        assert tangential_v_to_rate(0.0, 1.0) == 0.0
 
     def test_linear_in_radius(self):
-        assert rate_to_tangential_v(4.95, 2.0).value == pytest.approx(
-            2 * rate_to_tangential_v(4.95, 1.0).value, rel=1e-14
-        )
+        assert required_v(4.95, 2.0) == pytest.approx(2 * required_v(4.95, 1.0), rel=1e-14)
 
     def test_round_trip_identity(self):
         for rate in (0.1, 1.0, 4.95, 123.0):
-            v = rate_to_tangential_v(rate, 2.5)
-            assert tangential_v_to_rate(v.value, 2.5) == pytest.approx(rate, rel=1e-12)
+            v = required_v(rate, 2.5)
+            assert tangential_v_to_rate(v, 2.5) == pytest.approx(rate, rel=1e-12)
 
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
-            rate_to_tangential_v(1.0, 0.0)
+            tangential_v_to_rate(1.0, 0.0)
 
 
 class TestEvaluateMission:
@@ -177,7 +179,7 @@ class TestSolve:
         spec = design_point(chi0=None)
         value = solve_for_unknown(spec, "chi0")
         # analytic: required * rho * a^4 / (2 A hbar f)
-        required = rate_to_tangential_v(4.95, 1.0).value
+        required = required_v(4.95, 1.0)
         expected = required * 1000.0 * (1e-9) ** 4 / (2 * 1e-2 * HBAR_J_S * 0.5)
         assert value == pytest.approx(expected, rel=1e-8)
         assert value == pytest.approx(9.48e-4, rel=1e-2)
@@ -325,7 +327,7 @@ def reference_row(base, combo, mode, required) -> str:
 
 def reference_sweep(base, axes, mode) -> str:
     lists = [[float(v) for v in axes.get(k, [getattr(base, k)])] for k in mission._SWEEP_AXES]
-    required = rate_to_tangential_v(base.target_rate, base.wheel_radius).value
+    required = required_v(base.target_rate, base.wheel_radius)
     rows = [reference_row(base, c, mode, required) for c in itertools.product(*lists)]
     return "".join(line + "\n" for line in [",".join(SWEEP_CSV_HEADER), *rows])
 
