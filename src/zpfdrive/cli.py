@@ -210,9 +210,7 @@ def _load_maneuver(
                 raise ValueError(f"field 'series_csv': {path}: {exc}") from None
         return dynamics.FieldModulation(series=series_by_path[path])
     if kind == "cavity_modulation":
-        return dynamics.CavityModulation(
-            db2_dt=field("dB2_dt"), duration=field("duration_s")
-        )
+        return dynamics.CavityModulation(db2_dt=field("dB2_dt"), duration=field("duration_s"))
     raise ValueError(f"field 'type': unknown maneuver type {kind!r}")
 
 
@@ -385,9 +383,24 @@ _COMMANDS = {
 }
 
 
+def _joined_values(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each ``--flag -value`` written ``--flag=-value``: argparse takes values
+    such as ``-4e-07``, ``-inf`` and ``-1,2`` for options.  Every long flag but --help
+    takes a value, and none takes one that starts with ``--``."""
+    out: list[str] = []
+    for arg in argv:
+        if arg.startswith("-") and not arg.startswith("--") and arg != "-h" and out:
+            flag = out[-1]
+            if flag.startswith("--") and "=" not in flag and flag not in ("--", "--help"):
+                out[-1] = f"{flag}={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one CLI call and return its exit code; callable any number of times."""
-    args = _main_parser().parse_args(argv)
+    args = _main_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     try:
         _check_flags(args)
         return _COMMANDS[args.command](args)

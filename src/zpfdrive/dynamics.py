@@ -29,7 +29,9 @@ their time-integrated force.  Every ledger entry balances particle and
 vacuum momentum exactly.  A maneuver sequence runs over a
 :class:`~zpfdrive.material.ParticleState`: each maneuver is a few array
 operations over all particles, and per-particle terms are summed in particle
-order, as a scalar loop would sum them.
+order, as a scalar loop would sum them.  The quantum impulse is linear in chi,
+so a field modulation integrates the series 1, E*B, E and B once and weights
+them by each particle's chi0_xy and kappas.
 """
 
 from __future__ import annotations
@@ -79,9 +81,6 @@ CONSERVATION_RTOL = 1e-12
 
 # distinguished axis dual to the (x, y) tensor component pair
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
-
-# particle rows x samples evaluated at once when booking a field modulation
-_BLOCK_VALUES = 1 << 14
 
 
 class SeriesFormatError(ValueError):
@@ -197,11 +196,7 @@ class FieldTimeSeries:
         return self.chi_response(t.chi0_xy, t.kappa1, t.kappa2, t.kappa3)
 
     def chi_response(self, chi0_xy, kappa1, kappa2, kappa3) -> np.ndarray:
-        """chi0_xy + kappa1*E_x*B_y + kappa2*E_x + kappa3*B_y over the samples.
-
-        Parameters broadcast against the sample axis: (N, 1) columns give one
-        row per particle.
-        """
+        """chi0_xy + kappa1*E_x*B_y + kappa2*E_x + kappa3*B_y over the samples."""
         return chi0_xy + kappa1 * self.e_x * self.b_y + kappa2 * self.e_x + kappa3 * self.b_y
 
     # CSV columns: t_s, E_x, B_y, chi0_xy, kappa1, kappa2, kappa3
@@ -517,14 +512,10 @@ def _book_field_modulation(state: ParticleState, mv: FieldModulation) -> np.ndar
     s = mv.series
     if s.chi0_xy is not None:  # the series' params override every particle's
         per_particle = np.full(len(state), _quantum_impulse(s.chi_samples(None), s))
-    else:
-        per_particle = np.empty(len(state))
-        rows = max(1, _BLOCK_VALUES // s.t.size)
-        for lo in range(0, len(state), rows):
-            block = slice(lo, lo + rows)
-            k = state.kappa[block]
-            chi = s.chi_response(state.chi0_xy[block, None], k[:, 0:1], k[:, 1:2], k[:, 2:3])
-            per_particle[block] = _quantum_impulse(chi, s)
+    else:  # linear in chi: weight the impulses of the basis series 1, E*B, E, B
+        w = _quantum_impulse(np.stack([np.ones_like(s.e_x), s.e_x * s.b_y, s.e_x, s.b_y]), s)
+        k = state.kappa
+        per_particle = state.chi0_xy * w[0] + k[:, 0] * w[1] + k[:, 1] * w[2] + k[:, 2] * w[3]
     return -_ordered_sum(per_particle) * _Z_AXIS  # vacuum side; particles gain +impulse
 
 

@@ -22,7 +22,8 @@ one row.  Each rotation matrix is checked once, where it enters.
 
 :class:`ParticleState` holds many particles as arrays (struct of arrays) for
 the maneuver ledger: a rotation or a lab-frame read is a few batched numpy
-operations over all particles.
+operations over all particles.  A rotation takes one Newton-Schulz polar
+step and checks only the new orientations; the other arrays are shared.
 """
 
 from __future__ import annotations
@@ -229,11 +230,7 @@ class MagnetoElectricTensor:
 
     @classmethod
     def from_xy(
-        cls,
-        chi0_xy: float,
-        kappa1: float = 0.0,
-        kappa2: float = 0.0,
-        kappa3: float = 0.0,
+        cls, chi0_xy: float, kappa1: float = 0.0, kappa2: float = 0.0, kappa3: float = 0.0
     ) -> "MagnetoElectricTensor":
         """Tensor with a single intrinsic xy component, the driven one."""
         m = np.zeros((3, 3))
@@ -283,26 +280,18 @@ class Particle:
         return self.oriented_tensor.chi0_xy
 
     def rotated(self, r: np.ndarray) -> "Particle":
-        """Particle after applying rotation ``r`` in the lab frame.
-
-        The composed orientation is re-orthonormalized (nearest proper
-        rotation via SVD) so long maneuver chains cannot drift.
-        """
-        composed = _proper_rotation(r) @ self.orientation
-        return replace(self, orientation=_nearest_rotation(composed))
+        """Particle after applying rotation ``r`` in the lab frame (see :func:`_rotate`)."""
+        return replace(self, orientation=_rotate(r, self.orientation))
 
 
-_FLIP_Z = np.diag([1.0, 1.0, -1.0])
-
-
-def _nearest_rotation(composed: np.ndarray) -> np.ndarray:
-    """Nearest proper rotation (SVD) of a 3x3 matrix or of each in a stack."""
-    u, _, vt = np.linalg.svd(composed)
-    nearest = u @ vt
-    improper = np.linalg.det(nearest) < 0  # numerically safe: inputs are proper
-    if np.any(improper):
-        nearest[improper] = u[improper] @ _FLIP_Z @ vt[improper]
-    return nearest
+def _rotate(r: object, orientation: np.ndarray) -> np.ndarray:
+    """``r @ orientation`` pulled back onto the rotations by one Newton-Schulz step of the
+    polar decomposition, ``M (3I - M^T M) / 2`` (Bjorck & Bowie, SIAM J. Numer. Anal. 8, 1971).
+    ``r`` is checked here and ``orientation`` (3x3 or (N, 3, 3)) where it entered, so the
+    product is orthogonal to ``ORTHOGONALITY_TOL``; the step squares that error, down to
+    rounding, and keeps ``det = +1``, so long chains cannot drift."""
+    m = _proper_rotation(r) @ orientation
+    return m @ (3.0 * np.eye(3) - np.swapaxes(m, -1, -2) @ m) * 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,9 +377,15 @@ class ParticleState:
         return xy
 
     def rotated(self, r: np.ndarray) -> "ParticleState":
-        """State after rotating every particle by ``r`` (see :meth:`Particle.rotated`)."""
-        composed = _proper_rotation(r) @ self.orientation
-        return replace(self, orientation=_nearest_rotation(composed))
+        """State after rotating every particle by ``r``; only the new orientations are
+        checked, and the other read-only arrays are shared (see :func:`_rotate`)."""
+        orientation = _rotate(r, self.orientation)
+        _check_rotations(orientation)
+        orientation.flags.writeable = False
+        fields = {k: getattr(self, k) for k in _PARTICLE_FIELDS}
+        after = object.__new__(ParticleState)  # skips __post_init__
+        after.__dict__.update(fields, orientation=orientation)
+        return after
 
 
 def _matrix_column(values: list, key: str) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Property test over ``cli.main``: every argv and input file ends in a clean result.
 
 Each example runs one command with numeric flags drawn from a fixed pool of
-finite, extreme, non-finite and non-numeric values, on spec, particle,
-maneuver and series files generated the same way.  Whatever the input:
+finite, extreme, non-finite and non-numeric values, given as ``--flag=value``
+or as ``--flag value``, on spec, particle, maneuver and series files generated
+the same way.  Whatever the input:
 
 * ``main`` returns 0 or 1: a flag value that is not a number is an
   ``error:`` line too, and argparse's usage error (exit 2) is left for a
@@ -110,6 +111,7 @@ def cases(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     flags, writes = COMMANDS[command]
     case = {"command": command, "flags": {}, "format": draw(st.sampled_from(["text", "json"]))}
+    case["separate"] = draw(st.booleans())  # --flag value, else --flag=value
     for flag, default in flags.items():
         pool = N_POOL if flag == "--n" else FLAG_POOL
         choice = draw(st.sampled_from(["default", "pool", "list"]))
@@ -158,7 +160,7 @@ def run_case(directory, case):
     if "unknown" in case:
         argv += ["--unknown", case["unknown"]]
     for flag, value in case["flags"].items():
-        argv.append(f"{flag}={value}")
+        argv += [flag, value] if case.get("separate") else [f"{flag}={value}"]
     if case["out"]:
         argv += ["--out", str(directory / "out.txt")]
     argv += ["--format", case["format"]]
@@ -189,8 +191,9 @@ def spec_case(command, fmt="text", **fields):
     return given_case(command, fmt=fmt, spec={**SPEC, **fields}, **inputs)
 
 
-def flag_case(command, fmt="text", **flags):
-    return given_case(command, {f"--{k.replace('_', '-')}": v for k, v in flags.items()}, fmt)
+def flag_case(command, fmt="text", separate=False, **flags):
+    flags = {f"--{k.replace('_', '-')}": v for k, v in flags.items()}
+    return given_case(command, flags, fmt, separate=separate)
 
 
 def series_rows(b_y_peak: str) -> list[list[str]]:
@@ -223,6 +226,10 @@ ROTATION, AGGREGATION = MANEUVERS["rotation"], MANEUVERS["aggregation"]
 # flag values that are not numbers (argparse refused them with its usage message)
 @example(case=flag_case("delta-v-rot", chi="abc", a="1e-9", rho="1000"))
 @example(case=ledger_case([ROTATION], m_total=""))
+# dash-led values given as a separate argument (argparse took them for options)
+@example(case=flag_case("delta-v-rot", separate=True, chi="-1e300", a="1e-9", rho="1000"))
+@example(case=flag_case("delta-v-rot", separate=True, chi="-4e-07", a="1e-9", rho="1000"))
+@example(case={**spec_case("sweep"), "flags": {"--chi": "-1e-3,2e-3"}, "separate": True})
 # out-of-range flags that the library refused without naming the flag
 @example(case=flag_case("delta-v-rot", chi="1e-3", a="1e-9", rho="-1"))
 @example(case=flag_case("delta-v-agg", chi="1e-3", a="1e-9", rho="1000", N="0.5"))

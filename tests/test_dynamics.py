@@ -638,6 +638,13 @@ _Z = np.array([0.0, 0.0, 1.0])
 
 
 def _reference_rotated(p, r):
+    m = r @ p.orientation
+    nearest = m @ (3.0 * np.eye(3) - m.T @ m) * 0.5
+    return Particle(p.size_a, p.density_rho, p.tensor, nearest, p.epsilon)
+
+
+def _svd_rotated(p, r):
+    """The nearest proper rotation by SVD: the re-orthonormalisation before the polar step."""
     u, _, vt = np.linalg.svd(r @ p.orientation)
     nearest = u @ vt
     if np.linalg.det(nearest) < 0:
@@ -645,19 +652,40 @@ def _reference_rotated(p, r):
     return Particle(p.size_a, p.density_rho, p.tensor, nearest, p.epsilon)
 
 
-def _reference_quantum_impulse(p, s):
+def _integrated(chi, s):
+    """Time integral of chi*(1/2)*d(B^2)/dt + B^2*dchi/dt over the samples of ``chi``."""
+    magnetoelectric = chi * 0.5 * np.gradient(s.b_y**2, s.dt, edge_order=1)
+    chi_rate = s.b_y**2 * np.gradient(chi, s.dt, edge_order=1)
+    return float(np.trapezoid(magnetoelectric + chi_rate, dx=s.dt))
+
+
+def _basis_impulses(s):
+    return [_integrated(b, s) for b in (np.ones_like(s.e_x), s.e_x * s.b_y, s.e_x, s.b_y)]
+
+
+def _per_sample_quantum_impulse(p, s):
+    """The integral of the particle's own chi(t), sample by sample."""
     if s.chi0_xy is not None:
         k1, k2, k3 = (0.0 if k is None else k for k in (s.kappa1, s.kappa2, s.kappa3))
         chi = s.chi0_xy + k1 * s.e_x * s.b_y + k2 * s.e_x + k3 * s.b_y
     else:
         t = p.oriented_tensor
         chi = t.chi0_xy + t.kappa1 * s.e_x * s.b_y + t.kappa2 * s.e_x + t.kappa3 * s.b_y
-    magnetoelectric = chi * 0.5 * np.gradient(s.b_y**2, s.dt, edge_order=1)
-    chi_rate = s.b_y**2 * np.gradient(chi, s.dt, edge_order=1)
-    return float(np.trapezoid(magnetoelectric + chi_rate, dx=s.dt))
+    return _integrated(chi, s)
 
 
-def reference_ledger(particles, maneuvers, m_total, model):
+def _reference_quantum_impulse(p, s):
+    """The series' own chi(t), or else the particle's parameters weighting the basis impulses."""
+    if s.chi0_xy is not None:
+        return _per_sample_quantum_impulse(p, s)
+    t, w = p.oriented_tensor, _basis_impulses(s)
+    return t.chi0_xy * w[0] + t.kappa1 * w[1] + t.kappa2 * w[2] + t.kappa3 * w[3]
+
+
+def reference_ledger(
+    particles, maneuvers, m_total, model, rotate=_reference_rotated,
+    impulse=_reference_quantum_impulse,
+):
     """One Particle object per particle, each term added in particle order."""
     ledger = ImpulseLedger(m_total)
     current = list(particles)
@@ -665,7 +693,7 @@ def reference_ledger(particles, maneuvers, m_total, model):
         total = 0.0
         if isinstance(mv, Rotation):
             r = rotation_about(mv.axis, mv.angle)
-            rotated = [_reference_rotated(p, r) for p in current]
+            rotated = [rotate(p, r) for p in current]
             for before, after in zip(current, rotated):
                 p_before = vacuum_momentum_closed_form(before.chi0_xy, before.size_a, model)
                 p_after = vacuum_momentum_closed_form(after.chi0_xy, after.size_a, model)
@@ -681,7 +709,7 @@ def reference_ledger(particles, maneuvers, m_total, model):
             kind, dp_vac = "aggregation", total * mv.direction
         elif isinstance(mv, FieldModulation):
             for p in current:
-                total += _reference_quantum_impulse(p, mv.series)
+                total += impulse(p, mv.series)
             kind, dp_vac = "field_modulation", -total * _Z
         else:
             for p in current:
@@ -689,6 +717,31 @@ def reference_ledger(particles, maneuvers, m_total, model):
             kind, dp_vac = "cavity_modulation", -total * _Z
         ledger.append(kind, -dp_vac, dp_vac)
     return ledger
+
+
+def _term_sizes(particles, mv, model):
+    """The sum over particles of the size of each term a maneuver books, with chi0_xy at
+    its bound |chi0|_F (the same in every orientation): the scale of the rounding in
+    R chi0 R^T and in the terms."""
+    total = 0.0
+    for p in particles:
+        chi = float(np.linalg.norm(p.tensor.chi0))
+        if isinstance(mv, Rotation):
+            total += 2.0 * stored_momentum(chi, p.size_a, model)
+        elif isinstance(mv, Aggregation):
+            big_l = mv.n ** (1.0 / 3.0) * mv.size_a
+            total += mv.n * stored_momentum(chi, mv.size_a, model)
+            total += stored_momentum(chi, big_l, model)
+        elif isinstance(mv, FieldModulation) and mv.series.chi0_xy is not None:
+            total += abs(_per_sample_quantum_impulse(p, mv.series))
+        elif isinstance(mv, FieldModulation):
+            w, t = _basis_impulses(mv.series), p.tensor
+            total += chi * abs(w[0]) + sum(
+                abs(k * wk) for k, wk in zip((t.kappa1, t.kappa2, t.kappa3), w[1:])
+            )
+        else:
+            total += abs(channel_cavity(chi, mv.db2_dt, mv.duration))
+    return total
 
 
 def _series(n, chi_params):
@@ -700,7 +753,7 @@ def _series(n, chi_params):
     return FieldTimeSeries(t=t, e_x=e, b_y=b, chi0_xy=1e-3 * np.cos(t), kappa3=np.full(n, 2e-4))
 
 
-# 5000 samples split even a few particles into several blocks
+# short, medium and long series of the particles' own chi, and one with chi columns
 SERIES = [_series(11, False), _series(201, False), _series(5000, False), _series(201, True)]
 
 unit = st.floats(-1.0, 1.0, allow_nan=False)
@@ -750,6 +803,29 @@ random_maneuvers = st.lists(
 )
 
 
+# the JSON lines of the pinned ledger below
+PINNED_LEDGER = [
+    (
+        '{"maneuver_id": 0, "type": "aggregation", '
+        '"dp_particles": [0.0, 1.3432110433224792e-30, 1.3432110433224792e-30], '
+        '"dp_vacuum": [-0.0, -1.3432110433224792e-30, -1.3432110433224792e-30], '
+        '"cumulative_v": [0.0, 1.3432110433224791e-31, 1.3432110433224791e-31]}'
+    ),
+    (
+        '{"maneuver_id": 1, "type": "cavity_modulation", '
+        '"dp_particles": [0.0, 0.0, 0.00025218028223054174], '
+        '"dp_vacuum": [-0.0, -0.0, -0.00025218028223054174], '
+        '"cumulative_v": [0.0, 1.3432110433224791e-31, 2.5218028223054175e-05]}'
+    ),
+    (
+        '{"maneuver_id": 2, "type": "field_modulation", '
+        '"dp_particles": [-0.0, -0.0, -0.004454344568321665], '
+        '"dp_vacuum": [0.0, 0.0, 0.004454344568321665], '
+        '"cumulative_v": [0.0, 1.3432110433224791e-31, -0.00042021642860911223]}'
+    ),
+]
+
+
 class TestLedgerEquivalence:
     @settings(max_examples=60)
     @given(particles=random_particles, maneuvers=random_maneuvers, m_total=st.floats(1e-3, 1e3))
@@ -759,6 +835,39 @@ class TestLedgerEquivalence:
         want = reference_ledger(particles, maneuvers, m_total, model)
         # JSON text, so that the sign of every zero is compared too
         assert json.dumps(got.entry_dicts()) == json.dumps(want.entry_dicts())
+
+    @settings(max_examples=60)
+    @given(particles=random_particles, maneuvers=random_maneuvers, m_total=st.floats(1e-3, 1e3))
+    def test_matches_the_svd_and_per_sample_reference(self, particles, maneuvers, m_total):
+        model = VacuumModel()
+        got = run_maneuver_sequence(particles, maneuvers, m_total, model).entries
+        old = reference_ledger(
+            particles, maneuvers, m_total, model, _svd_rotated, _per_sample_quantum_impulse
+        ).entries
+        for mv, new_entry, old_entry in zip(maneuvers, got, old, strict=True):
+            bound = 1e-12 * _term_sizes(particles, mv, model)
+            assert np.abs(new_entry.dp_vacuum - old_entry.dp_vacuum).max() <= bound
+
+    def test_ledger_without_rotations_or_particle_field_terms_is_pinned(self):
+        # no rotation and no particle-parameter field modulation: neither the polar step
+        # nor the basis integrals run, and the bytes are those of the per-sample integrand
+        ps = [
+            Particle(
+                1e-9 * (i + 1),
+                1e3 + 500.0 * i,
+                MagnetoElectricTensor(np.arange(9.0).reshape(3, 3) * (-1) ** i * 1e-4, 1e-4),
+                orientation=rotation_about([1, i, 2], 0.3 + i),
+            )
+            for i in range(3)
+        ]
+        mv = [
+            Aggregation(n=8, size_a=2e-9, direction=[0, 1, 1]),
+            CavityModulation(db2_dt=0.7, duration=1.5),
+            FieldModulation(series=SERIES[3]),
+        ]
+        out = io.StringIO()
+        run_maneuver_sequence(ps, mv, 10.0, VacuumModel()).to_jsonl(out)
+        assert out.getvalue().splitlines() == PINNED_LEDGER
 
     def test_all_negative_zero_terms_book_positive_zero(self):
         # each particle's cavity term is -0.0; a += loop from 0.0 gives +0.0

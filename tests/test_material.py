@@ -341,6 +341,18 @@ class TestParticleState:
             assert state.chi0_xy.tolist() == [p.chi0_xy for p in particles]
             assert np.array_equal(state.orientation, [p.orientation for p in particles])
 
+    def test_chained_rotations_stay_proper_to_rounding(self):
+        rng = np.random.default_rng(11)
+        state = ParticleState.from_particles(random_particles(rng, 8))
+        gram_error = det_error = 0.0
+        for _ in range(10_000):
+            state = state.rotated(random_rotation(rng))
+            r = state.orientation
+            gram_error = max(gram_error, np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3)).max())
+            det_error = max(det_error, np.abs(np.linalg.det(r) - 1.0).max())
+        eps = np.finfo(float).eps
+        assert gram_error <= 4 * eps and det_error <= 4 * eps, (gram_error / eps, det_error / eps)
+
     def test_empty_state(self):
         state = ParticleState.from_particles([])
         assert len(state) == 0
