@@ -9,7 +9,9 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-import numpy as np
+from ._deferred import NumpyOnFirstUse
+
+np = NumpyOnFirstUse(globals())
 
 # rows per block when a CSV is written from float columns
 CSV_BLOCK_ROWS = 1 << 13

@@ -17,10 +17,11 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
-import numpy as np
-
 from . import _io, dynamics, material, mission, vacuum
+from ._deferred import NumpyOnFirstUse
 from .quantities import Quantity
+
+np = NumpyOnFirstUse(globals())
 
 __all__ = ["main", "build_parser"]
 
@@ -33,11 +34,16 @@ def _single_value(args, name: str, q: Quantity) -> str:
 
 
 def _parse_list(text: str, flag: str, convert=float) -> list:
+    """The values of a comma-list flag; a ValueError that names the flag if a value does
+    not convert or there is none."""
     try:
-        return [convert(x) for x in text.split(",") if x.strip()]
+        values = [convert(x) for x in text.split(",") if x.strip()]
     except ValueError:
+        values = []
+    if not values:
         kind = "integers" if convert is int else "numbers"
-        raise ValueError(f"{flag} expects comma-separated {kind}, got {text!r}") from None
+        raise ValueError(f"{flag} expects comma-separated {kind}, got {text!r}")
+    return values
 
 
 class _Number(str):

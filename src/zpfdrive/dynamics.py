@@ -46,14 +46,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
-import numpy as np
-
 from . import _io
+from ._deferred import NumpyOnFirstUse
 from .material import (
     RULES, Particle, ParticleState, check, representable_size, rotation_about, unit_vector
 )
 from .quantities import HBAR_J_S, Quantity
 from .vacuum import VacuumModel, stored_momentum
+
+np = NumpyOnFirstUse(globals())
 
 __all__ = [
     "FieldTimeSeries",
@@ -78,9 +79,6 @@ __all__ = [
 ]
 
 CONSERVATION_RTOL = 1e-12
-
-# distinguished axis dual to the (x, y) tensor component pair
-_Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 class SeriesFormatError(ValueError):
@@ -491,13 +489,19 @@ def _ordered_sum(terms: np.ndarray) -> float:
     return 0.0 + float(np.cumsum(terms)[-1])
 
 
+def _along_z(impulse: float) -> np.ndarray:
+    """``impulse`` times the z axis, the one dual to the (x, y) tensor component pair; the
+    product keeps signed zeros, so ``-0.0`` books ``[-0.0, -0.0, -0.0]``."""
+    return impulse * np.array([0.0, 0.0, 1.0])
+
+
 def _book_rotation(
     state: ParticleState, mv: Rotation, model: VacuumModel
 ) -> tuple[ParticleState, np.ndarray]:
     after = state.rotated(rotation_about(mv.axis, mv.angle))
     p_before = stored_momentum(state.chi0_xy, state.size_a, model)
     p_after = stored_momentum(after.chi0_xy, after.size_a, model)
-    return after, _ordered_sum(p_after - p_before) * _Z_AXIS
+    return after, _along_z(_ordered_sum(p_after - p_before))
 
 
 def _book_aggregation(state: ParticleState, mv: Aggregation, model: VacuumModel) -> np.ndarray:
@@ -516,7 +520,7 @@ def _book_field_modulation(state: ParticleState, mv: FieldModulation) -> np.ndar
         w = _quantum_impulse(np.stack([np.ones_like(s.e_x), s.e_x * s.b_y, s.e_x, s.b_y]), s)
         k = state.kappa
         per_particle = state.chi0_xy * w[0] + k[:, 0] * w[1] + k[:, 1] * w[2] + k[:, 2] * w[3]
-    return -_ordered_sum(per_particle) * _Z_AXIS  # vacuum side; particles gain +impulse
+    return _along_z(-_ordered_sum(per_particle))  # vacuum side; particles gain +impulse
 
 
 def _quantum_impulse(chi: np.ndarray, s: FieldTimeSeries) -> np.ndarray:
@@ -526,7 +530,7 @@ def _quantum_impulse(chi: np.ndarray, s: FieldTimeSeries) -> np.ndarray:
 
 
 def _book_cavity(state: ParticleState, mv: CavityModulation) -> np.ndarray:
-    return -_ordered_sum(channel_cavity(state.chi0_xy, mv.db2_dt, mv.duration)) * _Z_AXIS
+    return _along_z(-_ordered_sum(channel_cavity(state.chi0_xy, mv.db2_dt, mv.duration)))
 
 
 def run_maneuver_sequence(

@@ -33,7 +33,9 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
+from ._deferred import NumpyOnFirstUse
+
+np = NumpyOnFirstUse(globals())
 
 __all__ = [
     "ORTHOGONALITY_TOL",
@@ -185,19 +187,29 @@ def _check_particles(fields: Mapping[str, object], single: bool = False) -> None
         _check_rotations(rows["orientation"], single=single)
 
 
-def _check_rotations(r: np.ndarray, single: bool = False) -> None:
-    """Refuse the first matrix of an (N, 3, 3) stack that is not a proper rotation."""
+def _orthogonal(r: np.ndarray) -> np.ndarray:
+    """Per matrix of an (N, 3, 3) stack, whether ``r^T r`` is ``I`` to ``ORTHOGONALITY_TOL``."""
     with np.errstate(all="ignore"):  # huge entries overflow to inf or NaN: not orthogonal
         gram_error = np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3)).max(axis=(1, 2))
+    return gram_error <= ORTHOGONALITY_TOL
+
+
+_NOT_ORTHOGONAL = "rotation matrix is not orthogonal to tolerance"
+
+
+def _check_rotations(r: np.ndarray, single: bool = False) -> None:
+    """Refuse the first matrix of an (N, 3, 3) stack that is not a proper rotation."""
+    orthogonal = _orthogonal(r)
+    with np.errstate(all="ignore"):
         det = np.linalg.det(r)
-    bad = ~(gram_error <= ORTHOGONALITY_TOL) | ~(np.abs(det - 1.0) <= ORTHOGONALITY_TOL)
+    bad = ~orthogonal | ~(np.abs(det - 1.0) <= ORTHOGONALITY_TOL)
     if not bad.any():
         return
     i = int(np.argmax(bad))
     error = ValueError
     message = f"rotation determinant {float(det[i])} not +1 within {ORTHOGONALITY_TOL}"
-    if not gram_error[i] <= ORTHOGONALITY_TOL:
-        message = "rotation matrix is not orthogonal to tolerance"
+    if not orthogonal[i]:
+        message = _NOT_ORTHOGONAL
     elif abs(det[i] + 1.0) <= 1e-6:
         error, message = ImproperRotationError, "improper rotation (det = -1) rejected"
     _reject_first(bad, message, single, error)
@@ -289,7 +301,12 @@ def _rotate(r: object, orientation: np.ndarray) -> np.ndarray:
     polar decomposition, ``M (3I - M^T M) / 2`` (Bjorck & Bowie, SIAM J. Numer. Anal. 8, 1971).
     ``r`` is checked here and ``orientation`` (3x3 or (N, 3, 3)) where it entered, so the
     product is orthogonal to ``ORTHOGONALITY_TOL``; the step squares that error, down to
-    rounding, and keeps ``det = +1``, so long chains cannot drift."""
+    rounding, and keeps ``det = +1``, so long chains cannot drift.
+
+    The result therefore needs the Gram test alone: ``det(r @ orientation) > 0`` as both
+    factors are proper rotations, and the step multiplies by ``(3I - M^T M) / 2``, which is
+    within 1e-12 of ``I``, so a result that passes the Gram test has ``det = +1`` to
+    rounding.  Matrices that enter from outside get both tests."""
     m = _proper_rotation(r) @ orientation
     return m @ (3.0 * np.eye(3) - np.swapaxes(m, -1, -2) @ m) * 0.5
 
@@ -378,9 +395,10 @@ class ParticleState:
 
     def rotated(self, r: np.ndarray) -> "ParticleState":
         """State after rotating every particle by ``r``; only the new orientations are
-        checked, and the other read-only arrays are shared (see :func:`_rotate`)."""
+        checked, by the Gram test alone, and the other read-only arrays are shared (see
+        :func:`_rotate`)."""
         orientation = _rotate(r, self.orientation)
-        _check_rotations(orientation)
+        _reject_first(~_orthogonal(orientation), _NOT_ORTHOGONAL, single=False)
         orientation.flags.writeable = False
         fields = {k: getattr(self, k) for k in _PARTICLE_FIELDS}
         after = object.__new__(ParticleState)  # skips __post_init__

@@ -42,11 +42,12 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-import numpy as np
-
 from . import _io
+from ._deferred import NumpyOnFirstUse
 from .dynamics import checked_rotation_dv, rotation_dv
 from .material import RULES, check
+
+np = NumpyOnFirstUse(globals())
 
 __all__ = [
     "MissionSpec",

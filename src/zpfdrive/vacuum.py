@@ -44,11 +44,12 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence, Union
 
-import numpy as np
-
 from . import _io
+from ._deferred import NumpyOnFirstUse
 from .material import check
 from .quantities import HBAR_J_S, Quantity
+
+np = NumpyOnFirstUse(globals())
 
 __all__ = [
     "CutoffConvention",
@@ -235,6 +236,9 @@ def convergence_study(
     CSV columns: n_per_axis, a_m, chi, p_kg_m_s, effective_A, floats as their
     shortest round-trip ``repr``; ``out`` is a path or an open text handle.
     """
+    for name, values in (("sizes_m", sizes_m), ("n_values", n_values)):
+        if len(values) == 0:
+            raise ValueError(f"{name} is empty")
     # build (and so validate) every grid, and check chi, before the first lattice sum
     grids = [
         (n, a_m, ModeGrid.for_particle(a_m, n, convention)) for n in n_values for a_m in sizes_m

@@ -481,6 +481,115 @@ def fresh_process(*argv):
     return result.returncode, result.stdout, result.stderr
 
 
+def numpy_after(statements, *argv):
+    """Run ``statements`` in a new interpreter with ``sys.argv[1:] == argv``: the exit code
+    they leave in ``code``, and whether numpy was imported by then."""
+    probe = f"import sys\ncode = 0\n{statements}\nprint(code, 'numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, check=True
+    )
+    code, loaded = result.stdout.splitlines()[-1].split()
+    return int(code), loaded == "True"
+
+
+MAIN = "from zpfdrive.cli import main\ncode = main(sys.argv[1:])"
+
+
+class TestStartupWithoutNumpy:
+    """Importing the package, building the parser and every single-value command, refusals
+    included, run without importing numpy.  pytest has numpy loaded already, so only a new
+    interpreter shows a stray ``np.`` read at import time or in these commands."""
+
+    @pytest.mark.parametrize(
+        "statements",
+        ["import zpfdrive", "import zpfdrive.cli\nzpfdrive.cli.build_parser()"],
+        ids=["package", "cli-parser"],
+    )
+    def test_import(self, statements):
+        assert numpy_after(statements) == (0, False)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["delta-v-rot", *DESIGN_ARGS],
+            ["delta-v-agg", "--chi", "1e-3", "--a", "1e-9", "--rho", "1000", "--N", "8"],
+            ["vacuum-momentum", "--chi", "1e-3", "--a", "1e-9"],
+            ["mission", "--spec", "SPEC"],
+            *(["solve", "--spec", "SPEC", "--unknown", u] for u in ("chi0", "particle_size")),
+        ],
+        ids=["delta-v-rot", "delta-v-agg", "vacuum-momentum", "mission", "solve-chi0",
+             "solve-particle_size"],
+    )
+    def test_single_value_command(self, spec_file, argv, fmt):
+        argv = [spec_file if x == "SPEC" else x for x in argv]
+        assert numpy_after(MAIN, *argv, "--format", fmt) == (0, False)
+
+    def test_refused_value(self):
+        argv = ["delta-v-rot", "--chi", "5", "--a", "1e-9", "--rho", "1000"]
+        assert numpy_after(MAIN, *argv) == (1, False)
+
+
+class TestFirstNumpyUse:
+    """The array commands import numpy on first use: in a new interpreter each writes the
+    bytes it writes in this one, where every module has read ``np`` already."""
+
+    def check(self, capsys, *argv):
+        result = run_cli(capsys, *argv)
+        assert result[0] == 0
+        assert fresh_process(*argv) == result
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_force_decompose(self, capsys, series_file, fmt):
+        self.check(capsys, "force-decompose", "--series", series_file, "--format", fmt)
+
+    def test_ledger(self, capsys, tmp_path, series_file):
+        particles = [
+            Particle(1e-9, 1000.0, MagnetoElectricTensor.from_xy(1e-3)),
+            Particle(2e-9, 800.0, MagnetoElectricTensor.from_xy(-2e-3, kappa1=3e-5)),
+        ]
+        maneuvers = [
+            {"type": "rotation", "axis": [1, 0, 0], "angle_rad": 3.14159},
+            {"type": "field_modulation", "series_csv": series_file},
+        ]
+        particles_path, maneuvers_path = tmp_path / "p.json", tmp_path / "m.json"
+        particles_path.write_text(json.dumps([particle_to_dict(p) for p in particles]))
+        maneuvers_path.write_text(json.dumps(maneuvers))
+        self.check(
+            capsys,
+            "ledger",
+            "--particles", str(particles_path),
+            "--maneuvers", str(maneuvers_path),
+            "--M-total", "1.0",
+        )
+
+    def test_sweep(self, capsys, spec_file):
+        self.check(
+            capsys, "sweep", "--spec", spec_file, "--chi", "1e-4,1e-3", "--a", "1e-9,2e-9",
+            "--format", "json",
+        )
+
+    def test_oracle(self, capsys):
+        self.check(capsys, "oracle", "--chi", "1e-3", "--a", "1e-9,2e-9", "--n", "8,12",
+                   "--format", "json")
+
+    def test_first_use_from_many_threads(self):
+        # more threads than cores make the first np read at once; each gets numpy itself
+        statements = "\n".join([
+            "import threading",
+            "from zpfdrive import _io",
+            "sys.setswitchinterval(1e-6)",
+            "got = []",
+            "threads = [threading.Thread(target=lambda: got.append(_io.np.ndarray))"
+            " for _ in range(8)]",
+            "for t in threads: t.start()",
+            "for t in threads: t.join(timeout=60)",
+            "import numpy",
+            "code = int(got != [numpy.ndarray] * 8 or _io.np is not numpy)",
+        ])
+        assert numpy_after(statements) == (0, True)
+
+
 class TestParserReuse:
     """main parses every call of a process with one parser: no call leaks into the next."""
 
@@ -737,6 +846,25 @@ class TestCliContract:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["oracle", "--chi", "1e-3", "--n", ",,"], "--n expects comma-separated integers"),
+            (["oracle", "--chi", "1e-3", "--n="], "--n expects comma-separated integers"),
+            (["oracle", "--chi", "1e-3", "--a", ",,"], "--a expects comma-separated numbers"),
+            (["sweep", "--spec", "SPEC", "--chi", ",,"], "--chi expects comma-separated numbers"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_list_exits_one(self, capsys, tmp_path, spec_file, argv, message, fmt):
+        out_path = tmp_path / "out"
+        text = "" if argv[-1].endswith("=") else argv[-1]
+        argv = [spec_file if x == "SPEC" else x for x in argv] + ["--format", fmt]
+        for extra in ([], ["--out", str(out_path)]):
+            err = f"error: {message}, got {text!r}\n"
+            assert run_cli(capsys, *argv, *extra) == (1, "", err)
+        assert not out_path.exists()
 
     @pytest.mark.parametrize(
         "argv, value",

@@ -176,6 +176,15 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="chi_xy .* is out of range"):
             convergence_study(2.0, [1e-9], [2048])
 
+    @pytest.mark.parametrize(
+        "sizes, n_values, name", [([], [8], "sizes_m"), ([1e-9], [], "n_values")]
+    )
+    def test_empty_axis_refused(self, tmp_path, sizes, n_values, name):
+        out = tmp_path / "oracle.csv"
+        with pytest.raises(ValueError, match=f"^{name} is empty$"):
+            convergence_study(1e-3, sizes, n_values, out=out)
+        assert not out.exists()
+
 
 def brute_force_geometry_sums(n_max: int) -> list[Decimal]:
     """Independent reference: entry n is sum m_z^2/|m| over 0 < |m|^2 <= n^2.
