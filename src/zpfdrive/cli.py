@@ -2,10 +2,12 @@
 
 All inputs are SI (meters, kg/m^3, tesla); output is text (6 significant
 digits), JSON (full precision), or CSV, selected with --format where it
-applies.  Exit codes: 0 success, 1 a refused value (a domain error, or a
-flag value that is not a number), 2 a usage error (a missing required flag,
-an unknown flag or command).  The CLI adds no arithmetic of its own: every
-number printed is a library result.
+applies.  Exit codes: 0 success; 1 a refused value: a domain error, or a
+bad value of any numeric flag (``--n`` and ``--jobs`` included): one that
+does not convert or breaks the flag's rule; 2 a usage error: a missing
+required flag, an unknown flag or command, or an invalid choice.  The CLI
+computes one value itself, ``delta-v-rot``'s ``rho * a**4`` (the particle's
+m*a); every number printed is a library result.
 """
 
 from __future__ import annotations
@@ -33,56 +35,70 @@ def _single_value(args, name: str, q: Quantity) -> str:
     return f"{name} = {q.value:.6g} {q.unit}"
 
 
-def _parse_list(text: str, flag: str, convert=float) -> list:
-    """The values of a comma-list flag; a ValueError that names the flag if a value does
-    not convert or there is none."""
-    try:
-        values = [convert(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        values = []
-    if not values:
-        kind = "integers" if convert is int else "numbers"
-        raise ValueError(f"{flag} expects comma-separated {kind}, got {text!r}")
-    return values
-
-
-class _Number(str):
-    """The text of a one-number flag: :func:`_check_flags` converts it, so that a value
-    that is not a number ends in one ``error:`` line, as a bad comma list does."""
-
-
 _CUTOFFS = {c.value: c for c in vacuum.CutoffConvention}
 
-# every numeric physics flag, by argparse dest: the flag and its rule in material.RULES
-_FLAG_RULES = {
-    "chi": ("--chi", "chi"),
-    "a": ("--a", "size"),
-    "rho": ("--rho", "positive"),
-    "N": ("--N", "at_least_one"),
-    "A": ("--A", "positive"),
-    "fraction": ("--fraction", "unit"),
-    "epsilon": ("--epsilon", "at_least_one"),
-    "m_total": ("--M-total", "positive"),
+# every numeric flag: its text, argparse dest, kind (float or int: one value;
+# [float] or [int]: a comma list), rule in material.RULES, and help.  The
+# sweep's axes are keyed by their MissionSpec field; they are checked finite
+# here, and mission.sweep checks them against the spec's rules.
+_NUMBERS = {
+    "chi": ("--chi", "chi", float, "chi", "intrinsic chi0_xy"),
+    "a": ("--a", "a", float, "size", "particle size (m)"),
+    "rho": ("--rho", "rho", float, "positive", "density (kg/m^3)"),
+    "N": ("--N", "N", float, "at_least_one", "number of merged units"),
+    "A": ("--A", "A", float, "positive", "vacuum prefactor"),
+    "epsilon": ("--epsilon", "epsilon", float, "at_least_one", "linear dielectric constant"),
+    "m_total": ("--M-total", "m_total", float, "positive", "payload mass (kg)"),
+    "sizes": ("--a", "a", [float], "size", "comma-separated sizes (m)"),
+    "n": ("--n", "n", [int], "n_per_axis", "comma-separated n_per_axis"),
+    "jobs": ("--jobs", "jobs", int, "at_least_one", "accepted for compatibility; no effect"),
+    "chi0": ("--chi", "chi", [float], "finite", "comma-separated chi0 values"),
+    "particle_size": ("--a", "a", [float], "finite", "comma-separated sizes (m)"),
+    "particle_density": ("--rho", "rho", [float], "finite", "comma-separated densities (kg/m^3)"),
+    "prefactor_A": ("--A", "A", [float], "finite", "comma-separated vacuum prefactors"),
+    "active_mass_fraction": (
+        "--fraction", "fraction", [float], "finite", "comma-separated active mass fractions"
+    ),
 }
+
+# the sweep's axes, keyed by MissionSpec field, in the order they are checked
+_SWEEP_AXES = ("chi0", "particle_size", "particle_density", "prefactor_A", "active_mass_fraction")
+
+_REQUIRED = object()
+
+
+def _number(text: str, flag: str, kind):
+    """``text`` converted as ``kind``; a ValueError that names the flag if it does not
+    convert, or if a comma list holds no value."""
+    if isinstance(kind, list):
+        try:
+            values = [kind[0](x) for x in text.split(",") if x.strip()]
+        except ValueError:
+            values = []
+        if values:
+            return values
+        expected = "comma-separated integers" if kind[0] is int else "comma-separated numbers"
+    else:
+        try:
+            return kind(text)
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+    raise ValueError(f"{flag} expects {expected}, got {text!r}")
 
 
 def _check_flags(args) -> None:
-    """Convert each one-number flag and check each value against its flag's rule, naming
-    the flag.  A sweep's flags are axes: :func:`~zpfdrive.mission.sweep` applies the spec rules."""
-    for dest, (flag, rule) in _FLAG_RULES.items():
-        raw = getattr(args, dest, None)
-        if isinstance(raw, _Number):
-            try:
-                raw = float(raw)
-            except ValueError:
-                raise ValueError(f"{flag} expects a number, got {raw!r}") from None
-            setattr(args, dest, raw)
-        if raw is None:
+    """Convert the text of each numeric flag of the command (a default that is not text
+    is already a number) and check each value against its flag's rule, naming the flag."""
+    for name in _COMMANDS[args.command][2]:
+        flag, dest, kind, rule, _ = _NUMBERS[name]
+        value = getattr(args, dest)
+        if value is None:  # a sweep axis left at the spec's value
             continue
-        if args.command == "sweep":
-            rule = "finite"
-        for value in _parse_list(raw, flag) if isinstance(raw, str) else [raw]:
-            material.check(flag, value, rule)
+        if isinstance(value, str):
+            value = _number(value, flag, kind)
+            setattr(args, dest, value)
+        for v in value if isinstance(value, list) else [value]:
+            material.check(flag, v, rule)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,85 +108,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Vacuum momentum transfer for magneto-electric particles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    p = {}
+    for command, (_, summary, numbers) in _COMMANDS.items():
+        p[command] = sub.add_parser(command, help=summary)
+        for name, default in numbers.items():
+            flag, dest, _, _, text = _NUMBERS[name]
+            if default is _REQUIRED:
+                p[command].add_argument(flag, dest=dest, required=True, help=text)
+            else:
+                p[command].add_argument(flag, dest=dest, default=default, help=text)
+        p[command].add_argument("--format", choices=("text", "json", "csv"), default="text")
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
-    p = sub.add_parser("delta-v-rot", help="pi-rotation velocity gain of one particle")
-    p.add_argument("--chi", type=_Number, required=True, help="intrinsic chi0_xy")
-    p.add_argument("--a", type=_Number, required=True, help="particle size (m)")
-    p.add_argument("--rho", type=_Number, required=True, help="density (kg/m^3)")
-    p.add_argument("--A", type=_Number, default=1e-2, help="vacuum prefactor")
-    add_format(p)
-
-    p = sub.add_parser("delta-v-agg", help="aggregation velocity gain")
-    p.add_argument("--chi", type=_Number, required=True)
-    p.add_argument("--a", type=_Number, required=True)
-    p.add_argument("--rho", type=_Number, required=True)
-    p.add_argument("--N", type=_Number, required=True, help="number of merged units")
-    p.add_argument("--A", type=_Number, default=1e-2)
-    add_format(p)
-
-    p = sub.add_parser("vacuum-momentum", help="closed-form stored vacuum momentum")
-    p.add_argument("--chi", type=_Number, required=True)
-    p.add_argument("--a", type=_Number, required=True)
-    p.add_argument("--A", type=_Number, default=1e-2)
-    add_format(p)
-
-    p = sub.add_parser("oracle", help="mode-sum oracle convergence study (CSV)")
-    p.add_argument("--chi", type=_Number, required=True)
-    p.add_argument("--a", type=str, default="1e-9", help="comma-separated sizes (m)")
-    p.add_argument("--n", type=str, default="16,32,64", help="comma-separated n_per_axis")
-    p.add_argument("--cutoff", choices=sorted(_CUTOFFS), default="half-wavelength")
-    p.add_argument("--out", type=str, default=None, help="CSV output path (default stdout)")
-    add_format(p)
-
-    p = sub.add_parser("force-decompose", help="three-term force decomposition of a series")
-    p.add_argument("--series", type=str, required=True, help="field series CSV path")
-    p.add_argument("--chi", type=_Number, default=0.0, help="chi0_xy if series lacks chi columns")
-    p.add_argument("--epsilon", type=_Number, default=1.0)
-    p.add_argument("--out", type=str, default=None)
-    add_format(p)
-
-    p = sub.add_parser("mission", help="evaluate a mission spec")
-    p.add_argument("--spec", type=str, required=True, help="MissionSpec JSON path")
-    add_format(p)
-
-    p = sub.add_parser("solve", help="solve the design chain for one unknown")
-    p.add_argument("--spec", type=str, required=True)
-    p.add_argument(
-        "--unknown",
-        choices=sorted(mission.SOLVE_BRACKETS),
-        required=True,
-    )
-    add_format(p)
-
-    p = sub.add_parser("sweep", help="Cartesian parameter sweep to CSV")
-    p.add_argument("--spec", type=str, required=True, help="base MissionSpec JSON")
-    p.add_argument("--chi", type=str, default=None, help="comma-separated chi0 values")
-    p.add_argument("--a", type=str, default=None)
-    p.add_argument("--rho", type=str, default=None)
-    p.add_argument("--fraction", type=str, default=None)
-    p.add_argument("--A", type=str, default=None)
-    p.add_argument(
+    for command in ("mission", "solve", "sweep"):
+        p[command].add_argument("--spec", required=True, help="MissionSpec JSON path")
+    p["solve"].add_argument("--unknown", choices=sorted(mission.SOLVE_BRACKETS), required=True)
+    p["sweep"].add_argument(
         "--mode",
         choices=[m.value for m in mission.SweepMode],
         default=mission.SweepMode.MASS_BUDGET.value,
     )
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; no effect")
-    p.add_argument("--out", type=str, default=None)
-    add_format(p)
-
-    p = sub.add_parser("ledger", help="run a maneuver sequence, emit the impulse ledger")
-    p.add_argument("--particles", type=str, required=True, help="JSON list of particles")
-    p.add_argument("--maneuvers", type=str, required=True, help="JSON list of maneuvers")
-    p.add_argument(
-        "--M-total", dest="m_total", type=_Number, required=True, help="payload mass (kg)"
-    )
-    p.add_argument("--A", type=_Number, default=1e-2)
-    p.add_argument("--out", type=str, default=None, help="JSONL output path (default stdout)")
-    add_format(p)
-
+    p["oracle"].add_argument("--cutoff", choices=sorted(_CUTOFFS), default="half-wavelength")
+    p["force-decompose"].add_argument("--series", required=True, help="field series CSV path")
+    p["ledger"].add_argument("--particles", required=True, help="JSON list of particles")
+    p["ledger"].add_argument("--maneuvers", required=True, help="JSON list of maneuvers")
+    for command in ("oracle", "force-decompose", "sweep", "ledger"):
+        p[command].add_argument("--out", default=None, help="output path (default stdout)")
     return parser
 
 
@@ -241,12 +203,10 @@ def _cmd_vacuum_momentum(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    sizes = _parse_list(args.a, "--a")
-    n_values = _parse_list(args.n, "--n", int)
     out = args.out or sys.stdout
     csv_out = None if args.format == "json" else out
     rows = vacuum.convergence_study(
-        args.chi, sizes, n_values, convention=_CUTOFFS[args.cutoff], out=csv_out
+        args.chi, args.a, args.n, convention=_CUTOFFS[args.cutoff], out=csv_out
     )
     if csv_out is None:
         _io.write_blocks(out, [json.dumps(rows)], tail="\n")
@@ -316,23 +276,10 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-# sweep axis (MissionSpec field) -> argparse dest
-_SWEEP_DESTS = {
-    "chi0": "chi",
-    "particle_size": "a",
-    "particle_density": "rho",
-    "active_mass_fraction": "fraction",
-    "prefactor_A": "A",
-}
-
-
 def _cmd_sweep(args) -> int:
     spec = mission.MissionSpec.from_json(args.spec)
-    axes = {}
-    for name, dest in _SWEEP_DESTS.items():
-        raw = getattr(args, dest)
-        if raw is not None:
-            axes[name] = _parse_list(raw, f"--{dest}")
+    axes = {name: getattr(args, _NUMBERS[name][1]) for name in _SWEEP_AXES}
+    axes = {name: values for name, values in axes.items() if values is not None}
     mode = mission.SweepMode(args.mode)
     fmt = "json" if args.format == "json" else "csv"
     try:
@@ -340,8 +287,8 @@ def _cmd_sweep(args) -> int:
             spec, axes, out=args.out or sys.stdout, mode=mode, jobs=args.jobs, fmt=fmt
         )
     except mission.SweepValueError as exc:
-        flags = " ".join(f"--{_SWEEP_DESTS[k]} {v!r}" for k, v in exc.values.items())
-        raise ValueError(f"{flags} {exc.problem}") from None
+        named = " ".join(f"{_NUMBERS[k][0]} {v!r}" for k, v in exc.values.items())
+        raise ValueError(f"{named} {exc.problem}") from None
     if args.out:
         print(f"wrote {count} rows to {args.out}")
     return 0
@@ -376,16 +323,46 @@ def _cmd_ledger(args) -> int:
     return 0
 
 
+# each command: its handler, its help, and its numeric flags by _NUMBERS key,
+# each with its default or _REQUIRED, in the order they are checked
 _COMMANDS = {
-    "delta-v-rot": _cmd_delta_v_rot,
-    "delta-v-agg": _cmd_delta_v_agg,
-    "vacuum-momentum": _cmd_vacuum_momentum,
-    "oracle": _cmd_oracle,
-    "force-decompose": _cmd_force_decompose,
-    "mission": _cmd_mission,
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "ledger": _cmd_ledger,
+    "delta-v-rot": (
+        _cmd_delta_v_rot,
+        "pi-rotation velocity gain of one particle",
+        {"chi": _REQUIRED, "a": _REQUIRED, "rho": _REQUIRED, "A": 1e-2},
+    ),
+    "delta-v-agg": (
+        _cmd_delta_v_agg,
+        "aggregation velocity gain",
+        {"chi": _REQUIRED, "a": _REQUIRED, "rho": _REQUIRED, "N": _REQUIRED, "A": 1e-2},
+    ),
+    "vacuum-momentum": (
+        _cmd_vacuum_momentum,
+        "closed-form stored vacuum momentum",
+        {"chi": _REQUIRED, "a": _REQUIRED, "A": 1e-2},
+    ),
+    "oracle": (
+        _cmd_oracle,
+        "mode-sum oracle convergence study (CSV)",
+        {"chi": _REQUIRED, "sizes": "1e-9", "n": "16,32,64"},
+    ),
+    "force-decompose": (
+        _cmd_force_decompose,
+        "three-term force decomposition of a series (--chi if it has no chi0_xy column)",
+        {"chi": 0.0, "epsilon": 1.0},
+    ),
+    "mission": (_cmd_mission, "evaluate a mission spec", {}),
+    "solve": (_cmd_solve, "solve the design chain for one unknown", {}),
+    "sweep": (
+        _cmd_sweep,
+        "Cartesian parameter sweep to CSV",
+        {**dict.fromkeys(_SWEEP_AXES), "jobs": 1},
+    ),
+    "ledger": (
+        _cmd_ledger,
+        "run a maneuver sequence, emit the impulse ledger",
+        {"m_total": _REQUIRED, "A": 1e-2},
+    ),
 }
 
 
@@ -409,7 +386,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _main_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     try:
         _check_flags(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,6 +40,7 @@ np = NumpyOnFirstUse(globals())
 __all__ = [
     "ORTHOGONALITY_TOL",
     "CHI0_SANITY_BOUND",
+    "MAX_N_PER_AXIS",
     "RULES",
     "check",
     "representable_size",
@@ -57,6 +58,9 @@ __all__ = [
 
 ORTHOGONALITY_TOL = 1e-12
 CHI0_SANITY_BOUND = 1.0
+# the mode-sum oracle's memory grows as n^2 and its time as n^3: about 10 s
+# and 0.8 GB at n = 2048 on one CPU core
+MAX_N_PER_AXIS = 2048
 
 
 def representable_size(a: float) -> bool:
@@ -85,6 +89,7 @@ RULES: dict[str, Callable] = {
     "chi": lambda v: abs(v) <= CHI0_SANITY_BOUND,
     "unit": lambda v: (0 < v) & (v <= 1),
     "at_least_one": lambda v: (1 <= v) & (v < math.inf),
+    "n_per_axis": lambda v: (8 <= v) & (v <= MAX_N_PER_AXIS),
 }
 
 
@@ -92,7 +97,7 @@ def check(name: str, value: float, rule: str) -> float:
     """``value`` if it obeys ``RULES[rule]``, else a ValueError that names ``name``."""
     if RULES[rule](value):
         return value
-    if not math.isfinite(value):
+    if not RULES["finite"](value):  # not math.isfinite: an int may be too large for a float
         raise ValueError(f"{name} must be finite, got {value!r}")
     raise ValueError(f"{name} {value!r} is out of range")
 

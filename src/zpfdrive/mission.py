@@ -428,7 +428,6 @@ def sweep(
     axes: Mapping[str, Sequence[float]],
     out: Union[str, Path, io.TextIOBase, None] = None,
     mode: SweepMode = SweepMode.MASS_BUDGET,
-    max_rows: int = DEFAULT_SWEEP_CAP,
     jobs: int = 1,
     fmt: str = "csv",
 ) -> int:
@@ -463,8 +462,8 @@ def sweep(
                 raise SweepValueError({name: value}, "is out of range")
         lists.append(values)
     total = math.prod(len(v) for v in lists)
-    if total > max_rows:
-        raise SweepCapError(f"sweep of {total} combinations exceeds cap {max_rows}")
+    if total > DEFAULT_SWEEP_CAP:
+        raise SweepCapError(f"sweep of {total} combinations exceeds cap {DEFAULT_SWEEP_CAP}")
 
     blocks = _sweep_blocks(base, lists, mode)
     if out is None:

@@ -46,7 +46,7 @@ from typing import Sequence, Union
 
 from . import _io
 from ._deferred import NumpyOnFirstUse
-from .material import check
+from .material import MAX_N_PER_AXIS, check
 from .quantities import HBAR_J_S, Quantity
 
 np = NumpyOnFirstUse(globals())
@@ -64,9 +64,6 @@ __all__ = [
 ]
 
 ORACLE_CSV_HEADER = ("n_per_axis", "a_m", "chi", "p_kg_m_s", "effective_A")
-# the oracle's memory grows as n^2 and its time as n^3: about 10 s and 0.8 GB
-# at n = 2048 on one CPU core
-MAX_N_PER_AXIS = 2048
 
 
 class CutoffConvention(Enum):
@@ -99,10 +96,7 @@ class ModeGrid:
     k_cut: float  # 1/m
 
     def __post_init__(self) -> None:
-        if self.n_per_axis < 8:
-            raise ValueError("n_per_axis must be >= 8")
-        if self.n_per_axis > MAX_N_PER_AXIS:
-            raise ValueError(f"n_per_axis must be <= {MAX_N_PER_AXIS}, got {self.n_per_axis}")
+        check("n_per_axis", self.n_per_axis, "n_per_axis")
         check("k_cut", self.k_cut, "positive")
 
     @property

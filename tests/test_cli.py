@@ -618,6 +618,77 @@ class TestParserReuse:
         assert first_result[:2] != result[:2]
 
 
+class TestGrammar:
+    """Every command's dests and defaults, as parsed before the numeric flags are checked."""
+
+    @pytest.mark.parametrize(
+        "argv, parsed",
+        [
+            (
+                ["delta-v-rot", "--chi", "1e-3", "--a", "1e-9", "--rho", "1000"],
+                {"chi": "1e-3", "a": "1e-9", "rho": "1000", "A": 0.01, "format": "text"},
+            ),
+            (
+                ["delta-v-agg", "--chi", "1e-3", "--a", "1e-9", "--rho", "1000", "--N", "8"],
+                {"chi": "1e-3", "a": "1e-9", "rho": "1000", "N": "8", "A": 0.01, "format": "text"},
+            ),
+            (
+                ["vacuum-momentum", "--chi", "1e-3", "--a", "1e-9"],
+                {"chi": "1e-3", "a": "1e-9", "A": 0.01, "format": "text"},
+            ),
+            (
+                ["oracle", "--chi", "1e-3"],
+                {
+                    "chi": "1e-3",
+                    "a": "1e-9",
+                    "n": "16,32,64",
+                    "cutoff": "half-wavelength",
+                    "out": None,
+                    "format": "text",
+                },
+            ),
+            (
+                ["force-decompose", "--series", "s.csv"],
+                {"series": "s.csv", "chi": 0.0, "epsilon": 1.0, "out": None, "format": "text"},
+            ),
+            (["mission", "--spec", "s.json"], {"spec": "s.json", "format": "text"}),
+            (
+                ["solve", "--spec", "s.json", "--unknown", "chi0"],
+                {"spec": "s.json", "unknown": "chi0", "format": "text"},
+            ),
+            (
+                ["sweep", "--spec", "s.json"],
+                {
+                    "spec": "s.json",
+                    "chi": None,
+                    "a": None,
+                    "rho": None,
+                    "fraction": None,
+                    "A": None,
+                    "mode": "mass-budget",
+                    "jobs": 1,
+                    "out": None,
+                    "format": "text",
+                },
+            ),
+            (
+                ["ledger", "--particles", "p.json", "--maneuvers", "m.json", "--M-total", "1"],
+                {
+                    "particles": "p.json",
+                    "maneuvers": "m.json",
+                    "m_total": "1",
+                    "A": 0.01,
+                    "out": None,
+                    "format": "text",
+                },
+            ),
+        ],
+    )
+    def test_minimal_argv(self, argv, parsed):
+        args = vars(cli.build_parser().parse_args(argv))
+        assert args == {"command": argv[0], **parsed}
+
+
 class TestLedgerInputErrors:
     """A malformed particle or maneuver file ends in one error line, exit 1."""
 
@@ -815,10 +886,7 @@ class TestCliContract:
                 "--chi -5.0 is out of range",
             ),
             (["oracle", "--chi", "2", "--n", "8"], "--chi 2.0 is out of range"),
-            (
-                ["oracle", "--chi", "1e-3", "--n", "100000"],
-                "n_per_axis must be <= 2048, got 100000",
-            ),
+            (["oracle", "--chi", "1e-3", "--n", "100000"], "--n 100000 is out of range"),
             (
                 ["delta-v-rot", "--chi", "1e-3", "--a", "1e-9", "--rho", "1e-300"],
                 ZERO_M_A,  # rho * a^4 underflows
@@ -839,6 +907,10 @@ class TestCliContract:
                 ["ledger", "--particles", "p", "--maneuvers", "m", "--M-total", "0"],
                 "--M-total 0.0 is out of range",
             ),
+            (["oracle", "--chi", "1e-3", "--n", "0"], "--n 0 is out of range"),
+            (["oracle", "--chi", "1e-3", "--n", "16,4"], "--n 4 is out of range"),
+            (["oracle", "--chi", "1e-3", "--n=-4"], "--n -4 is out of range"),
+            (["sweep", "--spec", "s.json", "--jobs", "0"], "--jobs 0 is out of range"),
         ],
     )
     def test_physics_bound_exits_one(self, capsys, argv, message):
@@ -846,6 +918,14 @@ class TestCliContract:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["oracle", "--chi", "1e-3", "--n"], ["sweep", "--spec", "s.json", "--jobs"]]
+    )
+    def test_int_flag_too_large_for_a_float_exits_one(self, capsys, argv):
+        value = -(10**400)  # math.isfinite(value) raises OverflowError
+        code, out, err = run_cli(capsys, *argv, str(value))
+        assert (code, out, err) == (1, "", f"error: {argv[-1]} {value} is out of range\n")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -967,11 +1047,15 @@ class TestCliContract:
                 "--M-total",
                 "'1 kg'",
             ),
+            (["sweep", "--spec", "s.json", "--jobs", "abc"], "--jobs", "'abc'"),
+            (["sweep", "--spec", "s.json", "--jobs", "2.5"], "--jobs", "'2.5'"),
+            (["sweep", "--spec", "s.json", "--jobs="], "--jobs", "''"),
         ],
     )
     def test_non_numeric_flag_exits_one(self, capsys, argv, flag, text):
         code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (1, "", f"error: {flag} expects a number, got {text}\n")
+        expected = "an integer" if flag == "--jobs" else "a number"
+        assert (code, out, err) == (1, "", f"error: {flag} expects {expected}, got {text}\n")
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:

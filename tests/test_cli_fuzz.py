@@ -83,12 +83,24 @@ COMMANDS = {
     "force-decompose": ({"--chi": None, "--epsilon": None}, True),
     "mission": ({}, False),
     "solve": ({}, False),
-    "sweep": ({"--chi": None, "--a": None, "--rho": None, "--fraction": None, "--A": None}, True),
+    "sweep": (
+        {flag: None for flag in ("--chi", "--a", "--rho", "--fraction", "--A", "--jobs")}, True
+    ),
     "ledger": ({"--M-total": "1.0", "--A": None}, True),
 }
 LIST_FLAGS = {"oracle": {"--a", "--n"}, "sweep": {"--chi", "--a", "--rho", "--fraction", "--A"}}
 
 NON_FINITE = re.compile(r"(?i)\b(inf|infinity|nan)\b")
+
+
+def test_commands_hold_every_numeric_flag():
+    """A numeric flag that the CLI declares is fuzzed, as a comma list where it is one."""
+    for command, (_, _, numbers) in cli._COMMANDS.items():
+        entries = [cli._NUMBERS[name] for name in numbers]
+        assert set(COMMANDS[command][0]) == {flag for flag, *_ in entries}
+        lists = {flag for flag, _, kind, *_ in entries if isinstance(kind, list)}
+        assert LIST_FLAGS.get(command, set()) == lists
+    assert set(COMMANDS) == set(cli._COMMANDS)
 
 
 def perturbed(base: dict, data, keys=None) -> dict:
@@ -113,7 +125,7 @@ def cases(draw):
     case = {"command": command, "flags": {}, "format": draw(st.sampled_from(["text", "json"]))}
     case["separate"] = draw(st.booleans())  # --flag value, else --flag=value
     for flag, default in flags.items():
-        pool = N_POOL if flag == "--n" else FLAG_POOL
+        pool = N_POOL if flag in ("--n", "--jobs") else FLAG_POOL
         choice = draw(st.sampled_from(["default", "pool", "list"]))
         if choice == "list" and flag in LIST_FLAGS.get(command, ()):
             case["flags"][flag] = ",".join(draw(st.lists(st.sampled_from(pool), max_size=2)))

@@ -296,10 +296,11 @@ class TestSweep:
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_cap_enforced(self):
-        axes = {"chi0": [1e-4] * 101, "particle_size": [1e-9] * 100}
+        # just above the 10^7-row cap, which is checked before any row is computed
+        axes = {"chi0": [1e-4] * 3163, "particle_size": [1e-9] * 3163}
         with pytest.raises(SweepCapError) as err:
-            sweep(design_point(), axes, out=io.StringIO(), max_rows=10_000)
-        assert "10100" in str(err.value)
+            sweep(design_point(), axes, out=io.StringIO())
+        assert str(err.value) == "sweep of 10004569 combinations exceeds cap 10000000"
 
     def test_unsweepable_parameter_rejected(self):
         with pytest.raises(ValueError):
