@@ -13,6 +13,7 @@ m*a); every number printed is a library result.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -142,12 +143,23 @@ def build_parser() -> argparse.ArgumentParser:
 _main_parser = functools.cache(build_parser)
 
 
+@contextlib.contextmanager
+def _prefixed(prefix: str, errors=ValueError):
+    """Re-raise an ``errors`` exception of the block as a ValueError that starts ``prefix: ``."""
+    try:
+        yield
+    except errors as exc:
+        raise ValueError(f"{prefix}: {exc}") from None
+
+
+def _load_spec(path: str) -> mission.MissionSpec:
+    with _prefixed(path):
+        return mission.MissionSpec.from_json(path)
+
+
 def _load_json_list(path: str, what: str) -> list:
-    with open(path) as fh:
-        try:
-            records = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    with open(path) as fh, _prefixed(f"{path}: not valid JSON"):
+        records = json.load(fh)
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a JSON list of {what}, got {type(records).__name__}")
     return records
@@ -162,20 +174,16 @@ def _load_maneuver(
     kind = d.get("type")
     # a vector is passed on as it is: the maneuver normalizes it once
     if kind == "rotation":
-        return dynamics.Rotation(axis=field("axis", None), angle=field("angle_rad"))
+        return dynamics.Rotation(axis=field("axis", list), angle=field("angle_rad"))
     if kind == "aggregation":
         return dynamics.Aggregation(
-            n=field("N"),
-            size_a=material.check("a_m", field("a_m"), "size"),
-            direction=field("direction", None),
+            n=field("N"), size_a=field("a_m"), direction=field("direction", list)
         )
     if kind == "field_modulation":
         path = field("series_csv", str)
         if path not in series_by_path:  # series arrays are read-only: share one per file
-            try:
+            with _prefixed(f"field 'series_csv': {path}", (ValueError, OSError)):
                 series_by_path[path] = dynamics.FieldTimeSeries.from_csv(path)
-            except (ValueError, OSError) as exc:
-                raise ValueError(f"field 'series_csv': {path}: {exc}") from None
         return dynamics.FieldModulation(series=series_by_path[path])
     if kind == "cavity_modulation":
         return dynamics.CavityModulation(db2_dt=field("dB2_dt"), duration=field("duration_s"))
@@ -219,10 +227,8 @@ _FORCE_COLUMNS = ("t_s", "f_dielectric", "f_magnetoelectric", "f_chi_rate", "f_t
 
 
 def _cmd_force_decompose(args) -> int:
-    try:
+    with _prefixed(args.series):
         series = dynamics.FieldTimeSeries.from_csv(args.series)
-    except ValueError as exc:
-        raise ValueError(f"{args.series}: {exc}") from None
     # size and density do not enter the force terms; only epsilon and chi do
     particle = material.Particle(
         size_a=1e-9,
@@ -251,7 +257,7 @@ def _cmd_force_decompose(args) -> int:
 
 
 def _cmd_mission(args) -> int:
-    spec = mission.MissionSpec.from_json(args.spec)
+    spec = _load_spec(args.spec)
     report = mission.evaluate_mission(spec)
     if args.format == "json":
         print(json.dumps(report.to_dict()))
@@ -264,7 +270,7 @@ def _cmd_mission(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    spec = mission.MissionSpec.from_json(args.spec)
+    spec = _load_spec(args.spec)
     value = mission.solve_for_unknown(spec, args.unknown)
     report = mission.evaluate_mission(replace(spec, **{args.unknown: value}))
     if args.format == "json":
@@ -277,7 +283,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = mission.MissionSpec.from_json(args.spec)
+    spec = _load_spec(args.spec)
     axes = {name: getattr(args, _NUMBERS[name][1]) for name in _SWEEP_AXES}
     axes = {name: values for name, values in axes.items() if values is not None}
     mode = mission.SweepMode(args.mode)
@@ -296,23 +302,17 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ledger(args) -> int:
     records = _load_json_list(args.particles, "particles")
-    try:
+    with _prefixed(args.particles):
         state = material.ParticleState.from_dicts(records)
-    except ValueError as exc:
-        raise ValueError(f"{args.particles}: {exc}") from None
     maneuvers = []
     series_by_path: dict[str, dynamics.FieldTimeSeries] = {}
     for i, d in enumerate(_load_json_list(args.maneuvers, "maneuvers")):
-        try:
+        with _prefixed(f"{args.maneuvers}: maneuver {i}"):
             maneuvers.append(_load_maneuver(d, series_by_path))
-        except ValueError as exc:
-            raise ValueError(f"{args.maneuvers}: maneuver {i}: {exc}") from None
     model = vacuum.VacuumModel(prefactor_a=args.A)
-    with np.errstate(all="ignore"):  # a non-finite booking is refused by the ledger
-        try:
-            ledger = dynamics.run_maneuver_sequence(state, maneuvers, args.m_total, model)
-        except dynamics.ManeuverError as exc:
-            raise ValueError(f"{args.maneuvers}: {exc}") from None
+    # a non-finite booking is refused by the ledger
+    with np.errstate(all="ignore"), _prefixed(args.maneuvers, dynamics.ManeuverError):
+        ledger = dynamics.run_maneuver_sequence(state, maneuvers, args.m_total, model)
     out = args.out or sys.stdout
     if args.format == "json":
         _io.write_blocks(out, [json.dumps(ledger.entry_dicts())], tail="\n")

@@ -110,8 +110,6 @@ def _column_index(reader) -> dict[str, int]:
     for col in ("t_s", "E_x", "B_y"):
         if col not in header:
             raise SeriesFormatError(f"missing required column {col!r}")
-    if "chi0_xy" not in header and any(k in header for k in _CHI_FIELDS[1:]):
-        raise SeriesFormatError("chi0_xy column is required when kappa columns are present")
     return {col: header.index(col) for col in _SERIES_COLUMNS if col in header}
 
 
@@ -376,7 +374,7 @@ class Aggregation:
 
     def __post_init__(self) -> None:
         check("N", self.n, "at_least_one")
-        check("size_a", self.size_a, "size")
+        check("a_m", self.size_a, "size")
         object.__setattr__(self, "direction", unit_vector(self.direction, "direction"))
 
 
@@ -395,6 +393,7 @@ class CavityModulation:
     duration: float  # s
 
     def __post_init__(self) -> None:
+        check("dB2_dt", self.db2_dt, "finite")
         check("duration", self.duration, "positive")
 
 

@@ -125,18 +125,41 @@ def unit_vector(v: object, name: str) -> np.ndarray:
     return unit
 
 
-def record_field(d: Mapping, key: str, convert: Callable = float, default: object = None):
-    """``convert(d[key])`` (no ``convert``: the value itself), or of ``default`` where ``key``
-    is absent (no default: required); a missing field or a refused value names ``key``."""
-    if key in d:
-        value = d[key]
-    elif default is None:
-        raise ValueError(f"missing field {key!r}")
-    else:
-        value = default
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _numbers(value: list) -> bool:
+    """Whether ``value`` holds only JSON numbers, or only lists of JSON numbers."""
+    if _NUMBER_TYPES.issuperset(map(type, value)):  # one pass in C
+        return True
+    return all(type(v) is list and _NUMBER_TYPES.issuperset(map(type, v)) for v in value)
+
+
+# per JSON kind of a record field: what its value must be, and the exact types that
+# json.load gives such a value (a bool is not a number, and a numpy scalar is not either)
+_KINDS = {
+    float: ("a number", _NUMBER_TYPES),
+    str: ("a string", frozenset({str})),
+    list: ("a list of numbers", frozenset({list})),
+}
+
+
+def record_field(d: Mapping, key: str, kind: type = float, default: object = None):
+    """``d[key]``, or ``default`` where it is absent (no default: required), if it is of the
+    JSON ``kind``: ``float``, a number (not a bool), returned as a float; ``str``, a string;
+    ``list``, a list of numbers or of lists of numbers, which numpy converts after.  The one
+    place a JSON record value becomes a number; an error names ``key``."""
+    value = d.get(key, default)
+    expected, types = _KINDS[kind]
+    if type(value) not in types or kind is list and not _numbers(value):
+        if value is None and key not in d:
+            raise ValueError(f"missing field {key!r}")
+        raise ValueError(f"field {key!r} must be {expected}, got {value!r}")
+    if kind is not float:
+        return value
     try:
-        return value if convert is None else convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return float(value)
+    except OverflowError as exc:
         raise ValueError(f"field {key!r}: {exc}") from None
 
 
@@ -348,44 +371,25 @@ class ParticleState:
 
     @classmethod
     def from_particles(cls, particles: Sequence[Particle]) -> "ParticleState":
-        ps = list(particles)
-        n = len(ps)
-        return cls(
-            size_a=[p.size_a for p in ps],
-            density=[p.density_rho for p in ps],
-            epsilon=[p.epsilon for p in ps],
-            chi0=np.reshape([p.tensor.chi0 for p in ps], (n, 3, 3)),
-            kappa=np.reshape([[getattr(p.tensor, k) for k in _KAPPAS] for p in ps], (n, 3)),
-            orientation=np.reshape([p.orientation for p in ps], (n, 3, 3)),
-        )
+        return cls.from_dicts([particle_to_dict(p) for p in particles])
 
     @classmethod
     def from_dicts(cls, records: Sequence[object]) -> "ParticleState":
-        """State from records in the :func:`particle_to_dict` schema.
-
-        Fields and defaults are those of :func:`particle_from_dict` (one
-        table, ``_RECORD_SCALARS``); an error names the record's index and
-        field.
-        """
-        scalars: dict[str, list[float]] = {key: [] for key in _RECORD_SCALARS}
-        chi0s, orientations = [], []
+        """State from records in the :func:`particle_to_dict` schema, each read as
+        :func:`particle_from_dict` reads one; an error names the record's index and field."""
+        rows = []
         for i, d in enumerate(records):
-            if not isinstance(d, Mapping):
-                raise ValueError(f"particle {i}: expected an object, got {type(d).__name__}")
             try:
-                for key in _RECORD_SCALARS:
-                    scalars[key].append(_record_float(d, key))
-                chi0s.append(record_field(d, "chi0", None))
+                rows.append(_particle_record(d))
             except ValueError as exc:
                 raise ValueError(f"particle {i}: {exc}") from None
-            orientations.append(_record_orientation(d))
         return cls(
-            size_a=scalars["size_a_m"],
-            density=scalars["density_kg_m3"],
-            epsilon=scalars["epsilon"],
-            chi0=_matrix_column(chi0s, "chi0"),
-            kappa=np.array([scalars[k] for k in _KAPPAS]).T,
-            orientation=_matrix_column(orientations, "orientation"),
+            size_a=[row["size_a_m"] for row in rows],
+            density=[row["density_kg_m3"] for row in rows],
+            epsilon=[row["epsilon"] for row in rows],
+            chi0=_matrix_column(rows, "chi0"),
+            kappa=np.array([[row[k] for row in rows] for k in _KAPPAS]).T,
+            orientation=_matrix_column(rows, "orientation"),
         )
 
     @cached_property
@@ -411,19 +415,20 @@ class ParticleState:
         return after
 
 
-def _matrix_column(values: list, key: str) -> np.ndarray:
-    """(N, 3, 3) from per-record 9-entry lists, flat or nested."""
+def _matrix_column(rows: list[dict], key: str) -> np.ndarray:
+    """(N, 3, 3) from the 9-entry lists, flat or nested, of field ``key`` of the records."""
+    values = [row[key] for row in rows]
     try:
         return np.array(values, dtype=float).reshape(len(values), 3, 3)
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         pass  # ragged or malformed: convert record by record to find it
-    rows = []
+    matrices = []
     for i, v in enumerate(values):
         try:
-            rows.append(np.array(v, dtype=float).reshape(3, 3))
-        except (TypeError, ValueError, OverflowError) as exc:
+            matrices.append(np.array(v, dtype=float).reshape(3, 3))
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"particle {i}: field {key!r}: {exc}") from None
-    return np.array(rows)
+    return np.array(matrices)
 
 
 def rotation_about(axis: object, angle: float) -> np.ndarray:
@@ -447,7 +452,7 @@ def rotate_tensor(t: MagnetoElectricTensor, r: object) -> MagnetoElectricTensor:
 
 # -- JSON serialization ------------------------------------------------------
 
-# Particle record schema, shared by the parsers below and
+# Particle record schema, read by _particle_record for particle_from_dict and
 # ParticleState.from_dicts.  Scalar fields with their defaults (None marks a
 # required field); "chi0" (9 entries) is required, and a missing or null
 # "orientation" means the identity.
@@ -462,13 +467,16 @@ _RECORD_SCALARS = {
 _IDENTITY = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
 
 
-def _record_float(d: Mapping, key: str) -> float:
-    return record_field(d, key, default=_RECORD_SCALARS[key])
-
-
-def _record_orientation(d: Mapping) -> object:
-    orientation = d.get("orientation")
-    return _IDENTITY if orientation is None else orientation
+def _particle_record(d: object) -> dict:
+    """The fields of one particle record, each read by :func:`record_field`: the
+    ``_RECORD_SCALARS`` as floats, ``chi0`` and ``orientation`` as lists of numbers."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected an object, got {type(d).__name__}")
+    fields = {key: record_field(d, key, float, v) for key, v in _RECORD_SCALARS.items()}
+    fields["chi0"] = record_field(d, "chi0", list)
+    identity = d.get("orientation") is None  # missing or null
+    fields["orientation"] = _IDENTITY if identity else record_field(d, "orientation", list)
+    return fields
 
 
 def particle_to_dict(p: Particle) -> dict:
@@ -483,13 +491,7 @@ def particle_to_dict(p: Particle) -> dict:
     }
 
 
-def particle_from_dict(d: Mapping) -> Particle:
-    return Particle(
-        size_a=_record_float(d, "size_a_m"),
-        density_rho=_record_float(d, "density_kg_m3"),
-        tensor=MagnetoElectricTensor(
-            record_field(d, "chi0", None), *(_record_float(d, k) for k in _KAPPAS)
-        ),
-        orientation=np.array(_record_orientation(d), dtype=float).reshape(3, 3),
-        epsilon=_record_float(d, "epsilon"),
-    )
+def particle_from_dict(d: dict) -> Particle:
+    f = _particle_record(d)
+    tensor = MagnetoElectricTensor(f["chi0"], *(f[k] for k in _KAPPAS))
+    return Particle(f["size_a_m"], f["density_kg_m3"], tensor, f["orientation"], f["epsilon"])

@@ -45,7 +45,7 @@ from typing import Mapping, Sequence, Union
 from . import _io
 from ._deferred import NumpyOnFirstUse
 from .dynamics import checked_rotation_dv, rotation_dv
-from .material import RULES, check
+from .material import RULES, check, record_field
 
 np = NumpyOnFirstUse(globals())
 
@@ -102,7 +102,7 @@ _SWEEP_FORMATS = {
 
 
 class MissionSpecError(ValueError):
-    """Invalid mission spec; message enumerates every offending field."""
+    """Invalid mission spec: a field that does not read, or every field out of range."""
 
 
 class InfeasibleError(ValueError):
@@ -178,17 +178,14 @@ class MissionSpec:
         unknown_keys = set(d) - set(known)
         if unknown_keys:
             raise MissionSpecError(f"unknown mission spec fields: {sorted(unknown_keys)}")
-        values = {}
-        for k in known:
-            raw = d.get(k)
-            try:
-                values[k] = None if raw is None else float(raw)
-            except (TypeError, ValueError, OverflowError):
-                raise MissionSpecError(f"field {k!r} is not a number: {raw!r}") from None
-        missing = [k for k, v in values.items() if v is None and k not in SOLVE_BRACKETS]
-        if missing:
-            raise MissionSpecError(f"mission spec is missing fields: {sorted(missing)}")
-        return cls(**values)  # type: ignore[arg-type]
+        try:  # null (or absent) means unknown for a field that can be solved for
+            values = {
+                k: None if k in SOLVE_BRACKETS and d.get(k) is None else record_field(d, k)
+                for k in known
+            }
+        except ValueError as exc:
+            raise MissionSpecError(str(exc)) from None
+        return cls(**values)
 
     @classmethod
     def from_json(cls, source: Union[str, Path, io.TextIOBase]) -> "MissionSpec":

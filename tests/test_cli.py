@@ -37,23 +37,22 @@ ZERO_REQUIRED = (
 )
 
 
+SPEC = {
+    "target_rate": 4.95,
+    "wheel_radius": 1.0,
+    "satellite_mass": 100.0,
+    "active_mass_fraction": 0.5,
+    "particle_size": 1e-9,
+    "particle_density": 1000.0,
+    "chi0": 1e-3,
+    "prefactor_A": 1e-2,
+}
+
+
 @pytest.fixture
 def spec_file(tmp_path):
     path = tmp_path / "design_point.json"
-    path.write_text(
-        json.dumps(
-            {
-                "target_rate": 4.95,
-                "wheel_radius": 1.0,
-                "satellite_mass": 100.0,
-                "active_mass_fraction": 0.5,
-                "particle_size": 1e-9,
-                "particle_density": 1000.0,
-                "chi0": 1e-3,
-                "prefactor_A": 1e-2,
-            }
-        )
-    )
+    path.write_text(json.dumps(SPEC))
     return str(path)
 
 
@@ -761,6 +760,123 @@ class TestLedgerInputErrors:
         )
 
 
+# JSON values that are not numbers, though float() would take each
+NOT_NUMBERS = [True, False, "4.95"]
+PARTICLE_SCALARS = ["size_a_m", "density_kg_m3", "epsilon", "kappa1", "kappa2", "kappa3"]
+# maneuver records by type, and their number fields: a scalar (entry None) or a vector entry
+MANEUVER_RECORDS = {
+    "rotation": {"type": "rotation", "axis": [1, 0, 0], "angle_rad": 1.0},
+    "aggregation": {"type": "aggregation", "N": 8, "a_m": 1e-9, "direction": [0, 0, 1]},
+    "cavity_modulation": {"type": "cavity_modulation", "dB2_dt": 1e-3, "duration_s": 1.0},
+}
+MANEUVER_NUMBERS = [
+    ("rotation", "angle_rad", None),
+    ("rotation", "axis", 2),
+    ("aggregation", "N", None),
+    ("aggregation", "a_m", None),
+    ("aggregation", "direction", 2),
+    ("cavity_modulation", "dB2_dt", None),
+    ("cavity_modulation", "duration_s", None),
+]
+
+
+def with_value(record: dict, key: str, entry, value) -> dict:
+    """A copy of ``record`` with ``value`` in field ``key``, or in its entry ``entry``."""
+    record = json.loads(json.dumps(record))
+    if entry is None:
+        record[key] = value
+    else:
+        record[key][entry] = value
+    return record
+
+
+class TestRecordsHoldJsonNumbers:
+    """A bool or a string where a spec, particle or maneuver record holds a number ends
+    in one error line that names the file, the record and the field, with exit 1."""
+
+    PARTICLE = particle_to_dict(Particle(1e-9, 1000.0, MagnetoElectricTensor.from_xy(1e-3)))
+
+    def run_refused(self, capsys, argv) -> str:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        return err
+
+    def ledger_argv(self, tmp_path, maneuvers, *particles) -> list[str]:
+        """A ledger call on ``maneuvers`` and a valid particle, then ``particles``."""
+        p_path, m_path = tmp_path / "particles.json", tmp_path / "maneuvers.json"
+        p_path.write_text(json.dumps([self.PARTICLE, *particles]))
+        m_path.write_text(json.dumps(maneuvers))
+        return ["ledger", "--particles", str(p_path), "--maneuvers", str(m_path), "--M-total", "1"]
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    @pytest.mark.parametrize("key", list(SPEC))
+    def test_spec_field(self, capsys, tmp_path, key, value):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**SPEC, key: value}))
+        err = self.run_refused(capsys, ["mission", "--spec", str(path)])
+        assert err == f"error: {path}: field {key!r} must be a number, got {value!r}\n"
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    @pytest.mark.parametrize(
+        "key, entry", [*((k, None) for k in PARTICLE_SCALARS), ("chi0", 1), ("orientation", 4)]
+    )
+    def test_particle_field(self, capsys, tmp_path, key, entry, value):
+        bad = with_value(self.PARTICLE, key, entry, value)
+        argv = self.ledger_argv(tmp_path, [MANEUVER_RECORDS["rotation"]], bad)
+        err = self.run_refused(capsys, argv)
+        kind = "a number" if entry is None else "a list of numbers"
+        assert err == (
+            f"error: {tmp_path / 'particles.json'}: particle 1: field {key!r} must be {kind},"
+            f" got {bad[key]!r}\n"
+        )
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    @pytest.mark.parametrize("kind, key, entry", MANEUVER_NUMBERS)
+    def test_maneuver_field(self, capsys, tmp_path, kind, key, entry, value):
+        bad = with_value(MANEUVER_RECORDS[kind], key, entry, value)
+        argv = self.ledger_argv(tmp_path, [MANEUVER_RECORDS["rotation"], bad])
+        err = self.run_refused(capsys, argv)
+        expected = "a number" if entry is None else "a list of numbers"
+        assert err == (
+            f"error: {tmp_path / 'maneuvers.json'}: maneuver 1: field {key!r} must be {expected},"
+            f" got {bad[key]!r}\n"
+        )
+
+    def test_series_path_is_a_string(self, capsys, tmp_path):
+        modulation = {"type": "field_modulation", "series_csv": 5}
+        err = self.run_refused(capsys, self.ledger_argv(tmp_path, [modulation]))
+        assert err == (
+            f"error: {tmp_path / 'maneuvers.json'}: maneuver 0:"
+            " field 'series_csv' must be a string, got 5\n"
+        )
+
+    def test_nan_cavity_rate_is_refused_at_its_field(self, capsys, tmp_path):
+        cavity = {**MANEUVER_RECORDS["cavity_modulation"], "dB2_dt": float("nan")}
+        err = self.run_refused(capsys, self.ledger_argv(tmp_path, [cavity]))
+        assert err == (
+            f"error: {tmp_path / 'maneuvers.json'}: maneuver 0: dB2_dt must be finite, got nan\n"
+        )
+
+    @pytest.mark.parametrize("command", ["mission", "solve", "sweep"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"chi0": 1e-3', "Expecting ',' delimiter"),
+            (json.dumps({**SPEC, "thrusters": 4}), "unknown mission spec fields: ['thrusters']"),
+            (json.dumps({**SPEC, "wheel_radius": None}), "field 'wheel_radius' must be a number"),
+            (json.dumps({"chi0": 1e-3}), "missing field 'target_rate'"),
+        ],
+    )
+    def test_spec_read_error_names_the_file(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        argv = [command, "--spec", str(path)]
+        if command == "solve":
+            argv += ["--unknown", "chi0"]
+        assert self.run_refused(capsys, argv).startswith(f"error: {path}: {message}")
+
+
 class TestCliContract:
     def test_identical_argv_byte_identical_output(self, capsys):
         outputs = []
@@ -821,7 +937,7 @@ class TestCliContract:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err == f"error: mission spec must be a JSON object, got {kind}\n"
+        assert err == f"error: {path}: mission spec must be a JSON object, got {kind}\n"
 
     @pytest.mark.parametrize(
         "argv, flag",

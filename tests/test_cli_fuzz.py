@@ -8,6 +8,8 @@ the same way.  Whatever the input:
 * ``main`` returns 0 or 1: a flag value that is not a number is an
   ``error:`` line too, and argparse's usage error (exit 2) is left for a
   missing flag or an unknown command, which no case holds;
+* a bool, a string or an object where a spec, particle or maneuver record
+  holds a number gives 1;
 * on 1, stdout is empty and stderr is exactly one ``error:`` line;
 * on 0, stderr is empty, and no ``inf`` or ``nan`` appears in stdout or in
   any written file;
@@ -39,6 +41,7 @@ FLAG_POOL = [
 RECORD_POOL = [
     1e-3, 0.5, 1, 8, 1000.0, 1e-9, -1.0, 0.0, 1e300, -1e300, 1e-300, 5e-324, 1.7e308,
     float("inf"), float("-inf"), float("nan"), 10**400, "abc", "", None, [1, 2], {"x": 1},
+    True, "1e-3",
 ]
 # oracle resolutions stay small: the oracle's time grows as n^3
 N_POOL = ["8", "16", "7", "0", "-1", "2049", "abc", "", "8,9"]
@@ -151,6 +154,15 @@ def cases(draw):
             rows[row][col] = draw(st.sampled_from(FLAG_POOL))
         case["series"] = rows
     return case
+
+
+def holds_refused_kind(case) -> bool:
+    """Whether a spec, particle or maneuver field (not a maneuver's type or series path),
+    or an entry of one, holds a bool, a string or an object (whose keys are strings): a
+    record value that no number field accepts."""
+    records = [case.get("spec", {}), *case.get("particles", ()), *case.get("maneuvers", ())]
+    values = [v for r in records for k, v in r.items() if k not in ("type", "series_csv")]
+    return re.search(r'\btrue\b|"', json.dumps(values)) is not None
 
 
 def run_case(directory, case):
@@ -269,6 +281,8 @@ def test_every_input_ends_cleanly(fresh_dir, case):
     code, out, err, caught = run_case(directory, case)
     assert [str(w.message) for w in caught if ATOMIC_SCALE_NOTE not in str(w.message)] == []
     assert code in (0, 1)
+    if holds_refused_kind(case):
+        assert code == 1, case
     if code == 1:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -47,6 +47,9 @@ def sinusoid_series(n=201, t_max=2.0, e_amp=1.0, b_amp=1.0, omega=3.0, b_const=N
     return FieldTimeSeries(t=t, e_x=e, b_y=b)
 
 
+_KAPPA_WITHOUT_CHI = "^chi0_xy is required when kappa columns are present$"
+
+
 class TestFieldTimeSeries:
     def test_needs_three_samples(self):
         with pytest.raises(SeriesFormatError):
@@ -79,7 +82,7 @@ class TestFieldTimeSeries:
             FieldTimeSeries(t=t, e_x=np.zeros(1000), b_y=np.ones(1000))
 
     def test_kappa_without_chi_rejected(self):
-        with pytest.raises(SeriesFormatError):
+        with pytest.raises(SeriesFormatError, match=_KAPPA_WITHOUT_CHI):
             FieldTimeSeries(
                 t=np.array([0.0, 1.0, 2.0]),
                 e_x=np.zeros(3),
@@ -116,10 +119,14 @@ class TestFieldTimeSeries:
         assert "line 3" in str(err.value)
         assert "E_x" in str(err.value)
 
-    def test_csv_kappa_without_chi_rejected(self):
+    def test_csv_kappa_without_chi_rejected(self, tmp_path):
+        # the constructor's message, for a file and a handle alike
         csv_text = "t_s,E_x,B_y,kappa1\n0,0,1,0\n0.5,0,1,0\n1.0,0,1,0\n"
-        with pytest.raises(SeriesFormatError):
-            FieldTimeSeries.from_csv(io.StringIO(csv_text))
+        path = tmp_path / "series.csv"
+        path.write_text(csv_text)
+        for source in (path, io.StringIO(csv_text)):
+            with pytest.raises(SeriesFormatError, match=_KAPPA_WITHOUT_CHI):
+                FieldTimeSeries.from_csv(source)
 
 
 _SERIES_FIELDS = ("t", "e_x", "b_y", "chi0_xy", "kappa1", "kappa2", "kappa3")
@@ -515,6 +522,11 @@ class TestManeuverValidation:
     def test_cavity_validation(self):
         with pytest.raises(ValueError):
             CavityModulation(db2_dt=1.0, duration=0.0)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf")])
+    def test_cavity_rate_must_be_finite(self, rate):
+        with pytest.raises(ValueError, match=f"^dB2_dt must be finite, got {rate!r}$"):
+            CavityModulation(db2_dt=rate, duration=1.0)
 
 
 class TestManeuverSequence:

@@ -500,14 +500,34 @@ class TestInputRules:
             unit_vector(v, "axis")
 
     def test_record_field(self):
-        d = {"a": "2.5", "b": None, "c": 10**400}
-        assert record_field(d, "a") == 2.5
+        d = {"a": 2, "s": "2.5", "v": [[1, 2.5], [0, -1e-3]], "c": 10**400}
+        assert record_field(d, "a") == 2.0 and type(record_field(d, "a")) is float
         assert record_field(d, "z", default=1.0) == 1.0
-        assert record_field(d, "a", str, default=1.0) == "2.5"
-        assert record_field(d, "a", None) == "2.5"
+        assert record_field(d, "s", str, default="x") == "2.5"
+        assert record_field(d, "v", list) == [[1, 2.5], [0, -1e-3]]
         with pytest.raises(ValueError, match="^missing field 'z'$"):
             record_field(d, "z")
-        with pytest.raises(ValueError, match="^field 'b': float"):
-            record_field(d, "b")
         with pytest.raises(ValueError, match="^field 'c': int too large"):
             record_field(d, "c")
+
+    @pytest.mark.parametrize(
+        "value, kind, message",
+        [
+            ("2.5", float, "a number, got '2.5'"),
+            (True, float, "a number, got True"),
+            (False, float, "a number, got False"),
+            (None, float, "a number, got None"),
+            ([1.0], float, "a number, got [1.0]"),
+            (5, str, "a string, got 5"),
+            (None, str, "a string, got None"),
+            (1.0, list, "a list of numbers, got 1.0"),
+            ([0, 0, True], list, "a list of numbers, got [0, 0, True]"),
+            ([[0, "1e-3"], [0, 0]], list, "a list of numbers, got [[0, '1e-3'], [0, 0]]"),
+            ([0, [1.0]], list, "a list of numbers, got [0, [1.0]]"),
+            ([[[0.0]]], list, "a list of numbers, got [[[0.0]]]"),
+            ([0, None], list, "a list of numbers, got [0, None]"),
+        ],
+    )
+    def test_record_field_refuses_other_json_kinds(self, value, kind, message):
+        with pytest.raises(ValueError, match=f"^field 'k' must be {re.escape(message)}$"):
+            record_field({"k": value}, "k", kind)
