@@ -102,8 +102,8 @@ def _check_flags(args) -> None:
             material.check(flag, v, rule)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser of the zpfdrive argv grammar on every call."""
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """A new parser of the zpfdrive argv grammar and its parser of each command."""
     parser = argparse.ArgumentParser(
         prog="zpfdrive",
         description="Vacuum momentum transfer for magneto-electric particles.",
@@ -112,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = {}
     for command, (_, summary, numbers) in _COMMANDS.items():
         p[command] = sub.add_parser(command, help=summary)
+        p[command].set_defaults(command=command)
         for name, default in numbers.items():
             flag, dest, _, _, text = _NUMBERS[name]
             if default is _REQUIRED:
@@ -134,13 +135,18 @@ def build_parser() -> argparse.ArgumentParser:
     p["ledger"].add_argument("--maneuvers", required=True, help="JSON list of maneuvers")
     for command in ("oracle", "force-decompose", "sweep", "ledger"):
         p[command].add_argument("--out", default=None, help="output path (default stdout)")
-    return parser
+    return parser, p
 
 
-# main's parser, built on its first call: building one takes longer than a
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the zpfdrive argv grammar on every call."""
+    return _build()[0]
+
+
+# main's parsers, built on its first call: building them takes longer than a
 # small command's own work.  It binds this module's builder, so a wrapper put
 # in place of the build_parser attribute never ends up inside it.
-_main_parser = functools.cache(build_parser)
+_main_parsers = functools.cache(_build)
 
 
 @contextlib.contextmanager
@@ -158,7 +164,7 @@ def _load_spec(path: str) -> mission.MissionSpec:
 
 
 def _load_json_list(path: str, what: str) -> list:
-    with open(path) as fh, _prefixed(f"{path}: not valid JSON"):
+    with open(path) as fh, _prefixed(f"{path}: not valid JSON", (ValueError, RecursionError)):
         records = json.load(fh)
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a JSON list of {what}, got {type(records).__name__}")
@@ -381,9 +387,18 @@ def _joined_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """``argv`` parsed once, by the parser of the command it names, else by the top level."""
+    argv = _joined_values(argv)
+    parser, commands = _main_parsers()
+    if argv and argv[0] in commands:
+        parser, argv = commands[argv[0]], argv[1:]
+    return parser.parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one CLI call and return its exit code; callable any number of times."""
-    args = _main_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         _check_flags(args)
         return _COMMANDS[args.command][0](args)

@@ -218,7 +218,8 @@ def _check_particles(fields: Mapping[str, object], single: bool = False) -> None
 def _orthogonal(r: np.ndarray) -> np.ndarray:
     """Per matrix of an (N, 3, 3) stack, whether ``r^T r`` is ``I`` to ``ORTHOGONALITY_TOL``."""
     with np.errstate(all="ignore"):  # huge entries overflow to inf or NaN: not orthogonal
-        gram_error = np.abs(np.swapaxes(r, 1, 2) @ r - np.eye(3)).max(axis=(1, 2))
+        gram = np.ascontiguousarray(np.swapaxes(r, 1, 2)) @ r  # a strided operand is ~3x slower
+        gram_error = np.abs(gram - np.eye(3)).max(axis=(1, 2))
     return gram_error <= ORTHOGONALITY_TOL
 
 
@@ -336,7 +337,7 @@ def _rotate(r: object, orientation: np.ndarray) -> np.ndarray:
     within 1e-12 of ``I``, so a result that passes the Gram test has ``det = +1`` to
     rounding.  Matrices that enter from outside get both tests."""
     m = _proper_rotation(r) @ orientation
-    return m @ (3.0 * np.eye(3) - np.swapaxes(m, -1, -2) @ m) * 0.5
+    return m @ (3.0 * np.eye(3) - np.ascontiguousarray(np.swapaxes(m, -1, -2)) @ m) * 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,7 +396,8 @@ class ParticleState:
     @cached_property
     def chi0_xy(self) -> np.ndarray:
         """Lab-frame intrinsic xy components: one batched R chi0 R^T."""
-        lab = self.orientation @ self.chi0 @ np.swapaxes(self.orientation, 1, 2)
+        r_t = np.ascontiguousarray(np.swapaxes(self.orientation, 1, 2))
+        lab = self.orientation @ self.chi0 @ r_t
         bad = np.abs(lab).max(axis=(1, 2)) > CHI0_SANITY_BOUND
         _reject_first(bad, f"lab-frame {_CHI0_BOUND}", single=False)
         xy = lab[:, 0, 1].copy()

@@ -189,10 +189,13 @@ class MissionSpec:
 
     @classmethod
     def from_json(cls, source: Union[str, Path, io.TextIOBase]) -> "MissionSpec":
-        if isinstance(source, (str, Path)):
-            with open(source) as fh:
-                return cls.from_dict(json.load(fh))
-        return cls.from_dict(json.load(source))
+        try:
+            if isinstance(source, (str, Path)):
+                with open(source) as fh:
+                    return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(source))
+        except RecursionError as exc:  # JSON nested deeper than the decoder's limit
+            raise MissionSpecError(f"not valid JSON: {exc}") from None
 
     def to_dict(self) -> dict:
         return asdict(self)

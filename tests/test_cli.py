@@ -37,6 +37,9 @@ ZERO_REQUIRED = (
 )
 
 
+# JSON nested deeper than the decoder's recursion limit of every supported Python
+NESTED = "[" * 100_000 + "0" + "]" * 100_000
+
 SPEC = {
     "target_rate": 4.95,
     "wheel_radius": 1.0,
@@ -617,75 +620,104 @@ class TestParserReuse:
         assert first_result[:2] != result[:2]
 
 
-class TestGrammar:
-    """Every command's dests and defaults, as parsed before the numeric flags are checked."""
+# each command's minimal argv and its dests and defaults, as parsed before the numeric
+# flags are checked
+MINIMAL_ARGV = [
+    (
+        ["delta-v-rot", "--chi", "1e-3", "--a", "1e-9", "--rho", "1000"],
+        {"chi": "1e-3", "a": "1e-9", "rho": "1000", "A": 0.01, "format": "text"},
+    ),
+    (
+        ["delta-v-agg", "--chi", "1e-3", "--a", "1e-9", "--rho", "1000", "--N", "8"],
+        {"chi": "1e-3", "a": "1e-9", "rho": "1000", "N": "8", "A": 0.01, "format": "text"},
+    ),
+    (
+        ["vacuum-momentum", "--chi", "1e-3", "--a", "1e-9"],
+        {"chi": "1e-3", "a": "1e-9", "A": 0.01, "format": "text"},
+    ),
+    (
+        ["oracle", "--chi", "1e-3"],
+        {
+            "chi": "1e-3",
+            "a": "1e-9",
+            "n": "16,32,64",
+            "cutoff": "half-wavelength",
+            "out": None,
+            "format": "text",
+        },
+    ),
+    (
+        ["force-decompose", "--series", "s.csv"],
+        {"series": "s.csv", "chi": 0.0, "epsilon": 1.0, "out": None, "format": "text"},
+    ),
+    (["mission", "--spec", "s.json"], {"spec": "s.json", "format": "text"}),
+    (
+        ["solve", "--spec", "s.json", "--unknown", "chi0"],
+        {"spec": "s.json", "unknown": "chi0", "format": "text"},
+    ),
+    (
+        ["sweep", "--spec", "s.json"],
+        {
+            "spec": "s.json",
+            "chi": None,
+            "a": None,
+            "rho": None,
+            "fraction": None,
+            "A": None,
+            "mode": "mass-budget",
+            "jobs": 1,
+            "out": None,
+            "format": "text",
+        },
+    ),
+    (
+        ["ledger", "--particles", "p.json", "--maneuvers", "m.json", "--M-total", "1"],
+        {
+            "particles": "p.json",
+            "maneuvers": "m.json",
+            "m_total": "1",
+            "A": 0.01,
+            "out": None,
+            "format": "text",
+        },
+    ),
+]
 
-    @pytest.mark.parametrize(
-        "argv, parsed",
-        [
-            (
-                ["delta-v-rot", "--chi", "1e-3", "--a", "1e-9", "--rho", "1000"],
-                {"chi": "1e-3", "a": "1e-9", "rho": "1000", "A": 0.01, "format": "text"},
-            ),
-            (
-                ["delta-v-agg", "--chi", "1e-3", "--a", "1e-9", "--rho", "1000", "--N", "8"],
-                {"chi": "1e-3", "a": "1e-9", "rho": "1000", "N": "8", "A": 0.01, "format": "text"},
-            ),
-            (
-                ["vacuum-momentum", "--chi", "1e-3", "--a", "1e-9"],
-                {"chi": "1e-3", "a": "1e-9", "A": 0.01, "format": "text"},
-            ),
-            (
-                ["oracle", "--chi", "1e-3"],
-                {
-                    "chi": "1e-3",
-                    "a": "1e-9",
-                    "n": "16,32,64",
-                    "cutoff": "half-wavelength",
-                    "out": None,
-                    "format": "text",
-                },
-            ),
-            (
-                ["force-decompose", "--series", "s.csv"],
-                {"series": "s.csv", "chi": 0.0, "epsilon": 1.0, "out": None, "format": "text"},
-            ),
-            (["mission", "--spec", "s.json"], {"spec": "s.json", "format": "text"}),
-            (
-                ["solve", "--spec", "s.json", "--unknown", "chi0"],
-                {"spec": "s.json", "unknown": "chi0", "format": "text"},
-            ),
-            (
-                ["sweep", "--spec", "s.json"],
-                {
-                    "spec": "s.json",
-                    "chi": None,
-                    "a": None,
-                    "rho": None,
-                    "fraction": None,
-                    "A": None,
-                    "mode": "mass-budget",
-                    "jobs": 1,
-                    "out": None,
-                    "format": "text",
-                },
-            ),
-            (
-                ["ledger", "--particles", "p.json", "--maneuvers", "m.json", "--M-total", "1"],
-                {
-                    "particles": "p.json",
-                    "maneuvers": "m.json",
-                    "m_total": "1",
-                    "A": 0.01,
-                    "out": None,
-                    "format": "text",
-                },
-            ),
-        ],
-    )
+
+class TestGrammar:
+    """Every command's dests and defaults, and main's one parse of each call."""
+
+    @pytest.mark.parametrize("argv, parsed", MINIMAL_ARGV)
     def test_minimal_argv(self, argv, parsed):
         args = vars(cli.build_parser().parse_args(argv))
         assert args == {"command": argv[0], **parsed}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv, _ in MINIMAL_ARGV]
+        + [
+            ["delta-v-rot", *DESIGN_ARGS, "--format", "json"],
+            ["oracle", "--chi=1e-3", "--a", "1e-9,2e-9", "--n", "8", "--cutoff", "half-wavelength"],
+            ["sweep", "--spec", "s.json", "--chi", "1e-3,2e-3", "--jobs", "2", "--mode",
+             "fixed-particle-mass", "--out", "o.csv", "--format", "json"],
+        ],
+    )
+    def test_main_parses_as_the_full_grammar(self, argv):
+        """The command's own parser gives main the namespace of the top-level parser."""
+        assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv, code", [([], 2), (["warp-drive", *DESIGN_ARGS], 2), (["--help"], 0)]
+    )
+    def test_call_without_a_command_goes_to_the_top_level_parser(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        text = captured.err if code else captured.out
+        assert exc.value.code == code
+        assert text.startswith("usage: zpfdrive [-h]") and "{delta-v-rot," in text
+        if code:
+            assert text.splitlines()[-1].startswith("zpfdrive: error: ")
 
 
 class TestLedgerInputErrors:
@@ -866,6 +898,7 @@ class TestRecordsHoldJsonNumbers:
             (json.dumps({**SPEC, "thrusters": 4}), "unknown mission spec fields: ['thrusters']"),
             (json.dumps({**SPEC, "wheel_radius": None}), "field 'wheel_radius' must be a number"),
             (json.dumps({"chi0": 1e-3}), "missing field 'target_rate'"),
+            (NESTED, "not valid JSON: maximum recursion depth exceeded"),
         ],
     )
     def test_spec_read_error_names_the_file(self, capsys, tmp_path, command, text, message):
@@ -938,6 +971,16 @@ class TestCliContract:
         assert code == 1
         assert out == ""
         assert err == f"error: {path}: mission spec must be a JSON object, got {kind}\n"
+
+    def test_deeply_nested_particles_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "particles.json"
+        path.write_text(NESTED)
+        code, out, err = run_cli(
+            capsys, "ledger", "--particles", str(path), "--maneuvers", "m.json", "--M-total", "1"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: not valid JSON: maximum recursion depth")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -1173,10 +1216,15 @@ class TestCliContract:
         expected = "an integer" if flag == "--jobs" else "a number"
         assert (code, out, err) == (1, "", f"error: {flag} expects {expected}, got {text}\n")
 
-    def test_unknown_flag_exits_two(self):
+    def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["delta-v-rot", *DESIGN_ARGS, "--warp-factor", "9"])
+        err = capsys.readouterr().err
         assert exc.value.code == 2
+        assert err.startswith("usage: zpfdrive delta-v-rot [-h]")
+        assert err.splitlines()[-1] == (
+            "zpfdrive delta-v-rot: error: unrecognized arguments: --warp-factor 9"
+        )
 
     def test_module_entry_point(self):
         result = subprocess.run(

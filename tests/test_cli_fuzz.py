@@ -8,8 +8,9 @@ the same way.  Whatever the input:
 * ``main`` returns 0 or 1: a flag value that is not a number is an
   ``error:`` line too, and argparse's usage error (exit 2) is left for a
   missing flag or an unknown command, which no case holds;
-* a bool, a string or an object where a spec, particle or maneuver record
-  holds a number gives 1;
+* a bool, a string, an object or an array nested deeper than the JSON
+  decoder's recursion limit where a spec, particle or maneuver record holds
+  a number gives 1;
 * on 1, stdout is empty and stderr is exactly one ``error:`` line;
 * on 0, stderr is empty, and no ``inf`` or ``nan`` appears in stdout or in
   any written file;
@@ -41,8 +42,10 @@ FLAG_POOL = [
 RECORD_POOL = [
     1e-3, 0.5, 1, 8, 1000.0, 1e-9, -1.0, 0.0, 1e300, -1e300, 1e-300, 5e-324, 1.7e308,
     float("inf"), float("-inf"), float("nan"), 10**400, "abc", "", None, [1, 2], {"x": 1},
-    True, "1e-3",
+    True, "1e-3", "NESTED",
 ]
+# "NESTED" stands for an array nested deeper than the JSON decoder's recursion limit
+NESTED = "[" * 100_000 + "0" + "]" * 100_000
 # oracle resolutions stay small: the oracle's time grows as n^3
 N_POOL = ["8", "16", "7", "0", "-1", "2049", "abc", "", "8,9"]
 
@@ -180,7 +183,8 @@ def run_case(directory, case):
             argv += [flag, str(directory / name)]
         if key in case:
             text = dump(case[key])
-            (directory / name).write_text(text.replace('"SERIES"', json.dumps(series_path)))
+            text = text.replace('"SERIES"', json.dumps(series_path)).replace('"NESTED"', NESTED)
+            (directory / name).write_text(text)
     if "unknown" in case:
         argv += ["--unknown", case["unknown"]]
     for flag, value in case["flags"].items():
@@ -276,6 +280,9 @@ ROTATION, AGGREGATION = MANEUVERS["rotation"], MANEUVERS["aggregation"]
 # a rotation by an infinite angle, and an orientation whose R^T R overflows
 @example(case=ledger_case([{**ROTATION, "angle_rad": float("inf")}]))
 @example(case=ledger_case([AGGREGATION], [{**PARTICLE, "orientation": [1.7e308] + [0] * 8}]))
+# arrays nested deeper than the JSON decoder's recursion limit (a RecursionError traceback)
+@example(case=spec_case("mission", chi0="NESTED"))
+@example(case=ledger_case([ROTATION], particles=[{**PARTICLE, "kappa1": "NESTED"}]))
 def test_every_input_ends_cleanly(fresh_dir, case):
     directory = fresh_dir()
     code, out, err, caught = run_case(directory, case)
