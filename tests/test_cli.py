@@ -620,90 +620,88 @@ class TestParserReuse:
         assert first_result[:2] != result[:2]
 
 
-# each command's minimal argv and its dests and defaults, as parsed before the numeric
-# flags are checked
-MINIMAL_ARGV = [
-    (
-        ["delta-v-rot", "--chi", "1e-3", "--a", "1e-9", "--rho", "1000"],
-        {"chi": "1e-3", "a": "1e-9", "rho": "1000", "A": 0.01, "format": "text"},
-    ),
-    (
-        ["delta-v-agg", "--chi", "1e-3", "--a", "1e-9", "--rho", "1000", "--N", "8"],
-        {"chi": "1e-3", "a": "1e-9", "rho": "1000", "N": "8", "A": 0.01, "format": "text"},
-    ),
-    (
-        ["vacuum-momentum", "--chi", "1e-3", "--a", "1e-9"],
-        {"chi": "1e-3", "a": "1e-9", "A": 0.01, "format": "text"},
-    ),
-    (
-        ["oracle", "--chi", "1e-3"],
-        {
-            "chi": "1e-3",
-            "a": "1e-9",
-            "n": "16,32,64",
-            "cutoff": "half-wavelength",
-            "out": None,
-            "format": "text",
-        },
-    ),
-    (
-        ["force-decompose", "--series", "s.csv"],
-        {"series": "s.csv", "chi": 0.0, "epsilon": 1.0, "out": None, "format": "text"},
-    ),
-    (["mission", "--spec", "s.json"], {"spec": "s.json", "format": "text"}),
-    (
-        ["solve", "--spec", "s.json", "--unknown", "chi0"],
-        {"spec": "s.json", "unknown": "chi0", "format": "text"},
-    ),
-    (
-        ["sweep", "--spec", "s.json"],
-        {
-            "spec": "s.json",
-            "chi": None,
-            "a": None,
-            "rho": None,
-            "fraction": None,
-            "A": None,
-            "mode": "mass-budget",
-            "jobs": 1,
-            "out": None,
-            "format": "text",
-        },
-    ),
-    (
-        ["ledger", "--particles", "p.json", "--maneuvers", "m.json", "--M-total", "1"],
-        {
-            "particles": "p.json",
-            "maneuvers": "m.json",
-            "m_total": "1",
-            "A": 0.01,
-            "out": None,
-            "format": "text",
-        },
-    ),
-]
-
-
 class TestGrammar:
-    """Every command's dests and defaults, and main's one parse of each call."""
+    """Every command's dests and defaults, as parsed before the numeric flags are checked;
+    main parses each call with the command's own parser, to the same namespace."""
 
-    @pytest.mark.parametrize("argv, parsed", MINIMAL_ARGV)
+    @pytest.mark.parametrize(
+        "argv, parsed",
+        [
+            (
+                ["delta-v-rot", "--chi", "1e-3", "--a", "1e-9", "--rho", "1000"],
+                {"chi": "1e-3", "a": "1e-9", "rho": "1000", "A": 0.01, "format": "text"},
+            ),
+            (
+                ["delta-v-agg", "--chi", "1e-3", "--a", "1e-9", "--rho", "1000", "--N", "8"],
+                {"chi": "1e-3", "a": "1e-9", "rho": "1000", "N": "8", "A": 0.01, "format": "text"},
+            ),
+            (
+                ["vacuum-momentum", "--chi", "1e-3", "--a", "1e-9"],
+                {"chi": "1e-3", "a": "1e-9", "A": 0.01, "format": "text"},
+            ),
+            (
+                ["oracle", "--chi", "1e-3"],
+                {
+                    "chi": "1e-3",
+                    "a": "1e-9",
+                    "n": "16,32,64",
+                    "cutoff": "half-wavelength",
+                    "out": None,
+                    "format": "text",
+                },
+            ),
+            (
+                ["force-decompose", "--series", "s.csv"],
+                {"series": "s.csv", "chi": 0.0, "epsilon": 1.0, "out": None, "format": "text"},
+            ),
+            (["mission", "--spec", "s.json"], {"spec": "s.json", "format": "text"}),
+            (
+                ["solve", "--spec", "s.json", "--unknown", "chi0"],
+                {"spec": "s.json", "unknown": "chi0", "format": "text"},
+            ),
+            (
+                ["sweep", "--spec", "s.json"],
+                {
+                    "spec": "s.json",
+                    "chi": None,
+                    "a": None,
+                    "rho": None,
+                    "fraction": None,
+                    "A": None,
+                    "mode": "mass-budget",
+                    "jobs": 1,
+                    "out": None,
+                    "format": "text",
+                },
+            ),
+            (
+                ["ledger", "--particles", "p.json", "--maneuvers", "m.json", "--M-total", "1"],
+                {
+                    "particles": "p.json",
+                    "maneuvers": "m.json",
+                    "m_total": "1",
+                    "A": 0.01,
+                    "out": None,
+                    "format": "text",
+                },
+            ),
+        ],
+    )
     def test_minimal_argv(self, argv, parsed):
         args = vars(cli.build_parser().parse_args(argv))
         assert args == {"command": argv[0], **parsed}
+        assert vars(cli._parse(argv)) == args
 
     @pytest.mark.parametrize(
         "argv",
-        [argv for argv, _ in MINIMAL_ARGV]
-        + [
+        [
             ["delta-v-rot", *DESIGN_ARGS, "--format", "json"],
             ["oracle", "--chi=1e-3", "--a", "1e-9,2e-9", "--n", "8", "--cutoff", "half-wavelength"],
             ["sweep", "--spec", "s.json", "--chi", "1e-3,2e-3", "--jobs", "2", "--mode",
              "fixed-particle-mass", "--out", "o.csv", "--format", "json"],
         ],
     )
-    def test_main_parses_as_the_full_grammar(self, argv):
-        """The command's own parser gives main the namespace of the top-level parser."""
+    def test_optional_flags_parse_as_the_full_grammar(self, argv):
         assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv))
 
     @pytest.mark.parametrize(
