@@ -1,10 +1,10 @@
-"""Streamed text output shared by every numeric CSV and JSON writer.  Floats print as
-their shortest round-trip ``repr``, taken per block from one C-level ``repr`` of a list.
-"""
+"""Streamed text output shared by every numeric CSV and JSON writer, and the JSON reader.
+Floats print as their shortest round-trip ``repr``, from one C-level ``repr`` of a list."""
 
 from __future__ import annotations
 
 import io
+import json
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -15,6 +15,16 @@ np = NumpyOnFirstUse(globals())
 
 # rows per block when a CSV is written from float columns
 CSV_BLOCK_ROWS = 1 << 13
+
+
+def load_json(source: Union[str, Path, io.TextIOBase]) -> object:
+    """``json.load`` of a path or an open handle; ValueError ``not valid JSON: ...`` where the
+    text is not JSON or nests deeper than the decoder's recursion limit."""
+    try:
+        with open(source) if isinstance(source, (str, Path)) else nullcontext(source) as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"not valid JSON: {exc}") from None
 
 
 def float_strs(x: np.ndarray) -> list[str]:

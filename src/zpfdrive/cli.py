@@ -22,6 +22,7 @@ from typing import Sequence
 
 from . import _io, dynamics, material, mission, vacuum
 from ._deferred import NumpyOnFirstUse
+from .material import REQUIRED
 from .quantities import Quantity
 
 np = NumpyOnFirstUse(globals())
@@ -61,12 +62,6 @@ _NUMBERS = {
         "--fraction", "fraction", [float], "finite", "comma-separated active mass fractions"
     ),
 }
-
-# the sweep's axes, keyed by MissionSpec field, in the order they are checked
-_SWEEP_AXES = ("chi0", "particle_size", "particle_density", "prefactor_A", "active_mass_fraction")
-
-_REQUIRED = object()
-
 
 def _number(text: str, flag: str, kind):
     """``text`` converted as ``kind``; a ValueError that names the flag if it does not
@@ -115,7 +110,7 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
         p[command].set_defaults(command=command)
         for name, default in numbers.items():
             flag, dest, _, _, text = _NUMBERS[name]
-            if default is _REQUIRED:
+            if default is REQUIRED:
                 p[command].add_argument(flag, dest=dest, required=True, help=text)
             else:
                 p[command].add_argument(flag, dest=dest, default=default, help=text)
@@ -164,36 +159,28 @@ def _load_spec(path: str) -> mission.MissionSpec:
 
 
 def _load_json_list(path: str, what: str) -> list:
-    with open(path) as fh, _prefixed(f"{path}: not valid JSON", (ValueError, RecursionError)):
-        records = json.load(fh)
+    with _prefixed(path):
+        records = _io.load_json(path)
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a JSON list of {what}, got {type(records).__name__}")
     return records
 
 
-def _load_maneuver(
-    d: object, series_by_path: dict[str, dynamics.FieldTimeSeries]
-) -> dynamics.Maneuver:
+def _load_maneuver(d: object, read_series) -> dynamics.Maneuver:
     if not isinstance(d, dict):
         raise ValueError(f"expected an object, got {type(d).__name__}")
-    field = functools.partial(material.record_field, d)
     kind = d.get("type")
-    # a vector is passed on as it is: the maneuver normalizes it once
-    if kind == "rotation":
-        return dynamics.Rotation(axis=field("axis", list), angle=field("angle_rad"))
-    if kind == "aggregation":
-        return dynamics.Aggregation(
-            n=field("N"), size_a=field("a_m"), direction=field("direction", list)
-        )
-    if kind == "field_modulation":
-        path = field("series_csv", str)
-        if path not in series_by_path:  # series arrays are read-only: share one per file
-            with _prefixed(f"field 'series_csv': {path}", (ValueError, OSError)):
-                series_by_path[path] = dynamics.FieldTimeSeries.from_csv(path)
-        return dynamics.FieldModulation(series=series_by_path[path])
-    if kind == "cavity_modulation":
-        return dynamics.CavityModulation(db2_dt=field("dB2_dt"), duration=field("duration_s"))
-    raise ValueError(f"field 'type': unknown maneuver type {kind!r}")
+    if not isinstance(kind, str) or kind not in dynamics.MANEUVER_TYPES:
+        raise ValueError(f"field 'type': unknown maneuver type {kind!r}")
+    cls, _, fields = dynamics.MANEUVER_TYPES[kind]
+    schema = {key: (json_kind, REQUIRED) for key, (_, json_kind) in fields.items()}
+    record = material.read_record(d, {"type": (str, REQUIRED), **schema})
+    args = {param: record[key] for key, (param, _) in fields.items()}
+    for key, (param, json_kind) in fields.items():
+        if json_kind is str:  # a series CSV path, the one string field of a maneuver
+            with _prefixed(f"field {key!r}: {record[key]}", (ValueError, OSError)):
+                args[param] = read_series(record[key])
+    return cls(**args)
 
 
 def _cmd_delta_v_rot(args) -> int:
@@ -290,7 +277,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = _load_spec(args.spec)
-    axes = {name: getattr(args, _NUMBERS[name][1]) for name in _SWEEP_AXES}
+    axes = {name: getattr(args, _NUMBERS[name][1]) for name in mission._SWEEP_AXES}
     axes = {name: values for name, values in axes.items() if values is not None}
     mode = mission.SweepMode(args.mode)
     fmt = "json" if args.format == "json" else "csv"
@@ -311,10 +298,10 @@ def _cmd_ledger(args) -> int:
     with _prefixed(args.particles):
         state = material.ParticleState.from_dicts(records)
     maneuvers = []
-    series_by_path: dict[str, dynamics.FieldTimeSeries] = {}
+    read_series = functools.cache(dynamics.FieldTimeSeries.from_csv)  # arrays are read-only
     for i, d in enumerate(_load_json_list(args.maneuvers, "maneuvers")):
         with _prefixed(f"{args.maneuvers}: maneuver {i}"):
-            maneuvers.append(_load_maneuver(d, series_by_path))
+            maneuvers.append(_load_maneuver(d, read_series))
     model = vacuum.VacuumModel(prefactor_a=args.A)
     # a non-finite booking is refused by the ledger
     with np.errstate(all="ignore"), _prefixed(args.maneuvers, dynamics.ManeuverError):
@@ -330,27 +317,27 @@ def _cmd_ledger(args) -> int:
 
 
 # each command: its handler, its help, and its numeric flags by _NUMBERS key,
-# each with its default or _REQUIRED, in the order they are checked
+# each with its default or REQUIRED, in the order they are checked
 _COMMANDS = {
     "delta-v-rot": (
         _cmd_delta_v_rot,
         "pi-rotation velocity gain of one particle",
-        {"chi": _REQUIRED, "a": _REQUIRED, "rho": _REQUIRED, "A": 1e-2},
+        {"chi": REQUIRED, "a": REQUIRED, "rho": REQUIRED, "A": 1e-2},
     ),
     "delta-v-agg": (
         _cmd_delta_v_agg,
         "aggregation velocity gain",
-        {"chi": _REQUIRED, "a": _REQUIRED, "rho": _REQUIRED, "N": _REQUIRED, "A": 1e-2},
+        {"chi": REQUIRED, "a": REQUIRED, "rho": REQUIRED, "N": REQUIRED, "A": 1e-2},
     ),
     "vacuum-momentum": (
         _cmd_vacuum_momentum,
         "closed-form stored vacuum momentum",
-        {"chi": _REQUIRED, "a": _REQUIRED, "A": 1e-2},
+        {"chi": REQUIRED, "a": REQUIRED, "A": 1e-2},
     ),
     "oracle": (
         _cmd_oracle,
         "mode-sum oracle convergence study (CSV)",
-        {"chi": _REQUIRED, "sizes": "1e-9", "n": "16,32,64"},
+        {"chi": REQUIRED, "sizes": "1e-9", "n": "16,32,64"},
     ),
     "force-decompose": (
         _cmd_force_decompose,
@@ -362,12 +349,12 @@ _COMMANDS = {
     "sweep": (
         _cmd_sweep,
         "Cartesian parameter sweep to CSV",
-        {**dict.fromkeys(_SWEEP_AXES), "jobs": 1},
+        {**dict.fromkeys(mission._SWEEP_AXES), "jobs": 1},
     ),
     "ledger": (
         _cmd_ledger,
         "run a maneuver sequence, emit the impulse ledger",
-        {"m_total": _REQUIRED, "A": 1e-2},
+        {"m_total": REQUIRED, "A": 1e-2},
     ),
 }
 

@@ -72,6 +72,7 @@ __all__ = [
     "FieldModulation",
     "CavityModulation",
     "Maneuver",
+    "MANEUVER_TYPES",
     "LedgerEntry",
     "ImpulseLedger",
     "ManeuverError",
@@ -494,24 +495,22 @@ def _along_z(impulse: float) -> np.ndarray:
     return impulse * np.array([0.0, 0.0, 1.0])
 
 
-def _book_rotation(
-    state: ParticleState, mv: Rotation, model: VacuumModel
-) -> tuple[ParticleState, np.ndarray]:
+def _book_rotation(state: ParticleState, mv: Rotation, model: VacuumModel):
     after = state.rotated(rotation_about(mv.axis, mv.angle))
     p_before = stored_momentum(state.chi0_xy, state.size_a, model)
     p_after = stored_momentum(after.chi0_xy, after.size_a, model)
     return after, _along_z(_ordered_sum(p_after - p_before))
 
 
-def _book_aggregation(state: ParticleState, mv: Aggregation, model: VacuumModel) -> np.ndarray:
+def _book_aggregation(state: ParticleState, mv: Aggregation, model: VacuumModel):
     # the size comes from the maneuver, and the state is left unchanged
     big_l = mv.n ** (1.0 / 3.0) * mv.size_a
     stored_before = mv.n * stored_momentum(state.chi0_xy, mv.size_a, model)
     stored_after = stored_momentum(state.chi0_xy, big_l, model)
-    return _ordered_sum(stored_after - stored_before) * mv.direction
+    return state, _ordered_sum(stored_after - stored_before) * mv.direction
 
 
-def _book_field_modulation(state: ParticleState, mv: FieldModulation) -> np.ndarray:
+def _book_field_modulation(state: ParticleState, mv: FieldModulation, model: VacuumModel):
     s = mv.series
     if s.chi0_xy is not None:  # the series' params override every particle's
         per_particle = np.full(len(state), _quantum_impulse(s.chi_samples(None), s))
@@ -519,7 +518,7 @@ def _book_field_modulation(state: ParticleState, mv: FieldModulation) -> np.ndar
         w = _quantum_impulse(np.stack([np.ones_like(s.e_x), s.e_x * s.b_y, s.e_x, s.b_y]), s)
         k = state.kappa
         per_particle = state.chi0_xy * w[0] + k[:, 0] * w[1] + k[:, 1] * w[2] + k[:, 2] * w[3]
-    return _along_z(-_ordered_sum(per_particle))  # vacuum side; particles gain +impulse
+    return state, _along_z(-_ordered_sum(per_particle))  # vacuum side; particles gain +impulse
 
 
 def _quantum_impulse(chi: np.ndarray, s: FieldTimeSeries) -> np.ndarray:
@@ -528,8 +527,21 @@ def _quantum_impulse(chi: np.ndarray, s: FieldTimeSeries) -> np.ndarray:
     return np.trapezoid(magnetoelectric + chi_rate, dx=s.dt, axis=-1)
 
 
-def _book_cavity(state: ParticleState, mv: CavityModulation) -> np.ndarray:
-    return _along_z(-_ordered_sum(channel_cavity(state.chi0_xy, mv.db2_dt, mv.duration)))
+def _book_cavity(state: ParticleState, mv: CavityModulation, model: VacuumModel):
+    return state, _along_z(-_ordered_sum(channel_cavity(state.chi0_xy, mv.db2_dt, mv.duration)))
+
+
+# per maneuver record type (the ledger entry's "type"): its class, its booking (state, maneuver,
+# model) -> (state after, vacuum momentum change), and its fields, key -> (parameter, JSON kind)
+MANEUVER_TYPES = {
+    "rotation": (Rotation, _book_rotation, {"axis": ("axis", list), "angle_rad": ("angle", float)}),
+    "aggregation": (Aggregation, _book_aggregation, {
+        "N": ("n", float), "a_m": ("size_a", float), "direction": ("direction", list)}),
+    "field_modulation": (FieldModulation, _book_field_modulation, {"series_csv": ("series", str)}),
+    "cavity_modulation": (CavityModulation, _book_cavity, {
+        "dB2_dt": ("db2_dt", float), "duration_s": ("duration", float)}),
+}
+_BOOKINGS = {cls: (kind, book) for kind, (cls, book, _) in MANEUVER_TYPES.items()}
 
 
 def run_maneuver_sequence(
@@ -547,27 +559,15 @@ def run_maneuver_sequence(
     offending maneuver and the ledger accumulated so far.
     """
     ledger = ImpulseLedger(m_total)
-    state = (
-        particles
-        if isinstance(particles, ParticleState)
-        else ParticleState.from_particles(particles)
-    )
+    state = particles
+    if not isinstance(state, ParticleState):
+        state = ParticleState.from_particles(particles)
     for idx, mv in enumerate(maneuvers):
         try:
-            if isinstance(mv, Rotation):
-                state, dp_vac = _book_rotation(state, mv, model)
-                kind = "rotation"
-            elif isinstance(mv, Aggregation):
-                dp_vac = _book_aggregation(state, mv, model)
-                kind = "aggregation"
-            elif isinstance(mv, FieldModulation):
-                dp_vac = _book_field_modulation(state, mv)
-                kind = "field_modulation"
-            elif isinstance(mv, CavityModulation):
-                dp_vac = _book_cavity(state, mv)
-                kind = "cavity_modulation"
-            else:
+            if type(mv) not in _BOOKINGS:
                 raise TypeError(f"unknown maneuver type {type(mv).__name__}")
+            kind, book = _BOOKINGS[type(mv)]
+            state, dp_vac = book(state, mv, model)
             ledger.append(kind, -dp_vac, dp_vac)
         except (ValueError, TypeError) as exc:
             raise ManeuverError(idx, ledger, exc) from exc

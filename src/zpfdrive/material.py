@@ -44,7 +44,8 @@ __all__ = [
     "RULES",
     "check",
     "representable_size",
-    "record_field",
+    "REQUIRED",
+    "read_record",
     "unit_vector",
     "ImproperRotationError",
     "MagnetoElectricTensor",
@@ -142,6 +143,7 @@ _KINDS = {
     str: ("a string", frozenset({str})),
     list: ("a list of numbers", frozenset({list})),
 }
+REQUIRED = object()  # the schema default of a field that every record must hold
 
 
 def record_field(d: Mapping, key: str, kind: type = float, default: object = None):
@@ -161,6 +163,20 @@ def record_field(d: Mapping, key: str, kind: type = float, default: object = Non
         return float(value)
     except OverflowError as exc:
         raise ValueError(f"field {key!r}: {exc}") from None
+
+
+def read_record(d: object, schema: Mapping[str, tuple[type, object]]) -> dict:
+    """The fields of JSON object ``d`` by ``schema``, key -> (JSON kind, default), each read by
+    :func:`record_field`; a default of None reads null or absent as None.  No other key passes."""
+    if not isinstance(d, (dict, Mapping)):  # dict first: the Mapping check takes 8x longer
+        raise ValueError(f"expected an object, got {type(d).__name__}")
+    if not d.keys() <= schema.keys():
+        raise ValueError(f"unknown fields: {sorted(d.keys() - schema.keys())}")
+    return {
+        key: None if default is None and d.get(key) is None
+        else record_field(d, key, kind, None if default is REQUIRED else default)
+        for key, (kind, default) in schema.items()
+    }
 
 
 class ImproperRotationError(ValueError):
@@ -454,30 +470,25 @@ def rotate_tensor(t: MagnetoElectricTensor, r: object) -> MagnetoElectricTensor:
 
 # -- JSON serialization ------------------------------------------------------
 
-# Particle record schema, read by _particle_record for particle_from_dict and
-# ParticleState.from_dicts.  Scalar fields with their defaults (None marks a
-# required field); "chi0" (9 entries) is required, and a missing or null
-# "orientation" means the identity.
-_RECORD_SCALARS = {
-    "size_a_m": None,
-    "density_kg_m3": None,
-    "epsilon": 1.0,
-    "kappa1": 0.0,
-    "kappa2": 0.0,
-    "kappa3": 0.0,
+# the particle record schema, key -> (JSON kind, default), read by _particle_record for
+# particle_from_dict and ParticleState.from_dicts; a null or absent orientation is the identity
+_PARTICLE_SCHEMA = {
+    "size_a_m": (float, REQUIRED),
+    "density_kg_m3": (float, REQUIRED),
+    "epsilon": (float, 1.0),
+    "kappa1": (float, 0.0),
+    "kappa2": (float, 0.0),
+    "kappa3": (float, 0.0),
+    "chi0": (list, REQUIRED),
+    "orientation": (list, None),
 }
 _IDENTITY = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
 
 
 def _particle_record(d: object) -> dict:
-    """The fields of one particle record, each read by :func:`record_field`: the
-    ``_RECORD_SCALARS`` as floats, ``chi0`` and ``orientation`` as lists of numbers."""
-    if not isinstance(d, dict):
-        raise ValueError(f"expected an object, got {type(d).__name__}")
-    fields = {key: record_field(d, key, float, v) for key, v in _RECORD_SCALARS.items()}
-    fields["chi0"] = record_field(d, "chi0", list)
-    identity = d.get("orientation") is None  # missing or null
-    fields["orientation"] = _IDENTITY if identity else record_field(d, "orientation", list)
+    fields = read_record(d, _PARTICLE_SCHEMA)
+    if fields["orientation"] is None:
+        fields["orientation"] = _IDENTITY
     return fields
 
 

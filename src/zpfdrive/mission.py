@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import json
 import math
 import operator
 import warnings
@@ -45,7 +44,7 @@ from typing import Mapping, Sequence, Union
 from . import _io
 from ._deferred import NumpyOnFirstUse
 from .dynamics import checked_rotation_dv, rotation_dv
-from .material import RULES, check, record_field
+from .material import REQUIRED, RULES, check, read_record
 
 np = NumpyOnFirstUse(globals())
 
@@ -172,33 +171,26 @@ class MissionSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "MissionSpec":
-        if not isinstance(d, Mapping):
-            raise MissionSpecError(f"mission spec must be a JSON object, got {type(d).__name__}")
-        known = [f.name for f in fields(cls)]
-        unknown_keys = set(d) - set(known)
-        if unknown_keys:
-            raise MissionSpecError(f"unknown mission spec fields: {sorted(unknown_keys)}")
-        try:  # null (or absent) means unknown for a field that can be solved for
-            values = {
-                k: None if k in SOLVE_BRACKETS and d.get(k) is None else record_field(d, k)
-                for k in known
-            }
+        try:
+            return cls(**read_record(d, _SPEC_SCHEMA))
         except ValueError as exc:
             raise MissionSpecError(str(exc)) from None
-        return cls(**values)
 
     @classmethod
     def from_json(cls, source: Union[str, Path, io.TextIOBase]) -> "MissionSpec":
         try:
-            if isinstance(source, (str, Path)):
-                with open(source) as fh:
-                    return cls.from_dict(json.load(fh))
-            return cls.from_dict(json.load(source))
-        except RecursionError as exc:  # JSON nested deeper than the decoder's limit
-            raise MissionSpecError(f"not valid JSON: {exc}") from None
+            d = _io.load_json(source)
+        except ValueError as exc:
+            raise MissionSpecError(str(exc)) from None
+        return cls.from_dict(d)
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+# the spec's JSON schema: numbers, required but where null or absent is the unknown to solve
+_SPEC_SCHEMA = {f.name: (float, REQUIRED) for f in fields(MissionSpec)}
+_SPEC_SCHEMA |= dict.fromkeys(SOLVE_BRACKETS, (float, None))
 
 
 @dataclass(frozen=True)

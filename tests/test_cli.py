@@ -18,7 +18,9 @@ from zpfdrive.dynamics import (
     delta_v_rotation,
     force_decomposed,
 )
-from zpfdrive.material import MagnetoElectricTensor, Particle, particle_to_dict
+from zpfdrive.material import (
+    MagnetoElectricTensor, Particle, particle_to_dict, rotation_about
+)
 from zpfdrive.mission import MissionSpec, evaluate_mission
 from zpfdrive.vacuum import VacuumModel, convergence_study, vacuum_momentum_closed_form
 
@@ -746,6 +748,34 @@ class TestLedgerInputErrors:
         err = self.run_ledger(capsys, tmp_path, [None, "oops"], [self.ROTATION])
         assert "particles.json: particle 1: expected an object, got str" in err
 
+    @pytest.mark.parametrize(
+        "key, misspelled", [("orientation", "orientaton"), ("kappa1", "kapa1")]
+    )
+    def test_misspelled_particle_key(self, capsys, tmp_path, key, misspelled):
+        # a 90-degree turn about z, or a response coefficient, that must not be dropped
+        tensor = MagnetoElectricTensor.from_xy(1e-3, kappa1=1e-3)
+        particle = Particle(1e-9, 1e3, tensor, rotation_about([0, 0, 1], np.pi / 2))
+        record = particle_to_dict(particle)
+        record[misspelled] = record.pop(key)
+        err = self.run_ledger(capsys, tmp_path, [record], [self.ROTATION])
+        path = tmp_path / "particles.json"
+        assert err == f"error: {path}: particle 0: unknown fields: [{misspelled!r}]\n"
+
+    def test_rotation_with_an_extra_key(self, capsys, tmp_path):
+        rotation = {**self.ROTATION, "angel": 1.0}
+        err = self.run_ledger(capsys, tmp_path, [None], [self.ROTATION, self.ROTATION, rotation])
+        path = tmp_path / "maneuvers.json"
+        assert err == f"error: {path}: maneuver 2: unknown fields: ['angel']\n"
+
+    def test_unreadable_series_names_its_field(self, capsys, tmp_path):
+        missing = tmp_path / "missing.csv"
+        modulation = {"type": "field_modulation", "series_csv": str(missing)}
+        err = self.run_ledger(capsys, tmp_path, [None], [self.ROTATION, modulation])
+        assert err == (
+            f"error: {tmp_path / 'maneuvers.json'}: maneuver 1: field 'series_csv': {missing}:"
+            f" [Errno 2] No such file or directory: '{missing}'\n"
+        )
+
     def test_missing_angle(self, capsys, tmp_path):
         rotation = {"type": "rotation", "axis": [1, 0, 0]}
         err = self.run_ledger(capsys, tmp_path, [None], [self.ROTATION, rotation])
@@ -892,8 +922,9 @@ class TestRecordsHoldJsonNumbers:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ('{"chi0": 1e-3', "Expecting ',' delimiter"),
-            (json.dumps({**SPEC, "thrusters": 4}), "unknown mission spec fields: ['thrusters']"),
+            ('{"chi0": 1e-3', "not valid JSON: Expecting ',' delimiter"),
+            ('{"target_rate": ', "not valid JSON: Expecting value: line 1 column 17 (char 16)\n"),
+            (json.dumps({**SPEC, "thrusters": 4}), "unknown fields: ['thrusters']\n"),
             (json.dumps({**SPEC, "wheel_radius": None}), "field 'wheel_radius' must be a number"),
             (json.dumps({"chi0": 1e-3}), "missing field 'target_rate'"),
             (NESTED, "not valid JSON: maximum recursion depth exceeded"),
@@ -968,7 +999,7 @@ class TestCliContract:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err == f"error: {path}: mission spec must be a JSON object, got {kind}\n"
+        assert err == f"error: {path}: expected an object, got {kind}\n"
 
     def test_deeply_nested_particles_exit_one(self, capsys, tmp_path):
         path = tmp_path / "particles.json"

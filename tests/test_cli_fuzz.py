@@ -10,7 +10,7 @@ the same way.  Whatever the input:
   missing flag or an unknown command, which no case holds;
 * a bool, a string, an object or an array nested deeper than the JSON
   decoder's recursion limit where a spec, particle or maneuver record holds
-  a number gives 1;
+  a number gives 1, and so does a key that the record's schema does not name;
 * on 1, stdout is empty and stderr is exactly one ``error:`` line;
 * on 0, stderr is empty, and no ``inf`` or ``nan`` appears in stdout or in
   any written file;
@@ -30,7 +30,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from zpfdrive import cli
+from zpfdrive import cli, dynamics, material, mission
 from zpfdrive.mission import SOLVE_BRACKETS
 
 # numeric flag values: finite, extreme, non-finite and non-numeric
@@ -46,6 +46,8 @@ RECORD_POOL = [
 ]
 # "NESTED" stands for an array nested deeper than the JSON decoder's recursion limit
 NESTED = "[" * 100_000 + "0" + "]" * 100_000
+# record keys that no schema names, each a misspelling of one that does
+MISSPELLINGS = ["orientaton", "kapa1", "angel", "thrusters", "chi_0"]
 # oracle resolutions stay small: the oracle's time grows as n^3
 N_POOL = ["8", "16", "7", "0", "-1", "2049", "abc", "", "8,9"]
 
@@ -109,8 +111,20 @@ def test_commands_hold_every_numeric_flag():
     assert set(COMMANDS) == set(cli._COMMANDS)
 
 
+def test_bases_hold_every_record_key():
+    """A key that a spec, particle or maneuver schema names is fuzzed; a misspelling is not."""
+    assert set(SPEC) == set(mission._SPEC_SCHEMA)
+    assert set(PARTICLE) == set(material._PARTICLE_SCHEMA)
+    assert set(MANEUVERS) == set(dynamics.MANEUVER_TYPES)
+    for kind, (_, _, fields) in dynamics.MANEUVER_TYPES.items():
+        assert set(MANEUVERS[kind]) == {"type", *fields}
+    schemas = [mission._SPEC_SCHEMA, material._PARTICLE_SCHEMA, *MANEUVERS.values()]
+    assert not set(MISSPELLINGS) & {key for schema in schemas for key in schema}
+
+
 def perturbed(base: dict, data, keys=None) -> dict:
-    """``base`` with up to two fields set to pool values (a vector field may lose one entry)."""
+    """``base`` with up to two fields set to pool values (a vector field may lose one entry),
+    and now and then one more key, a misspelling, set to a pool value."""
     record = json.loads(json.dumps(base))
     names = sorted(keys or record)
     for _ in range(data.draw(st.integers(0, 2))):
@@ -120,6 +134,8 @@ def perturbed(base: dict, data, keys=None) -> dict:
             record[key][data.draw(st.integers(0, len(record[key]) - 1))] = value
         else:
             record[key] = value
+    if data.draw(st.integers(0, 9)) == 9:
+        record[data.draw(st.sampled_from(MISSPELLINGS))] = data.draw(st.sampled_from(RECORD_POOL))
     return record
 
 
@@ -166,6 +182,12 @@ def holds_refused_kind(case) -> bool:
     records = [case.get("spec", {}), *case.get("particles", ()), *case.get("maneuvers", ())]
     values = [v for r in records for k, v in r.items() if k not in ("type", "series_csv")]
     return re.search(r'\btrue\b|"', json.dumps(values)) is not None
+
+
+def holds_unknown_key(case) -> bool:
+    """Whether a spec, particle or maneuver record holds a key that its schema does not name."""
+    records = [case.get("spec", {}), *case.get("particles", ()), *case.get("maneuvers", ())]
+    return any(key in MISSPELLINGS for record in records for key in record)
 
 
 def run_case(directory, case):
@@ -280,6 +302,9 @@ ROTATION, AGGREGATION = MANEUVERS["rotation"], MANEUVERS["aggregation"]
 # a rotation by an infinite angle, and an orientation whose R^T R overflows
 @example(case=ledger_case([{**ROTATION, "angle_rad": float("inf")}]))
 @example(case=ledger_case([AGGREGATION], [{**PARTICLE, "orientation": [1.7e308] + [0] * 8}]))
+# misspelled keys, which a particle and a maneuver record dropped without a word
+@example(case=ledger_case([ROTATION], particles=[{**PARTICLE, "kapa1": 1e-3}]))
+@example(case=ledger_case([{**ROTATION, "angel": 1.0}]))
 # arrays nested deeper than the JSON decoder's recursion limit (a RecursionError traceback)
 @example(case=spec_case("mission", chi0="NESTED"))
 @example(case=ledger_case([ROTATION], particles=[{**PARTICLE, "kappa1": "NESTED"}]))
@@ -288,7 +313,7 @@ def test_every_input_ends_cleanly(fresh_dir, case):
     code, out, err, caught = run_case(directory, case)
     assert [str(w.message) for w in caught if ATOMIC_SCALE_NOTE not in str(w.message)] == []
     assert code in (0, 1)
-    if holds_refused_kind(case):
+    if holds_refused_kind(case) or holds_unknown_key(case):
         assert code == 1, case
     if code == 1:
         assert out == ""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from zpfdrive import material
 from zpfdrive.material import (
+    REQUIRED,
     RULES,
     ImproperRotationError,
     MagnetoElectricTensor,
@@ -20,6 +21,7 @@ from zpfdrive.material import (
     rotate_tensor,
     rotation_about,
     check,
+    read_record,
     record_field,
     unit_vector,
 )
@@ -531,3 +533,45 @@ class TestInputRules:
     def test_record_field_refuses_other_json_kinds(self, value, kind, message):
         with pytest.raises(ValueError, match=f"^field 'k' must be {re.escape(message)}$"):
             record_field({"k": value}, "k", kind)
+
+
+class TestReadRecord:
+    """One reader for spec, particle and maneuver records: a schema gives each key its JSON
+    kind and its default (REQUIRED, a value, or None: null or absent reads as None)."""
+
+    SCHEMA = {"a": (float, REQUIRED), "b": (float, 2.0), "s": (str, "x"), "v": (list, None)}
+
+    def test_fields_in_schema_order_with_defaults(self):
+        record = read_record({"v": [1, 2], "a": 1}, self.SCHEMA)
+        assert record == {"a": 1.0, "b": 2.0, "s": "x", "v": [1, 2]}
+        assert list(record) == list(self.SCHEMA) and type(record["a"]) is float
+
+    @pytest.mark.parametrize("d", [{"a": 1}, {"a": 1, "v": None}])
+    def test_nullable_field_null_or_absent_reads_none(self, d):
+        assert read_record(d, self.SCHEMA)["v"] is None
+
+    def test_required_field_missing(self):
+        with pytest.raises(ValueError, match="^missing field 'a'$"):
+            read_record({"b": 1.0}, self.SCHEMA)
+
+    @pytest.mark.parametrize("key", ["a", "b", "s"])
+    def test_null_refused_where_the_default_is_not_none(self, key):
+        with pytest.raises(ValueError, match=f"^field '{key}' must be a .*, got None$"):
+            read_record({"a": 1, key: None}, self.SCHEMA)
+
+    def test_unknown_keys_refused_before_any_field(self):
+        with pytest.raises(ValueError, match=re.escape("unknown fields: ['aa', 'kapa1']")):
+            read_record({"kapa1": 0.0, "a": True, "aa": 1}, self.SCHEMA)
+
+    @pytest.mark.parametrize("d, kind", [([1, 2], "list"), ("oops", "str"), (None, "NoneType")])
+    def test_not_an_object(self, d, kind):
+        with pytest.raises(ValueError, match=f"^expected an object, got {kind}$"):
+            read_record(d, self.SCHEMA)
+
+    def test_particle_key_misspelled(self):
+        record = {**particle_to_dict(Particle(1e-9, 1e3, MagnetoElectricTensor.from_xy(1e-3)))}
+        record["orientaton"] = record.pop("orientation")
+        with pytest.raises(ValueError, match=re.escape("unknown fields: ['orientaton']")):
+            particle_from_dict(record)
+        with pytest.raises(ValueError, match=re.escape("particle 0: unknown fields")):
+            ParticleState.from_dicts([record])
