@@ -17,12 +17,21 @@ np = NumpyOnFirstUse(globals())
 CSV_BLOCK_ROWS = 1 << 13
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; ValueError where a key occurs twice."""
+    d = dict(pairs)
+    if len(d) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return d
+
+
 def load_json(source: Union[str, Path, io.TextIOBase]) -> object:
     """``json.load`` of a path or an open handle; ValueError ``not valid JSON: ...`` where the
-    text is not JSON or nests deeper than the decoder's recursion limit."""
+    text is not JSON, repeats a key in an object, or nests past the decoder's recursion limit."""
     try:
         with open(source) if isinstance(source, (str, Path)) else nullcontext(source) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
 

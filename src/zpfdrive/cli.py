@@ -153,11 +153,6 @@ def _prefixed(prefix: str, errors=ValueError):
         raise ValueError(f"{prefix}: {exc}") from None
 
 
-def _load_spec(path: str) -> mission.MissionSpec:
-    with _prefixed(path):
-        return mission.MissionSpec.from_json(path)
-
-
 def _load_json_list(path: str, what: str) -> list:
     with _prefixed(path):
         records = _io.load_json(path)
@@ -250,8 +245,8 @@ def _cmd_force_decompose(args) -> int:
 
 
 def _cmd_mission(args) -> int:
-    spec = _load_spec(args.spec)
-    report = mission.evaluate_mission(spec)
+    with _prefixed(args.spec):  # the spec is the command's one numeric input
+        report = mission.evaluate_mission(mission.MissionSpec.from_json(args.spec))
     if args.format == "json":
         print(json.dumps(report.to_dict()))
     else:
@@ -263,9 +258,10 @@ def _cmd_mission(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    spec = _load_spec(args.spec)
-    value = mission.solve_for_unknown(spec, args.unknown)
-    report = mission.evaluate_mission(replace(spec, **{args.unknown: value}))
+    with _prefixed(args.spec):  # the spec is the command's one numeric input
+        spec = mission.MissionSpec.from_json(args.spec)
+        value = mission.solve_for_unknown(spec, args.unknown)
+        report = mission.evaluate_mission(replace(spec, **{args.unknown: value}))
     if args.format == "json":
         unit = "m" if args.unknown == "particle_size" else "dimensionless"
         print(json.dumps({"quantity": args.unknown, "value": value, "unit": unit}))
@@ -276,15 +272,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = _load_spec(args.spec)
     axes = {name: getattr(args, _NUMBERS[name][1]) for name in mission._SWEEP_AXES}
     axes = {name: values for name, values in axes.items() if values is not None}
     mode = mission.SweepMode(args.mode)
     fmt = "json" if args.format == "json" else "csv"
-    try:
-        count = mission.sweep(
-            spec, axes, out=args.out or sys.stdout, mode=mode, jobs=args.jobs, fmt=fmt
-        )
+    try:  # a spec error names the spec, an axis error its flag
+        with _prefixed(args.spec, mission.MissionSpecError):
+            spec = mission.MissionSpec.from_json(args.spec)
+            count = mission.sweep(
+                spec, axes, out=args.out or sys.stdout, mode=mode, jobs=args.jobs, fmt=fmt
+            )
     except mission.SweepValueError as exc:
         named = " ".join(f"{_NUMBERS[k][0]} {v!r}" for k, v in exc.values.items())
         raise ValueError(f"{named} {exc.problem}") from None

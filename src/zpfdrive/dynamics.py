@@ -185,16 +185,15 @@ class FieldTimeSeries:
         return float(self.t[1] - self.t[0])
 
     def chi_samples(self, p: Particle | None) -> np.ndarray:
-        """Effective chi_xy(t), from the series params or else the particle's."""
-        if self.chi0_xy is not None:
+        """Effective chi0_xy + kappa1*E_x*B_y + kappa2*E_x + kappa3*B_y over the samples, from the
+        series params (a missing kappa is 0) or else the particle's lab-frame ones."""
+        if self.chi0_xy is None:
+            t = p.tensor
+            chi0_xy, k1, k2, k3 = p.chi0_xy, t.kappa1, t.kappa2, t.kappa3
+        else:
+            chi0_xy = self.chi0_xy
             k1, k2, k3 = (0.0 if k is None else k for k in (self.kappa1, self.kappa2, self.kappa3))
-            return self.chi_response(self.chi0_xy, k1, k2, k3)
-        t = p.oriented_tensor
-        return self.chi_response(t.chi0_xy, t.kappa1, t.kappa2, t.kappa3)
-
-    def chi_response(self, chi0_xy, kappa1, kappa2, kappa3) -> np.ndarray:
-        """chi0_xy + kappa1*E_x*B_y + kappa2*E_x + kappa3*B_y over the samples."""
-        return chi0_xy + kappa1 * self.e_x * self.b_y + kappa2 * self.e_x + kappa3 * self.b_y
+        return chi0_xy + k1 * self.e_x * self.b_y + k2 * self.e_x + k3 * self.b_y
 
     # CSV columns: t_s, E_x, B_y, chi0_xy, kappa1, kappa2, kappa3
     # (chi columns optional; kappas only with chi0_xy, defaulting to 0)

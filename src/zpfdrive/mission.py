@@ -130,8 +130,10 @@ _FIELD_RULES = {
 class MissionSpec:
     """Design point for one attitude-correction cycle.
 
-    Field names double as the JSON schema keys.  A field may be None only
-    while it is the unknown being solved for.
+    Field names double as the JSON schema keys.  Construction checks every
+    field against its rule, so a spec is valid from the start.  Only a field
+    of SOLVE_BRACKETS may be None, and only while it is the unknown being
+    solved for.
     """
 
     target_rate: float  # deg/day
@@ -143,31 +145,23 @@ class MissionSpec:
     chi0: float | None
     prefactor_A: float
 
-    def field_errors(self, allow_unknown: str | None = None) -> list[str]:
+    def __post_init__(self) -> None:
         errors = []
-        for name in _FIELD_RULES:
+        for name, rule in _FIELD_RULES.items():
             value = getattr(self, name)
-            if name == allow_unknown:
-                continue
-            if value is None:
+            if value is None and name not in SOLVE_BRACKETS:
                 errors.append(f"{name} is not set")
-            elif not RULES[_FIELD_RULES[name]](value):
+            elif value is not None and not RULES[rule](value):
                 errors.append(f"{name} = {value} is out of range")
         if not any(e.startswith(("target_rate ", "wheel_radius ")) for e in errors):
             required = _tangential_v(self.target_rate, self.wheel_radius)
             if not (0 < required < math.inf):  # margin = achieved / required
                 errors.append(
-                    f"target_rate = {self.target_rate} at wheel_radius = {self.wheel_radius}"
-                    f" gives a required velocity of {required} m/s,"
-                    " not a positive finite number"
+                    f"target_rate = {self.target_rate} at wheel_radius = {self.wheel_radius} gives"
+                    f" a required velocity of {required} m/s, not a positive finite number"
                 )
-        return errors
-
-    def validated(self, allow_unknown: str | None = None) -> "MissionSpec":
-        errors = self.field_errors(allow_unknown)
         if errors:
             raise MissionSpecError("invalid mission spec: " + "; ".join(errors))
-        return self
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "MissionSpec":
@@ -179,10 +173,9 @@ class MissionSpec:
     @classmethod
     def from_json(cls, source: Union[str, Path, io.TextIOBase]) -> "MissionSpec":
         try:
-            d = _io.load_json(source)
+            return cls.from_dict(_io.load_json(source))
         except ValueError as exc:
             raise MissionSpecError(str(exc)) from None
-        return cls.from_dict(d)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -225,12 +218,23 @@ def _payload_v(chi0, particle_size, particle_density, active_mass_fraction, pref
     return active_mass_fraction * checked_rotation_dv(chi0, m_a, prefactor_A)
 
 
+def _design(spec: MissionSpec, unknown: str | None = None) -> tuple[float, dict]:
+    """The required velocity and the design-row fields of ``spec``, whose fields but ``unknown``
+    (one of SOLVE_BRACKETS, or None) must all be set."""
+    if unknown is not None and unknown not in SOLVE_BRACKETS:
+        raise ValueError(f"unknown must be one of {sorted(SOLVE_BRACKETS)}")
+    unset = [f"{k} is not set" for k in _FIELD_RULES if k != unknown and getattr(spec, k) is None]
+    if unset:
+        raise MissionSpecError("invalid mission spec: " + "; ".join(unset))
+    required = _tangential_v(spec.target_rate, spec.wheel_radius)
+    return required, {k: getattr(spec, k) for k in _SWEEP_AXES}
+
+
 def evaluate_mission(spec: MissionSpec) -> MissionReport:
     """Achieved vs required tangential velocity for one pi-rotation cycle; a margin that
     overflows (a tiny required velocity) is refused like an invalid field."""
-    spec = spec.validated()
-    required = _tangential_v(spec.target_rate, spec.wheel_radius)
-    achieved = _payload_v(*(getattr(spec, k) for k in _SWEEP_AXES))
+    required, fields = _design(spec)
+    achieved = _payload_v(**fields)
     margin = achieved / required
     if not math.isfinite(margin):
         raise MissionSpecError(
@@ -250,11 +254,7 @@ def analytic_solve_for_unknown(spec: MissionSpec, unknown: str) -> float:
 
     The kernel is linear in chi0 and in the fraction, and a enters as a^-4.
     """
-    if unknown not in SOLVE_BRACKETS:
-        raise ValueError(f"unknown must be one of {sorted(SOLVE_BRACKETS)}")
-    spec.validated(allow_unknown=unknown)
-    required = _tangential_v(spec.target_rate, spec.wheel_radius)
-    fields = {k: getattr(spec, k) for k in _SWEEP_AXES}
+    required, fields = _design(spec, unknown)
     at_one = _payload_v(**{**fields, unknown: 1.0})  # the payload velocity with the unknown at 1
     if unknown == "particle_size":
         return (at_one / required) ** 0.25
@@ -276,11 +276,7 @@ def solve_for_unknown(spec: MissionSpec, unknown: str) -> float:
     :class:`InfeasibleError` is raised.  Solved sizes below
     SUBATOMIC_SIZE_M are returned with a physical-plausibility warning.
     """
-    if unknown not in SOLVE_BRACKETS:
-        raise ValueError(f"unknown must be one of {sorted(SOLVE_BRACKETS)}")
-    spec.validated(allow_unknown=unknown)
-    required = _tangential_v(spec.target_rate, spec.wheel_radius)
-    fields = {k: getattr(spec, k) for k in _SWEEP_AXES}
+    required, fields = _design(spec, unknown)
 
     def excess(x: float) -> float:
         fields[unknown] = x
@@ -373,7 +369,7 @@ def _along(values: np.ndarray, axis: int) -> np.ndarray:
     return values.reshape((-1,) + (1,) * (len(_SWEEP_AXES) - 1 - axis))
 
 
-def _sweep_blocks(base: MissionSpec, lists: list[list[float]], mode: SweepMode):
+def _sweep_blocks(base: MissionSpec, required: float, lists: list[list[float]], mode: SweepMode):
     """The sweep grid in row order, as one iterator of 9-cell string tuples per block.
 
     Each block is one broadcasting evaluation over its slices of the five
@@ -381,7 +377,6 @@ def _sweep_blocks(base: MissionSpec, lists: list[list[float]], mode: SweepMode):
     one a per-row evaluation gives.  A block with a non-finite dv, dV or rate
     raises :class:`SweepValueError` before it is yielded.
     """
-    required = _tangential_v(base.target_rate, base.wheel_radius)
     vectors = [np.array(v) for v in lists]
     # by Python's float pow (libm pow, bit for bit); sizes are representable, so no overflow
     a4 = np.array([a**4 for a in lists[1]])
@@ -440,13 +435,13 @@ def sweep(
     """
     if fmt not in _SWEEP_FORMATS:
         raise ValueError(f"sweep format must be one of {sorted(_SWEEP_FORMATS)}, got {fmt!r}")
-    base = base.validated()
+    required, fields = _design(base)
     bad = set(axes) - set(_SWEEP_AXES)
     if bad:
         raise ValueError(f"unsweepable parameters: {sorted(bad)}")
     lists = []
     for name in _SWEEP_AXES:
-        values = [float(v) for v in axes.get(name, [getattr(base, name)])]
+        values = [float(v) for v in axes.get(name, [fields[name]])]
         if not values:
             raise ValueError(f"sweep axis {name} is empty")
         for value in values:
@@ -457,7 +452,7 @@ def sweep(
     if total > DEFAULT_SWEEP_CAP:
         raise SweepCapError(f"sweep of {total} combinations exceeds cap {DEFAULT_SWEEP_CAP}")
 
-    blocks = _sweep_blocks(base, lists, mode)
+    blocks = _sweep_blocks(base, required, lists, mode)
     if out is None:
         for _ in blocks:
             pass

@@ -54,6 +54,11 @@ SPEC = {
 }
 
 
+def twice(record: dict, key: str, value) -> str:
+    """JSON text of ``record`` that then holds ``key`` a second time, with ``value``."""
+    return json.dumps(record)[:-1] + f", {json.dumps(key)}: {json.dumps(value)}}}"
+
+
 @pytest.fixture
 def spec_file(tmp_path):
     path = tmp_path / "design_point.json"
@@ -240,7 +245,7 @@ class TestMissionCommands:
         code, out, err = run_cli(capsys, command[0], "--spec", str(path), *command[1:])
         assert (code, out) == (1, "")
         assert err == (
-            "error: invalid mission spec: target_rate = 4.95 at wheel_radius = 1e-300"
+            f"error: {path}: invalid mission spec: target_rate = 4.95 at wheel_radius = 1e-300"
             " gives a margin of inf, not a finite number\n"
         )
 
@@ -810,6 +815,51 @@ class TestLedgerInputErrors:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("which", ["particles", "maneuvers"])
+    def test_file_that_is_not_a_list(self, capsys, tmp_path, which):
+        good = particle_to_dict(Particle(1e-9, 1000.0, MagnetoElectricTensor.from_xy(1e-3)))
+        files = {"particles": [good], "maneuvers": [self.ROTATION]}
+        files[which] = files[which][0]  # the one record, not a list of it
+        for name, payload in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+        code, out, err = run_cli(
+            capsys, "ledger", "--particles", str(tmp_path / "particles.json"),
+            "--maneuvers", str(tmp_path / "maneuvers.json"), "--M-total", "1.0",
+        )
+        assert (code, out) == (1, "")
+        path = tmp_path / f"{which}.json"
+        assert err == f"error: {path}: expected a JSON list of {which}, got dict\n"
+
+    def test_maneuver_that_is_not_an_object(self, capsys, tmp_path):
+        err = self.run_ledger(capsys, tmp_path, [None], [self.ROTATION, 5])
+        path = tmp_path / "maneuvers.json"
+        assert err == f"error: {path}: maneuver 1: expected an object, got int\n"
+
+    @pytest.mark.parametrize(
+        "maneuver, shown",
+        [({"type": "warp", "angle_rad": 1.0}, "'warp'"), ({"angle_rad": 1.0}, "None")],
+    )
+    def test_unknown_or_missing_maneuver_type(self, capsys, tmp_path, maneuver, shown):
+        err = self.run_ledger(capsys, tmp_path, [None], [maneuver])
+        assert err == (
+            f"error: {tmp_path / 'maneuvers.json'}: maneuver 0:"
+            f" field 'type': unknown maneuver type {shown}\n"
+        )
+
+    @pytest.mark.parametrize("which, key", [("particles", "kappa1"), ("maneuvers", "angle_rad")])
+    def test_record_with_a_duplicate_key(self, capsys, tmp_path, which, key):
+        good = particle_to_dict(Particle(1e-9, 1000.0, MagnetoElectricTensor.from_xy(1e-3)))
+        for name, record in {"particles": good, "maneuvers": self.ROTATION}.items():
+            text = twice(record, key, 0.5) if name == which else json.dumps(record)
+            (tmp_path / f"{name}.json").write_text(f"[{text}]")
+        code, out, err = run_cli(
+            capsys, "ledger", "--particles", str(tmp_path / "particles.json"),
+            "--maneuvers", str(tmp_path / "maneuvers.json"), "--M-total", "1.0",
+        )
+        assert (code, out) == (1, "")
+        path = tmp_path / f"{which}.json"
+        assert err == f"error: {path}: not valid JSON: duplicate key {key!r}\n"
+
     def test_unrepresentable_particle_size(self, capsys, tmp_path):
         # Particle refuses this size too, so the record is written directly
         tiny = {"chi0": [0, 1e-3] + [0] * 7, "size_a_m": 1e-320, "density_kg_m3": 1000.0}
@@ -928,6 +978,7 @@ class TestRecordsHoldJsonNumbers:
             (json.dumps({**SPEC, "wheel_radius": None}), "field 'wheel_radius' must be a number"),
             (json.dumps({"chi0": 1e-3}), "missing field 'target_rate'"),
             (NESTED, "not valid JSON: maximum recursion depth exceeded"),
+            (twice(SPEC, "target_rate", 400.0), "not valid JSON: duplicate key 'target_rate'\n"),
         ],
     )
     def test_spec_read_error_names_the_file(self, capsys, tmp_path, command, text, message):
@@ -1164,7 +1215,9 @@ class TestCliContract:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err == f"error: invalid mission spec: particle_size = {size!r} is out of range\n"
+        assert err == (
+            f"error: {path}: invalid mission spec: particle_size = {size!r} is out of range\n"
+        )
 
     @pytest.mark.parametrize(
         "argv, field, value, message",
@@ -1187,6 +1240,13 @@ class TestCliContract:
             (["solve", "--unknown", "chi0"], "target_rate", 1e-320, ZERO_REQUIRED),
             (["solve", "--unknown", "particle_size"], "target_rate", 1e-320, ZERO_REQUIRED),
             (["sweep"], "target_rate", 1e-320, ZERO_REQUIRED),
+            # the unknown's own value is checked too, though the solve replaces it
+            (
+                ["solve", "--unknown", "chi0"],
+                "chi0",
+                5.0,
+                "invalid mission spec: chi0 = 5.0 is out of range",
+            ),
         ],
     )
     def test_refused_spec_value_exits_one(
@@ -1200,7 +1260,7 @@ class TestCliContract:
         code, out, err = run_cli(capsys, argv[0], "--spec", str(path), *argv[1:])
         assert code == 1
         assert out == ""
-        assert err == f"error: {message}\n"
+        assert err == f"error: {path}: {message}\n"
 
     def test_series_cell_longer_than_the_csv_limit_exits_one(self, capsys, tmp_path):
         path = tmp_path / "series.csv"

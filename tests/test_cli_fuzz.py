@@ -10,7 +10,8 @@ the same way.  Whatever the input:
   missing flag or an unknown command, which no case holds;
 * a bool, a string, an object or an array nested deeper than the JSON
   decoder's recursion limit where a spec, particle or maneuver record holds
-  a number gives 1, and so does a key that the record's schema does not name;
+  a number gives 1, and so does a key that the record's schema does not name
+  or that the record holds twice;
 * on 1, stdout is empty and stderr is exactly one ``error:`` line;
 * on 0, stderr is empty, and no ``inf`` or ``nan`` appears in stdout or in
   any written file;
@@ -48,6 +49,8 @@ RECORD_POOL = [
 NESTED = "[" * 100_000 + "0" + "]" * 100_000
 # record keys that no schema names, each a misspelling of one that does
 MISSPELLINGS = ["orientaton", "kapa1", "angel", "thrusters", "chi_0"]
+# a record key "DUPLICATE:<key>" is written as <key>, a second time in that record
+DUPLICATE = "DUPLICATE:"
 # oracle resolutions stay small: the oracle's time grows as n^3
 N_POOL = ["8", "16", "7", "0", "-1", "2049", "abc", "", "8,9"]
 
@@ -124,7 +127,8 @@ def test_bases_hold_every_record_key():
 
 def perturbed(base: dict, data, keys=None) -> dict:
     """``base`` with up to two fields set to pool values (a vector field may lose one entry),
-    and now and then one more key, a misspelling, set to a pool value."""
+    and now and then one more key, a misspelling or a second copy of a key, set to a pool
+    value."""
     record = json.loads(json.dumps(base))
     names = sorted(keys or record)
     for _ in range(data.draw(st.integers(0, 2))):
@@ -134,8 +138,12 @@ def perturbed(base: dict, data, keys=None) -> dict:
             record[key][data.draw(st.integers(0, len(record[key]) - 1))] = value
         else:
             record[key] = value
-    if data.draw(st.integers(0, 9)) == 9:
+    extra = data.draw(st.integers(0, 9))
+    if extra == 9:
         record[data.draw(st.sampled_from(MISSPELLINGS))] = data.draw(st.sampled_from(RECORD_POOL))
+    elif extra == 8:
+        key = DUPLICATE + data.draw(st.sampled_from(sorted(record)))
+        record[key] = data.draw(st.sampled_from(RECORD_POOL))
     return record
 
 
@@ -185,9 +193,11 @@ def holds_refused_kind(case) -> bool:
 
 
 def holds_unknown_key(case) -> bool:
-    """Whether a spec, particle or maneuver record holds a key that its schema does not name."""
+    """Whether a spec, particle or maneuver record holds a key that its schema does not name,
+    or one key twice."""
     records = [case.get("spec", {}), *case.get("particles", ()), *case.get("maneuvers", ())]
-    return any(key in MISSPELLINGS for record in records for key in record)
+    keys = [key for record in records for key in record]
+    return any(key in MISSPELLINGS or key.startswith(DUPLICATE) for key in keys)
 
 
 def run_case(directory, case):
@@ -206,6 +216,7 @@ def run_case(directory, case):
         if key in case:
             text = dump(case[key])
             text = text.replace('"SERIES"', json.dumps(series_path)).replace('"NESTED"', NESTED)
+            text = text.replace(f'"{DUPLICATE}', '"')
             (directory / name).write_text(text)
     if "unknown" in case:
         argv += ["--unknown", case["unknown"]]
@@ -305,6 +316,10 @@ ROTATION, AGGREGATION = MANEUVERS["rotation"], MANEUVERS["aggregation"]
 # misspelled keys, which a particle and a maneuver record dropped without a word
 @example(case=ledger_case([ROTATION], particles=[{**PARTICLE, "kapa1": 1e-3}]))
 @example(case=ledger_case([{**ROTATION, "angel": 1.0}]))
+# a key given twice, whose last value ran with exit 0
+@example(case=spec_case("mission", **{DUPLICATE + "target_rate": 400.0}))
+@example(case=ledger_case([ROTATION], particles=[{**PARTICLE, DUPLICATE + "kappa1": 1e-3}]))
+@example(case=ledger_case([{**ROTATION, DUPLICATE + "type": "rotation"}]))
 # arrays nested deeper than the JSON decoder's recursion limit (a RecursionError traceback)
 @example(case=spec_case("mission", chi0="NESTED"))
 @example(case=ledger_case([ROTATION], particles=[{**PARTICLE, "kappa1": "NESTED"}]))

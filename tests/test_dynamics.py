@@ -681,8 +681,8 @@ def _per_sample_quantum_impulse(p, s):
         k1, k2, k3 = (0.0 if k is None else k for k in (s.kappa1, s.kappa2, s.kappa3))
         chi = s.chi0_xy + k1 * s.e_x * s.b_y + k2 * s.e_x + k3 * s.b_y
     else:
-        t = p.oriented_tensor
-        chi = t.chi0_xy + t.kappa1 * s.e_x * s.b_y + t.kappa2 * s.e_x + t.kappa3 * s.b_y
+        t = p.tensor
+        chi = p.chi0_xy + t.kappa1 * s.e_x * s.b_y + t.kappa2 * s.e_x + t.kappa3 * s.b_y
     return _integrated(chi, s)
 
 
@@ -690,8 +690,8 @@ def _reference_quantum_impulse(p, s):
     """The series' own chi(t), or else the particle's parameters weighting the basis impulses."""
     if s.chi0_xy is not None:
         return _per_sample_quantum_impulse(p, s)
-    t, w = p.oriented_tensor, _basis_impulses(s)
-    return t.chi0_xy * w[0] + t.kappa1 * w[1] + t.kappa2 * w[2] + t.kappa3 * w[3]
+    t, w = p.tensor, _basis_impulses(s)
+    return p.chi0_xy * w[0] + t.kappa1 * w[1] + t.kappa2 * w[2] + t.kappa3 * w[3]
 
 
 def reference_ledger(

@@ -46,9 +46,9 @@ def _point_series(e_x: float, b_y: float) -> FieldTimeSeries:
 
 
 def chi_effective(t: MagnetoElectricTensor, e_x: float, b_y: float) -> float:
-    """chi_xy(E, B) of ``t`` at one field point, by the series' response."""
-    series = _point_series(e_x, b_y)
-    return float(series.chi_response(t.chi0_xy, t.kappa1, t.kappa2, t.kappa3)[0])
+    """chi_xy(E, B) of ``t`` at one field point, by the series' response of an unrotated
+    particle."""
+    return float(_point_series(e_x, b_y).chi_samples(Particle(1e-9, 1000.0, t))[0])
 
 
 def polarization(p: Particle, e_x: float, b_y: float) -> float:
@@ -405,7 +405,6 @@ class TestParticleState:
             assert p.chi0_xy == rotate_tensor(t, r).chi0_xy
             calls.clear()
             p.chi0_xy
-            p.oriented_tensor
             assert calls == []
             ParticleState.from_particles([p, p, p])
             assert calls == [3]
@@ -444,6 +443,36 @@ class TestParticleState:
         )
         with pytest.raises(ValueError, match="particle 0: lab-frame"):
             state.chi0_xy
+        # a Particle applies the same bound through the same kernel, naming no index
+        particle = Particle(1e-9, 1e3, MagnetoElectricTensor(chi0), rotation_about([1, 1, 0], 0.7))
+        with pytest.raises(ValueError) as err:
+            particle.chi0_xy
+        assert str(err.value) == "lab-frame |chi0| entries exceed sanity bound 1.0"
+
+    def test_particle_reads_its_lab_frame_chi_without_checking_again(self):
+        p = random_particles(np.random.default_rng(6), 1)[0]
+        with mock.patch.object(material, "_check_particles") as check_particles:
+            first, second = p.chi0_xy, p.chi0_xy
+        check_particles.assert_not_called()
+        assert first == second == ParticleState.from_particles([p]).chi0_xy[0]
+
+    def test_particle_and_state_share_one_conjugation(self):
+        particles = random_particles(np.random.default_rng(7), 3)
+        state = ParticleState.from_particles(particles)
+        kernel = material._lab_chi0_xy
+        with mock.patch.object(material, "_lab_chi0_xy", side_effect=kernel) as counted:
+            values = [p.chi0_xy for p in particles]
+            assert state.chi0_xy.tolist() == values
+        assert [c.args[0].shape for c in counted.call_args_list] == [(1, 3, 3)] * 3 + [(3, 3, 3)]
+
+    def test_from_dicts_takes_flat_and_nested_chi0_alike(self):
+        records = [particle_to_dict(p) for p in random_particles(np.random.default_rng(8), 4)]
+        flat = ParticleState.from_dicts(records)
+        for i in (1, 3):
+            records[i]["chi0"] = np.reshape(records[i]["chi0"], (3, 3)).tolist()
+        mixed = ParticleState.from_dicts(records)
+        for name in ("size_a", "density", "epsilon", "chi0", "kappa", "orientation", "chi0_xy"):
+            assert np.array_equal(getattr(mixed, name), getattr(flat, name)), name
 
 
 class TestInputRules:

@@ -89,11 +89,11 @@ class TestEvaluateMission:
         assert report.achieved_tangential_v < 1e-12
 
     def test_invalid_spec_enumerates_fields(self):
-        bad = design_point(chi0=-1.0, particle_size=0.0)
         with pytest.raises(MissionSpecError) as err:
-            evaluate_mission(bad)
-        message = str(err.value)
-        assert "chi0" in message and "particle_size" in message
+            design_point(chi0=-1.0, particle_size=0.0)
+        assert str(err.value) == (
+            "invalid mission spec: particle_size = 0.0 is out of range; chi0 = -1.0 is out of range"
+        )
 
     def test_margin_linear_in_chi0(self):
         rng = np.random.default_rng(11)
@@ -167,6 +167,45 @@ class TestSpecJson:
         with pytest.raises(MissionSpecError):
             evaluate_mission(spec)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("target_rate", 0.0),
+            ("wheel_radius", math.inf),
+            ("satellite_mass", -1.0),
+            ("active_mass_fraction", 1.5),
+            ("particle_size", 1e-200),
+            ("particle_density", math.nan),
+            ("chi0", 2.0),
+            ("prefactor_A", -1e-2),
+        ],
+    )
+    def test_out_of_range_field_refused_at_construction(self, name, value):
+        with pytest.raises(MissionSpecError) as err:
+            design_point(**{name: value})
+        assert str(err.value) == f"invalid mission spec: {name} = {value} is out of range"
+
+    def test_only_a_solvable_field_may_be_unset(self):
+        with pytest.raises(MissionSpecError) as err:
+            design_point(target_rate=None, satellite_mass=None, chi0=None)
+        assert str(err.value) == (
+            "invalid mission spec: target_rate is not set; satellite_mass is not set"
+        )
+        for unknown in SOLVE_BRACKETS:
+            assert getattr(design_point(**{unknown: None}), unknown) is None
+
+    def test_unset_fields_other_than_the_unknown_are_refused_at_use(self):
+        spec = design_point(chi0=None, particle_size=None)
+        message = "invalid mission spec: particle_size is not set; chi0 is not set"
+        for use in (evaluate_mission, lambda s: sweep(s, {})):
+            with pytest.raises(MissionSpecError) as err:
+                use(spec)
+            assert str(err.value) == message
+        for solve in (solve_for_unknown, analytic_solve_for_unknown):
+            with pytest.raises(MissionSpecError) as err:
+                solve(spec, "chi0")
+            assert str(err.value) == "invalid mission spec: particle_size is not set"
+
     def test_from_json_stream(self):
         import json
 
@@ -219,8 +258,10 @@ class TestSolve:
         assert value < 1e-10
 
     def test_unknown_name_validated(self):
-        with pytest.raises(ValueError):
-            solve_for_unknown(design_point(), "satellite_mass")
+        message = r"^unknown must be one of \['active_mass_fraction', 'chi0', 'particle_size'\]$"
+        for solve in (solve_for_unknown, analytic_solve_for_unknown):
+            with pytest.raises(ValueError, match=message):
+                solve(design_point(), "satellite_mass")
 
     @pytest.mark.parametrize("unknown", sorted(SOLVE_BRACKETS))
     def test_runtime_under_a_millisecond(self, unknown):
@@ -515,6 +556,24 @@ class TestSweepAxisValidation:
         row = {k: getattr(design_point(), k) for k in mission._SWEEP_AXES}
         assert err.value.values == {**row, name: bad}
         assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("name", mission._SWEEP_AXES)
+    def test_empty_axis_is_refused(self, name):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=f"^sweep axis {name} is empty$"):
+            sweep(design_point(), {name: []}, buf)
+        assert buf.getvalue() == ""
+
+    def test_without_out_the_grid_is_checked_and_nothing_is_written(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        axes = {"chi0": [1e-4, 1e-3], "particle_size": [1e-9, 2e-9, 4e-9]}
+        with mock.patch.object(mission._io, "write_blocks") as write_blocks:
+            assert sweep(design_point(), axes, out=None) == 6
+            with pytest.raises(SweepValueError) as err:
+                sweep(design_point(), {"particle_density": [1000.0, 1e-300]}, out=None)
+        assert err.value.problem == "gives a non-finite dv_m_s"
+        write_blocks.assert_not_called()
+        assert list(tmp_path.iterdir()) == []
 
     def test_earlier_blocks_stay_written(self):
         buf = io.StringIO()
