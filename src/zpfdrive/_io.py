@@ -26,12 +26,20 @@ def _object(pairs: list) -> dict:
     return d
 
 
+# built once: json.load builds a new decoder and scanner on every call that passes a hook
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+
+
 def load_json(source: Union[str, Path, io.TextIOBase]) -> object:
-    """``json.load`` of a path or an open handle; ValueError ``not valid JSON: ...`` where the
-    text is not JSON, repeats a key in an object, or nests past the decoder's recursion limit."""
+    """The JSON value of a path or an open text handle, as ``json.load`` reads it; ValueError
+    ``not valid JSON: ...`` where the text is not JSON, starts with a byte-order mark, repeats
+    a key in an object, or nests past the decoder's recursion limit."""
     try:
         with open(source) if isinstance(source, (str, Path)) else nullcontext(source) as fh:
-            return json.load(fh, object_pairs_hook=_object)
+            text = fh.read()
+        if text.startswith("\ufeff"):  # json.loads refuses it; the decoder alone would not say why
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
 

@@ -30,8 +30,9 @@ vacuum momentum exactly.  A maneuver sequence runs over a
 :class:`~zpfdrive.material.ParticleState`: each maneuver is a few array
 operations over all particles, and per-particle terms are summed in particle
 order, as a scalar loop would sum them.  The quantum impulse is linear in chi,
-so a field modulation integrates the series 1, E*B, E and B once and weights
-them by each particle's chi0_xy and kappas.
+so a field modulation weights the impulses of the series 1, E*B, E and B by
+each particle's chi0_xy and kappas; a series integrates them once, however
+many modulations share it.
 """
 
 from __future__ import annotations
@@ -194,6 +195,16 @@ class FieldTimeSeries:
             chi0_xy = self.chi0_xy
             k1, k2, k3 = (0.0 if k is None else k for k in (self.kappa1, self.kappa2, self.kappa3))
         return chi0_xy + k1 * self.e_x * self.b_y + k2 * self.e_x + k3 * self.b_y
+
+    @functools.cached_property
+    def _quantum_impulses(self) -> np.ndarray:
+        """The quantum impulse of the series' own chi where it has one, else of the basis
+        series 1, E*B, E and B, which each particle's chi0_xy and kappas weight (the impulse
+        is linear in chi); integrated once per series, as its samples are read-only."""
+        if self.chi0_xy is not None:
+            return _quantum_impulse(self.chi_samples(None), self)
+        basis = [np.ones_like(self.e_x), self.e_x * self.b_y, self.e_x, self.b_y]
+        return _quantum_impulse(np.stack(basis), self)
 
     # CSV columns: t_s, E_x, B_y, chi0_xy, kappa1, kappa2, kappa3
     # (chi columns optional; kappas only with chi0_xy, defaulting to 0)
@@ -510,11 +521,10 @@ def _book_aggregation(state: ParticleState, mv: Aggregation, model: VacuumModel)
 
 
 def _book_field_modulation(state: ParticleState, mv: FieldModulation, model: VacuumModel):
-    s = mv.series
-    if s.chi0_xy is not None:  # the series' params override every particle's
-        per_particle = np.full(len(state), _quantum_impulse(s.chi_samples(None), s))
-    else:  # linear in chi: weight the impulses of the basis series 1, E*B, E, B
-        w = _quantum_impulse(np.stack([np.ones_like(s.e_x), s.e_x * s.b_y, s.e_x, s.b_y]), s)
+    w = mv.series._quantum_impulses
+    if mv.series.chi0_xy is not None:  # the series' params override every particle's
+        per_particle = np.full(len(state), w)
+    else:
         k = state.kappa
         per_particle = state.chi0_xy * w[0] + k[:, 0] * w[1] + k[:, 1] * w[2] + k[:, 2] * w[3]
     return state, _along_z(-_ordered_sum(per_particle))  # vacuum side; particles gain +impulse
@@ -551,8 +561,9 @@ def run_maneuver_sequence(
 ) -> ImpulseLedger:
     """Apply maneuvers in order, booking each into a conservation-checked ledger.
 
-    The particles are converted to one :class:`ParticleState` up front.
-    Rotations update particle orientations; every entry books the vacuum
+    The particles are converted to one :class:`ParticleState` up front.  A
+    rotation turns the state's one 3x3 frame and reads the new lab-frame
+    chi0_xy in one pass over the particles; every entry books the vacuum
     momentum change and its exact opposite on the particle side.  On
     failure raises :class:`ManeuverError` carrying the index of the
     offending maneuver and the ledger accumulated so far.

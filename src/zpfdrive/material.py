@@ -21,9 +21,15 @@ particle, and :class:`Particle` and :class:`MagnetoElectricTensor` to their
 one row.  Each rotation matrix is checked once, where it enters.
 
 :class:`ParticleState` holds many particles as arrays (struct of arrays) for
-the maneuver ledger: a rotation or a lab-frame read is a few batched numpy
-operations over all particles.  A rotation takes one Newton-Schulz polar
-step and checks only the new orientations; the other arrays are shared.
+the maneuver ledger.  Its lab-frame tensors ``L_i = O_i chi0_i O_i^T`` are one
+batched conjugation, once per state built, and every rotation of the state
+shares them: it turns one 3x3 frame ``F`` by one checked Newton-Schulz polar
+step, and its lab-frame xy entries, those of ``F L_i F^T``, are one pass of
+nine multiply-adds over the particles.  Only a particle whose ``|L_i|_F``
+reaches the sanity bound can break it in some frame, so only such particles
+get the full ``F L_i F^T`` on a read.  A :class:`Particle` takes the same path
+on a stack of one, and the two agree bit for bit.  Records are read a column
+at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 from ._deferred import NumpyOnFirstUse
@@ -318,6 +325,9 @@ class Particle:
         object.__setattr__(self, "orientation", _as_matrix(self.orientation, "orientation"))
         fields = {"size_a": self.size_a, "density": self.density_rho, "epsilon": self.epsilon}
         _check_particles({**fields, "orientation": self.orientation}, single=True)
+        lab = _LabTensors(self.orientation[None], self.tensor.chi0[None])  # a stack of one
+        object.__setattr__(self, "_lab", lab)
+        object.__setattr__(self, "_frame", None)
 
     @property
     def mass(self) -> float:
@@ -327,21 +337,76 @@ class Particle:
     @cached_property
     def chi0_xy(self) -> float:
         """Lab-frame intrinsic xy component, the one driving momentum transfer."""
-        return float(_lab_chi0_xy(self.orientation[None], self.tensor.chi0[None], single=True)[0])
+        return float(_lab_chi0_xy(self._lab, self._frame, single=True)[0])
 
     def rotated(self, r: np.ndarray) -> "Particle":
-        """Particle after applying rotation ``r`` in the lab frame (see :func:`_rotate`)."""
-        return replace(self, orientation=_rotate(r, self.orientation))
+        """Particle after applying rotation ``r`` in the lab frame: the frame composition of
+        :meth:`ParticleState.rotated` on a stack of one, so the two agree bit for bit."""
+        frame = _turned(r, self._frame)
+        orientation = _in_frame(frame, self._lab.orientation)[0]
+        after = object.__new__(Particle)  # skips __post_init__: only the frame is new
+        after.__dict__.update(
+            {k: getattr(self, k) for k in ("size_a", "density_rho", "tensor", "epsilon")},
+            orientation=orientation, _lab=self._lab, _frame=frame,
+        )
+        return after
 
 
-def _lab_chi0_xy(orientation: np.ndarray, chi0: np.ndarray, single: bool = False) -> np.ndarray:
-    """The xy entries of ``R chi0 R^T`` over (N, 3, 3) stacks checked where they entered, read-only;
-    ValueError for the first particle past the lab-frame sanity bound, named unless ``single``."""
-    r_t = np.ascontiguousarray(np.swapaxes(orientation, 1, 2))  # a strided operand is ~3x slower
-    lab = orientation @ chi0 @ r_t
-    bad = np.abs(lab).max(axis=(1, 2)) > CHI0_SANITY_BOUND
+def _conjugate(r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``R X R^T`` over (N, 3, 3) stacks."""
+    r_t = np.ascontiguousarray(np.swapaxes(r, 1, 2))  # a strided operand is ~3x slower
+    return r @ x @ r_t
+
+
+class _LabTensors:
+    """The lab-frame tensors ``L_i = O_i chi0_i O_i^T`` of N particles at the orientations
+    they were built with, from (N, 3, 3) stacks checked where they entered.  Each attribute
+    is computed on first use and shared by every rotation of those particles."""
+
+    def __init__(self, orientation: np.ndarray, chi0: np.ndarray) -> None:
+        self.orientation, self.chi0 = orientation, chi0
+
+    @cached_property
+    def tensors(self) -> np.ndarray:
+        return _conjugate(self.orientation, self.chi0)
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """(9, N): entry (j, k) of every ``L_i`` as one contiguous row, rows in (j, k) order."""
+        return np.ascontiguousarray(self.tensors.reshape(-1, 9).T)
+
+    @cached_property
+    def near_bound(self) -> np.ndarray:
+        """The indices of the particles that may break the sanity bound in some frame: no
+        entry of ``F L F^T`` exceeds ``|L|_F`` for a rotation ``F``, so a particle whose
+        Frobenius norm is below the bound, less a margin for rounding, never can."""
+        norm = np.linalg.norm(self.tensors, axis=(1, 2))
+        return np.flatnonzero(~(norm <= CHI0_SANITY_BOUND * (1.0 - 1e-9)))
+
+
+def _lab_chi0_xy(lab: _LabTensors, frame: np.ndarray | None, single: bool = False) -> np.ndarray:
+    """The xy entries of ``F L_i F^T`` for the particles' frame ``F`` (None: the identity, the
+    frame they were built in), read-only; ValueError for the first particle past the
+    lab-frame sanity bound, named unless ``single``.
+
+    A rotated frame costs one O(N) pass: nine multiply-adds of N-vectors in one fixed
+    order, so a stack of one and a stack of N give the same bits.  Only the particles
+    :attr:`_LabTensors.near_bound` names get the full ``F L_i F^T`` for the bound check."""
+    tensors = lab.tensors
+    if frame is None:
+        bad = np.abs(tensors).max(axis=(1, 2)) > CHI0_SANITY_BOUND
+        xy = tensors[:, 0, 1].copy()
+    else:
+        near = lab.near_bound
+        bad = np.zeros(len(tensors), dtype=bool)
+        if near.size:
+            turned = _conjugate(np.broadcast_to(frame, (near.size, 3, 3)), tensors[near])
+            bad[near] = np.abs(turned).max(axis=(1, 2)) > CHI0_SANITY_BOUND
+        weights = np.multiply.outer(frame[0], frame[1]).ravel().tolist()  # F[0, j] * F[1, k]
+        xy = weights[0] * lab.columns[0]
+        for weight, column in zip(weights[1:], lab.columns[1:]):
+            xy += weight * column
     _reject_first(bad, f"lab-frame {_CHI0_BOUND}", single)
-    xy = lab[:, 0, 1].copy()
     xy.flags.writeable = False
     return xy
 
@@ -357,8 +422,29 @@ def _rotate(r: object, orientation: np.ndarray) -> np.ndarray:
     factors are proper rotations, and the step multiplies by ``(3I - M^T M) / 2``, which is
     within 1e-12 of ``I``, so a result that passes the Gram test has ``det = +1`` to
     rounding.  Matrices that enter from outside get both tests."""
-    m = _proper_rotation(r) @ orientation
+    return _polar_step(_proper_rotation(r) @ orientation)
+
+
+def _polar_step(m: np.ndarray) -> np.ndarray:
     return m @ (3.0 * np.eye(3) - np.ascontiguousarray(np.swapaxes(m, -1, -2)) @ m) * 0.5
+
+
+def _in_frame(frame: np.ndarray, orientation: np.ndarray) -> np.ndarray:
+    """``_rotate(frame, orientation)`` for a frame from :func:`_turned`, which checked it,
+    so it is not checked again; read-only."""
+    turned = _polar_step(frame @ orientation)
+    turned.flags.writeable = False
+    return turned
+
+
+def _turned(r: object, frame: np.ndarray | None) -> np.ndarray:
+    """The frame ``_rotate(r, F)`` of particles in frame ``F`` (None: the identity) after
+    rotation ``r``, read-only; it alone gets the Gram test (see :func:`_rotate`)."""
+    frame = _rotate(r, np.eye(3) if frame is None else frame)
+    if not _orthogonal(frame[None])[0]:
+        raise ValueError(_NOT_ORTHOGONAL)
+    frame.flags.writeable = False
+    return frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,7 +454,8 @@ class ParticleState:
     Construction converts every field and applies the particle checks batched,
     the same checks :class:`Particle` and :class:`MagnetoElectricTensor` apply;
     an error names the particle index.  The arrays are read-only, so a valid
-    state stays valid.
+    state stays valid.  A rotated state shares them and adds one 3x3 frame
+    (see :meth:`rotated`).
     """
 
     size_a: np.ndarray  # (N,) m
@@ -387,6 +474,15 @@ class ParticleState:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         _check_particles({name: getattr(self, name) for name in _PARTICLE_FIELDS})
+        object.__setattr__(self, "_lab", _LabTensors(self.orientation, self.chi0))
+        object.__setattr__(self, "_frame", None)
+
+    def __getattr__(self, name: str):
+        # only a rotated state lacks its orientation stack (see rotated): built on first read
+        if name != "orientation" or "_frame" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        orientation = self.__dict__["orientation"] = _in_frame(self._frame, self._lab.orientation)
+        return orientation
 
     def __len__(self) -> int:
         return self.size_a.shape[0]
@@ -397,44 +493,73 @@ class ParticleState:
 
     @classmethod
     def from_dicts(cls, records: Sequence[object]) -> "ParticleState":
-        """State from records in the :func:`particle_to_dict` schema, each read as
-        :func:`particle_from_dict` reads one; an error names the record's index and field."""
-        rows = []
-        for i, d in enumerate(records):
-            try:
-                rows.append(_particle_record(d))
-            except ValueError as exc:
-                raise ValueError(f"particle {i}: {exc}") from None
+        """State from records in the :func:`particle_to_dict` schema, read a column at a time
+        with the checks :func:`particle_from_dict` applies to one; an error names the index
+        and field of the first bad record."""
+        columns = _particle_columns(records)
+        if columns is None:  # a record fails a check, or mixes layouts: read each in turn
+            rows = []
+            for i, d in enumerate(records):
+                try:
+                    rows.append(_particle_record(d))
+                except ValueError as exc:
+                    raise ValueError(f"particle {i}: {exc}") from None
+            columns = {key: [row[key] for row in rows] for key in _PARTICLE_SCHEMA}
         return cls(
-            size_a=[row["size_a_m"] for row in rows],
-            density=[row["density_kg_m3"] for row in rows],
-            epsilon=[row["epsilon"] for row in rows],
-            chi0=_matrix_column(rows, "chi0"),
-            kappa=np.array([[row[k] for row in rows] for k in _KAPPAS]).T,
-            orientation=_matrix_column(rows, "orientation"),
+            size_a=columns["size_a_m"],
+            density=columns["density_kg_m3"],
+            epsilon=columns["epsilon"],
+            chi0=_matrix_column(columns["chi0"], "chi0"),
+            kappa=np.array([columns[k] for k in _KAPPAS]).T,
+            orientation=_matrix_column(columns["orientation"], "orientation"),
         )
 
     @cached_property
     def chi0_xy(self) -> np.ndarray:
-        """Lab-frame intrinsic xy components: one batched R chi0 R^T."""
-        return _lab_chi0_xy(self.orientation, self.chi0)
+        """Lab-frame intrinsic xy components (see :func:`_lab_chi0_xy`)."""
+        return _lab_chi0_xy(self._lab, self._frame)
 
     def rotated(self, r: np.ndarray) -> "ParticleState":
-        """State after rotating every particle by ``r``; only the new orientations are
-        checked, by the Gram test alone, and the other read-only arrays are shared (see
-        :func:`_rotate`)."""
-        orientation = _rotate(r, self.orientation)
-        _reject_first(~_orthogonal(orientation), _NOT_ORTHOGONAL, single=False)
-        orientation.flags.writeable = False
-        fields = {k: getattr(self, k) for k in _PARTICLE_FIELDS}
+        """State after rotating every particle by ``r``: one 3x3 frame, ``_rotate(r, F)``,
+        Gram-checked alone; every array is shared, and ``orientation``, ``_rotate(F, O)``
+        over the orientations ``O`` the state was built with, is built on first read."""
+        fields = {k: getattr(self, k) for k in _PARTICLE_FIELDS if k != "orientation"}
         after = object.__new__(ParticleState)  # skips __post_init__
-        after.__dict__.update(fields, orientation=orientation)
+        after.__dict__.update(fields, _lab=self._lab, _frame=_turned(r, self._frame))
         return after
 
 
-def _matrix_column(rows: list[dict], key: str) -> np.ndarray:
-    """(N, 3, 3) from the 9-entry lists, flat or nested, of field ``key`` of the records."""
-    values = [row[key] for row in rows]
+def _particle_columns(records: Sequence[object]) -> dict | None:
+    """Each field of ``_PARTICLE_SCHEMA`` over the records, numbers as a float array, or None
+    where some record is not a dict, holds a key outside the schema or misses a required
+    one, holds a value of the wrong JSON kind or an int too large for a float, or mixes flat
+    and nested matrices across records: :func:`read_record`'s checks, by C-level set tests."""
+    if not {dict}.issuperset(map(type, records)):
+        return None
+    if not _PARTICLE_SCHEMA.keys() >= set().union(*records):
+        return None
+    columns = {}
+    for key, (kind, default) in _PARTICLE_SCHEMA.items():
+        values = [d.get(key, default) for d in records]  # a missing required key: REQUIRED
+        if default is None:  # null or absent: the identity, as in _particle_record
+            values = [_IDENTITY if v is None else v for v in values]
+        if kind is float:
+            if not _NUMBER_TYPES.issuperset(map(type, values)):
+                return None
+            try:
+                values = np.array(values, dtype=float)
+            except OverflowError:
+                return None
+        elif not {list}.issuperset(map(type, values)):
+            return None
+        elif not _numbers(list(chain.from_iterable(values))):  # all flat, or all nested
+            return None
+        columns[key] = values
+    return columns
+
+
+def _matrix_column(values: list, key: str) -> np.ndarray:
+    """(N, 3, 3) from the 9-entry lists, flat or nested, of field ``key`` of N records."""
     try:
         return np.array(values, dtype=float).reshape(len(values), 3, 3)
     except (ValueError, OverflowError):
@@ -470,7 +595,8 @@ def rotate_tensor(t: MagnetoElectricTensor, r: object) -> MagnetoElectricTensor:
 # -- JSON serialization ------------------------------------------------------
 
 # the particle record schema, key -> (JSON kind, default), read by _particle_record for
-# particle_from_dict and ParticleState.from_dicts; a null or absent orientation is the identity
+# particle_from_dict and by _particle_columns for ParticleState.from_dicts; a null or absent
+# orientation is the identity
 _PARTICLE_SCHEMA = {
     "size_a_m": (float, REQUIRED),
     "density_kg_m3": (float, REQUIRED),

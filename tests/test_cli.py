@@ -860,6 +860,17 @@ class TestLedgerInputErrors:
         path = tmp_path / f"{which}.json"
         assert err == f"error: {path}: not valid JSON: duplicate key {key!r}\n"
 
+    def test_rotation_that_breaks_the_lab_frame_bound(self, capsys, tmp_path):
+        # |chi0|_F = 2.7: every entry is within the bound until the turn pushes one past it
+        wide = {"chi0": [0.9] * 9, "size_a_m": 1e-9, "density_kg_m3": 1e3}
+        cavity = {"type": "cavity_modulation", "dB2_dt": 1.0, "duration_s": 1.0}
+        turn = {"type": "rotation", "axis": [1, 1, 0], "angle_rad": 0.7}
+        err = self.run_ledger(capsys, tmp_path, [None, wide], [cavity, turn])
+        assert err == (
+            f"error: {tmp_path / 'maneuvers.json'}: maneuver 1 failed:"
+            " particle 1: lab-frame |chi0| entries exceed sanity bound 1.0\n"
+        )
+
     def test_unrepresentable_particle_size(self, capsys, tmp_path):
         # Particle refuses this size too, so the record is written directly
         tiny = {"chi0": [0, 1e-3] + [0] * 7, "size_a_m": 1e-320, "density_kg_m3": 1000.0}
@@ -979,6 +990,11 @@ class TestRecordsHoldJsonNumbers:
             (json.dumps({"chi0": 1e-3}), "missing field 'target_rate'"),
             (NESTED, "not valid JSON: maximum recursion depth exceeded"),
             (twice(SPEC, "target_rate", 400.0), "not valid JSON: duplicate key 'target_rate'\n"),
+            (
+                "\ufeff" + json.dumps(SPEC),
+                "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig):"
+                " line 1 column 1 (char 0)\n",
+            ),
         ],
     )
     def test_spec_read_error_names_the_file(self, capsys, tmp_path, command, text, message):

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -608,6 +609,17 @@ class TestManeuverSequence:
         assert err.value.index == 2
         assert len(err.value.ledger.entries) == 2
 
+    def test_a_rotation_can_break_the_lab_frame_bound(self):
+        # |chi0|_F = 2.7: every entry is within the bound until the turn pushes one past it
+        wide = Particle(1e-9, 1e3, MagnetoElectricTensor(np.full((3, 3), 0.9)))
+        maneuvers = [CavityModulation(db2_dt=1.0, duration=1.0), Rotation([1, 1, 0], 0.7)]
+        with pytest.raises(ManeuverError) as err:
+            run_maneuver_sequence([particle(), wide], maneuvers, 1.0, VacuumModel())
+        assert str(err.value) == (
+            "maneuver 1 failed: particle 1: lab-frame |chi0| entries exceed sanity bound 1.0"
+        )
+        assert len(err.value.ledger.entries) == 1
+
     def test_ledger_jsonl_schema(self):
         p = particle()
         ledger = run_maneuver_sequence(
@@ -647,12 +659,6 @@ class TestManeuverSequence:
 # -- the array ledger against a per-particle reference ---------------------------
 
 _Z = np.array([0.0, 0.0, 1.0])
-
-
-def _reference_rotated(p, r):
-    m = r @ p.orientation
-    nearest = m @ (3.0 * np.eye(3) - m.T @ m) * 0.5
-    return Particle(p.size_a, p.density_rho, p.tensor, nearest, p.epsilon)
 
 
 def _svd_rotated(p, r):
@@ -695,10 +701,12 @@ def _reference_quantum_impulse(p, s):
 
 
 def reference_ledger(
-    particles, maneuvers, m_total, model, rotate=_reference_rotated,
+    particles, maneuvers, m_total, model, rotate=Particle.rotated,
     impulse=_reference_quantum_impulse,
 ):
-    """One Particle object per particle, each term added in particle order."""
+    """One Particle object per particle, each term added in particle order; by default each
+    particle turns by :meth:`Particle.rotated`, the frame composition of the state on a stack
+    of one."""
     ledger = ImpulseLedger(m_total)
     current = list(particles)
     for mv in maneuvers:
@@ -897,6 +905,37 @@ class TestLedgerEquivalence:
         a = run_maneuver_sequence(ps, mv, 1.0, model).entry_dicts()
         b = run_maneuver_sequence(ParticleState.from_particles(ps), mv, 1.0, model).entry_dicts()
         assert json.dumps(a) == json.dumps(b)
+
+    @given(particles=random_particles, turns=st.lists(rotations, min_size=1, max_size=8))
+    def test_turns_then_their_inverses_book_zero_and_restore_the_orientation(
+        self, particles, turns
+    ):
+        model = VacuumModel()
+        there_and_back = turns + [Rotation(mv.axis, -mv.angle) for mv in reversed(turns)]
+        state = initial = ParticleState.from_particles(particles)
+        ledger = run_maneuver_sequence(state, there_and_back, 1.0, model)
+        for mv in there_and_back:
+            state = state.rotated(rotation_about(mv.axis, mv.angle))
+        net = np.sum([e.dp_vacuum for e in ledger.entries], axis=0)
+        # sum |P_vac| with each chi0_xy at its bound |chi0|_F, which holds in every orientation
+        chi_bound = np.linalg.norm(initial.chi0, axis=(1, 2))
+        scale = np.sum(stored_momentum(chi_bound, initial.size_a, model))
+        assert net[:2].tolist() == [0.0, 0.0]
+        assert abs(net[2]) <= 1e-12 * scale
+        drift = np.abs(state.orientation - initial.orientation).max()
+        assert drift <= 8 * np.finfo(float).eps, drift / np.finfo(float).eps
+
+    @pytest.mark.parametrize("chi_params", [False, True])
+    def test_modulations_that_share_a_series_integrate_it_once(self, chi_params):
+        series = _series(201, chi_params)
+        mv = [FieldModulation(series), Rotation([0, 0, 1], 1.0), FieldModulation(series)]
+        ps = [particle(kappa3=1e-3), particle(chi=-4e-4, a=2e-9)]
+        integrate = dynamics._quantum_impulse
+        with mock.patch.object(dynamics, "_quantum_impulse", side_effect=integrate) as counted:
+            got = run_maneuver_sequence(ps, mv, 1.0, VacuumModel()).entry_dicts()
+        assert counted.call_count == 1
+        want = reference_ledger(ps, mv, 1.0, VacuumModel()).entry_dicts()
+        assert json.dumps(got) == json.dumps(want)
 
     @given(particles=random_particles, turns=st.lists(rotations, min_size=1, max_size=8))
     def test_rotations_book_the_change_of_stored_momentum(self, particles, turns):

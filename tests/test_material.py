@@ -1,5 +1,6 @@
 import json
 import re
+import types
 import warnings
 from unittest import mock
 
@@ -409,6 +410,22 @@ class TestParticleState:
             ParticleState.from_particles([p, p, p])
             assert calls == [3]
 
+    def test_particle_rotation_checks_the_factor_alone(self):
+        p = random_particles(np.random.default_rng(13), 1)[0]
+        r = rotation_about([1, 2, 3], 0.4)
+        original = material._check_rotations
+        with (
+            mock.patch.object(material, "_check_rotations", side_effect=original) as rotations,
+            mock.patch.object(material, "_check_particles") as particles,
+        ):
+            turned = p.rotated(r).rotated(r)
+            turned.orientation
+        assert rotations.call_count == 2  # each factor r; no product is checked again
+        particles.assert_not_called()
+        assert not turned.orientation.flags.writeable
+        state = ParticleState.from_particles([p]).rotated(r).rotated(r)
+        assert np.array_equal(turned.orientation, state.orientation[0])
+
     def test_improper_orientation_rejected(self):
         records = [particle_to_dict(p) for p in random_particles(np.random.default_rng(4), 3)]
         records[1]["orientation"] = [1, 0, 0, 0, 1, 0, 0, 0, -1]
@@ -459,8 +476,8 @@ class TestParticleState:
     def test_particle_and_state_share_one_conjugation(self):
         particles = random_particles(np.random.default_rng(7), 3)
         state = ParticleState.from_particles(particles)
-        kernel = material._lab_chi0_xy
-        with mock.patch.object(material, "_lab_chi0_xy", side_effect=kernel) as counted:
+        kernel = material._conjugate
+        with mock.patch.object(material, "_conjugate", side_effect=kernel) as counted:
             values = [p.chi0_xy for p in particles]
             assert state.chi0_xy.tolist() == values
         assert [c.args[0].shape for c in counted.call_args_list] == [(1, 3, 3)] * 3 + [(3, 3, 3)]
@@ -468,11 +485,37 @@ class TestParticleState:
     def test_from_dicts_takes_flat_and_nested_chi0_alike(self):
         records = [particle_to_dict(p) for p in random_particles(np.random.default_rng(8), 4)]
         flat = ParticleState.from_dicts(records)
-        for i in (1, 3):
-            records[i]["chi0"] = np.reshape(records[i]["chi0"], (3, 3)).tolist()
-        mixed = ParticleState.from_dicts(records)
-        for name in ("size_a", "density", "epsilon", "chi0", "kappa", "orientation", "chi0_xy"):
-            assert np.array_equal(getattr(mixed, name), getattr(flat, name)), name
+        nested = [{**d, "chi0": np.reshape(d["chi0"], (3, 3)).tolist()} for d in records]
+        mixed = records[:1] + nested[1:2] + records[2:3] + nested[3:]
+        # a mix of layouts, and records that are mappings but not dicts, are read record by record
+        proxies = [types.MappingProxyType(d) for d in records]
+        for other in map(ParticleState.from_dicts, (nested, mixed, proxies)):
+            for name in ("size_a", "density", "epsilon", "chi0", "kappa", "orientation", "chi0_xy"):
+                assert np.array_equal(getattr(other, name), getattr(flat, name)), name
+
+    def test_from_dicts_names_the_first_bad_record_not_the_first_bad_column(self):
+        records = [particle_to_dict(p) for p in random_particles(np.random.default_rng(10), 4)]
+        records[1]["kappa1"] = 10**400  # a JSON number, that only the conversion refuses
+        records[3]["size_a_m"] = "1e-9"  # an earlier column, a later record
+        with pytest.raises(ValueError) as err:
+            ParticleState.from_dicts(records)
+        assert str(err.value) == "particle 1: field 'kappa1': int too large to convert to float"
+
+    def test_rotations_conjugate_no_stack_of_n(self):
+        rng = np.random.default_rng(12)
+        particles = random_particles(rng, 6)
+        # |chi0|_F = 1.04 > 1: checked in full in every frame, though no entry can pass 0.6
+        wide = Particle(1e-9, 1e3, MagnetoElectricTensor(0.6 * np.eye(3)))
+        kernel = material._conjugate
+        for fleet, per_rotation in ((particles, []), (particles + [wide], [(1, 3, 3)])):
+            with mock.patch.object(material, "_conjugate", side_effect=kernel) as counted:
+                state = ParticleState.from_particles(fleet)
+                state.chi0_xy
+                for _ in range(4):
+                    state = state.rotated(random_rotation(rng))
+                    state.chi0_xy
+            shapes = [c.args[0].shape for c in counted.call_args_list]
+            assert shapes == [(len(fleet), 3, 3)] + per_rotation * 4
 
 
 class TestInputRules:
