@@ -22,21 +22,21 @@ one row.  Each rotation matrix is checked once, where it enters.
 
 :class:`ParticleState` holds many particles as arrays (struct of arrays) for
 the maneuver ledger.  Its lab-frame tensors ``L_i = O_i chi0_i O_i^T`` are one
-batched conjugation, once per state built, and every rotation of the state
-shares them: it turns one 3x3 frame ``F`` by one checked Newton-Schulz polar
-step, and its lab-frame xy entries, those of ``F L_i F^T``, are one pass of
-nine multiply-adds over the particles.  Only a particle whose ``|L_i|_F``
-reaches the sanity bound can break it in some frame, so only such particles
-get the full ``F L_i F^T`` on a read.  A :class:`Particle` takes the same path
-on a stack of one, and the two agree bit for bit.  Records are read a column
-at a time.
+batched conjugation, computed and checked against the sanity bound when the
+state is built, and every rotation of the state shares them: it turns one 3x3
+frame ``F`` by one checked Newton-Schulz polar step, and its lab-frame xy
+entries, those of ``F L_i F^T``, are one pass of nine multiply-adds over the
+particles.  Only a particle whose ``|L_i|_F`` reaches the sanity bound can
+break it in some frame, so only such particles get the full ``F L_i F^T`` on a
+rotation.  A :class:`Particle` computes and checks its lab frame by the same
+kernel on a stack of one, and the two agree bit for bit; it is not turned: a
+state of one turns one particle.  Records are read a column at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import chain
 from typing import Callable, Mapping, Sequence
 
@@ -311,7 +311,9 @@ class MagnetoElectricTensor:
 
 @dataclass(frozen=True, eq=False)
 class Particle:
-    """A magneto-electric cube: size, density, response tensor, orientation."""
+    """A magneto-electric cube: size, density, response tensor, orientation.  Its lab-frame
+    ``chi0_xy`` is computed and checked when it is built; to turn particles, turn a
+    :class:`ParticleState` (of one, for one particle)."""
 
     size_a: float  # m
     density_rho: float  # kg/m^3
@@ -325,31 +327,14 @@ class Particle:
         object.__setattr__(self, "orientation", _as_matrix(self.orientation, "orientation"))
         fields = {"size_a": self.size_a, "density": self.density_rho, "epsilon": self.epsilon}
         _check_particles({**fields, "orientation": self.orientation}, single=True)
-        lab = _LabTensors(self.orientation[None], self.tensor.chi0[None])  # a stack of one
-        object.__setattr__(self, "_lab", lab)
-        object.__setattr__(self, "_frame", None)
+        # the lab-frame intrinsic xy component, the one driving momentum transfer
+        lab = _lab_tensors(self.orientation[None], self.tensor.chi0[None], single=True)
+        object.__setattr__(self, "chi0_xy", float(lab[0, 0, 1]))
 
     @property
     def mass(self) -> float:
         """Mass in kg; exactly density * size**3 (cube convention)."""
         return self.density_rho * self.size_a**3
-
-    @cached_property
-    def chi0_xy(self) -> float:
-        """Lab-frame intrinsic xy component, the one driving momentum transfer."""
-        return float(_lab_chi0_xy(self._lab, self._frame, single=True)[0])
-
-    def rotated(self, r: np.ndarray) -> "Particle":
-        """Particle after applying rotation ``r`` in the lab frame: the frame composition of
-        :meth:`ParticleState.rotated` on a stack of one, so the two agree bit for bit."""
-        frame = _turned(r, self._frame)
-        orientation = _in_frame(frame, self._lab.orientation)[0]
-        after = object.__new__(Particle)  # skips __post_init__: only the frame is new
-        after.__dict__.update(
-            {k: getattr(self, k) for k in ("size_a", "density_rho", "tensor", "epsilon")},
-            orientation=orientation, _lab=self._lab, _frame=frame,
-        )
-        return after
 
 
 def _conjugate(r: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -358,93 +343,27 @@ def _conjugate(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     return r @ x @ r_t
 
 
-class _LabTensors:
-    """The lab-frame tensors ``L_i = O_i chi0_i O_i^T`` of N particles at the orientations
-    they were built with, from (N, 3, 3) stacks checked where they entered.  Each attribute
-    is computed on first use and shared by every rotation of those particles."""
-
-    def __init__(self, orientation: np.ndarray, chi0: np.ndarray) -> None:
-        self.orientation, self.chi0 = orientation, chi0
-
-    @cached_property
-    def tensors(self) -> np.ndarray:
-        return _conjugate(self.orientation, self.chi0)
-
-    @cached_property
-    def columns(self) -> np.ndarray:
-        """(9, N): entry (j, k) of every ``L_i`` as one contiguous row, rows in (j, k) order."""
-        return np.ascontiguousarray(self.tensors.reshape(-1, 9).T)
-
-    @cached_property
-    def near_bound(self) -> np.ndarray:
-        """The indices of the particles that may break the sanity bound in some frame: no
-        entry of ``F L F^T`` exceeds ``|L|_F`` for a rotation ``F``, so a particle whose
-        Frobenius norm is below the bound, less a margin for rounding, never can."""
-        norm = np.linalg.norm(self.tensors, axis=(1, 2))
-        return np.flatnonzero(~(norm <= CHI0_SANITY_BOUND * (1.0 - 1e-9)))
+_LAB_BOUND = f"lab-frame {_CHI0_BOUND}"
 
 
-def _lab_chi0_xy(lab: _LabTensors, frame: np.ndarray | None, single: bool = False) -> np.ndarray:
-    """The xy entries of ``F L_i F^T`` for the particles' frame ``F`` (None: the identity, the
-    frame they were built in), read-only; ValueError for the first particle past the
-    lab-frame sanity bound, named unless ``single``.
-
-    A rotated frame costs one O(N) pass: nine multiply-adds of N-vectors in one fixed
-    order, so a stack of one and a stack of N give the same bits.  Only the particles
-    :attr:`_LabTensors.near_bound` names get the full ``F L_i F^T`` for the bound check."""
-    tensors = lab.tensors
-    if frame is None:
-        bad = np.abs(tensors).max(axis=(1, 2)) > CHI0_SANITY_BOUND
-        xy = tensors[:, 0, 1].copy()
-    else:
-        near = lab.near_bound
-        bad = np.zeros(len(tensors), dtype=bool)
-        if near.size:
-            turned = _conjugate(np.broadcast_to(frame, (near.size, 3, 3)), tensors[near])
-            bad[near] = np.abs(turned).max(axis=(1, 2)) > CHI0_SANITY_BOUND
-        weights = np.multiply.outer(frame[0], frame[1]).ravel().tolist()  # F[0, j] * F[1, k]
-        xy = weights[0] * lab.columns[0]
-        for weight, column in zip(weights[1:], lab.columns[1:]):
-            xy += weight * column
-    _reject_first(bad, f"lab-frame {_CHI0_BOUND}", single)
-    xy.flags.writeable = False
-    return xy
+def _lab_tensors(orientation: np.ndarray, chi0: np.ndarray, single: bool = False) -> np.ndarray:
+    """The lab-frame tensors ``L_i = O_i chi0_i O_i^T`` of (N, 3, 3) stacks checked where they
+    entered; ValueError for the first particle with an entry past the sanity bound, named
+    unless ``single``."""
+    tensors = _conjugate(orientation, chi0)
+    _reject_first(np.abs(tensors).max(axis=(1, 2)) > CHI0_SANITY_BOUND, _LAB_BOUND, single)
+    return tensors
 
 
-def _rotate(r: object, orientation: np.ndarray) -> np.ndarray:
-    """``r @ orientation`` pulled back onto the rotations by one Newton-Schulz step of the
-    polar decomposition, ``M (3I - M^T M) / 2`` (Bjorck & Bowie, SIAM J. Numer. Anal. 8, 1971).
-    ``r`` is checked here and ``orientation`` (3x3 or (N, 3, 3)) where it entered, so the
-    product is orthogonal to ``ORTHOGONALITY_TOL``; the step squares that error, down to
-    rounding, and keeps ``det = +1``, so long chains cannot drift.
-
-    The result therefore needs the Gram test alone: ``det(r @ orientation) > 0`` as both
-    factors are proper rotations, and the step multiplies by ``(3I - M^T M) / 2``, which is
-    within 1e-12 of ``I``, so a result that passes the Gram test has ``det = +1`` to
-    rounding.  Matrices that enter from outside get both tests."""
-    return _polar_step(_proper_rotation(r) @ orientation)
-
-
+# One Newton-Schulz step of the polar decomposition, ``M (3I - M^T M) / 2`` (Bjorck & Bowie,
+# SIAM J. Numer. Anal. 8, 1971), pulls a product of proper rotations back onto the rotations.
+# Each factor was checked where it entered, so the product is orthogonal to
+# ORTHOGONALITY_TOL; the step squares that error, down to rounding, and keeps det = +1, so
+# long chains cannot drift.  The result therefore needs the Gram test alone: the product has
+# det > 0, and the step multiplies it by (3I - M^T M) / 2, within 1e-12 of I, so a result that
+# passes the Gram test has det = +1 to rounding.  Matrices that enter from outside get both.
 def _polar_step(m: np.ndarray) -> np.ndarray:
     return m @ (3.0 * np.eye(3) - np.ascontiguousarray(np.swapaxes(m, -1, -2)) @ m) * 0.5
-
-
-def _in_frame(frame: np.ndarray, orientation: np.ndarray) -> np.ndarray:
-    """``_rotate(frame, orientation)`` for a frame from :func:`_turned`, which checked it,
-    so it is not checked again; read-only."""
-    turned = _polar_step(frame @ orientation)
-    turned.flags.writeable = False
-    return turned
-
-
-def _turned(r: object, frame: np.ndarray | None) -> np.ndarray:
-    """The frame ``_rotate(r, F)`` of particles in frame ``F`` (None: the identity) after
-    rotation ``r``, read-only; it alone gets the Gram test (see :func:`_rotate`)."""
-    frame = _rotate(r, np.eye(3) if frame is None else frame)
-    if not _orthogonal(frame[None])[0]:
-        raise ValueError(_NOT_ORTHOGONAL)
-    frame.flags.writeable = False
-    return frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,10 +371,11 @@ class ParticleState:
     """N particles as arrays: what a list of :class:`Particle` holds, per field.
 
     Construction converts every field and applies the particle checks batched,
-    the same checks :class:`Particle` and :class:`MagnetoElectricTensor` apply;
+    the same checks :class:`Particle` and :class:`MagnetoElectricTensor` apply,
+    then computes and checks the lab-frame tensors (see :func:`_lab_tensors`);
     an error names the particle index.  The arrays are read-only, so a valid
     state stays valid.  A rotated state shares them and adds one 3x3 frame
-    (see :meth:`rotated`).
+    (see :meth:`rotated`).  ``chi0_xy`` holds the lab-frame xy components.
     """
 
     size_a: np.ndarray  # (N,) m
@@ -474,14 +394,28 @@ class ParticleState:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         _check_particles({name: getattr(self, name) for name in _PARTICLE_FIELDS})
-        object.__setattr__(self, "_lab", _LabTensors(self.orientation, self.chi0))
-        object.__setattr__(self, "_frame", None)
+        tensors = _lab_tensors(self.orientation, self.chi0)
+        # no entry of F L F^T exceeds |L|_F for a rotation F, so only a particle whose
+        # Frobenius norm reaches the bound, less a margin for rounding, can break it
+        norm = np.linalg.norm(tensors, axis=(1, 2))
+        near = np.flatnonzero(~(norm <= CHI0_SANITY_BOUND * (1.0 - 1e-9)))
+        xy = tensors[:, 0, 1].copy()
+        xy.flags.writeable = False
+        self.__dict__.update(  # shared by every rotation of the state
+            chi0_xy=xy,
+            _built=self.orientation,  # the orientations O that the frame F turns
+            _frame=np.eye(3),
+            _columns=np.ascontiguousarray(tensors.reshape(-1, 9).T),  # (9, N): L_i[j, k] by row
+            _near=(near, tensors[near]),
+        )
 
     def __getattr__(self, name: str):
         # only a rotated state lacks its orientation stack (see rotated): built on first read
-        if name != "orientation" or "_frame" not in self.__dict__:
+        if name != "orientation" or "_built" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        orientation = self.__dict__["orientation"] = _in_frame(self._frame, self._lab.orientation)
+        orientation = _polar_step(self._frame @ self._built)  # F checked in rotated
+        orientation.flags.writeable = False
+        self.__dict__["orientation"] = orientation
         return orientation
 
     def __len__(self) -> int:
@@ -514,18 +448,30 @@ class ParticleState:
             orientation=_matrix_column(columns["orientation"], "orientation"),
         )
 
-    @cached_property
-    def chi0_xy(self) -> np.ndarray:
-        """Lab-frame intrinsic xy components (see :func:`_lab_chi0_xy`)."""
-        return _lab_chi0_xy(self._lab, self._frame)
-
     def rotated(self, r: np.ndarray) -> "ParticleState":
-        """State after rotating every particle by ``r``: one 3x3 frame, ``_rotate(r, F)``,
-        Gram-checked alone; every array is shared, and ``orientation``, ``_rotate(F, O)``
-        over the orientations ``O`` the state was built with, is built on first read."""
-        fields = {k: getattr(self, k) for k in _PARTICLE_FIELDS if k != "orientation"}
-        after = object.__new__(ParticleState)  # skips __post_init__
-        after.__dict__.update(fields, _lab=self._lab, _frame=_turned(r, self._frame))
+        """State after rotating every particle by ``r``: one 3x3 frame ``F' = r F`` by the
+        polar step, Gram-checked alone (``r`` gets both tests), and one O(N) pass for the
+        new ``chi0_xy``, nine multiply-adds in one fixed order, so a stack of one and a stack
+        of N give the same bits; ValueError for the first particle past the lab-frame bound.
+        Every array is shared, and ``orientation`` is built on first read."""
+        frame = _polar_step(_proper_rotation(r) @ self._frame)
+        if not _orthogonal(frame[None])[0]:
+            raise ValueError(_NOT_ORTHOGONAL)
+        frame.flags.writeable = False
+        near, near_tensors = self._near
+        if near.size:
+            turned = _conjugate(np.broadcast_to(frame, near_tensors.shape), near_tensors)
+            bad = np.zeros(len(self), dtype=bool)
+            bad[near] = np.abs(turned).max(axis=(1, 2)) > CHI0_SANITY_BOUND
+            _reject_first(bad, _LAB_BOUND, False)
+        weights = np.multiply.outer(frame[0], frame[1]).ravel().tolist()  # F[0, j] * F[1, k]
+        xy = weights[0] * self._columns[0]
+        for weight, column in zip(weights[1:], self._columns[1:]):
+            xy += weight * column
+        xy.flags.writeable = False
+        after = object.__new__(ParticleState)  # skips __post_init__: only the frame is new
+        shared = {k: v for k, v in self.__dict__.items() if k != "orientation"}
+        after.__dict__.update(shared, _frame=frame, chi0_xy=xy)
         return after
 
 

@@ -871,6 +871,21 @@ class TestLedgerInputErrors:
             " particle 1: lab-frame |chi0| entries exceed sanity bound 1.0\n"
         )
 
+    @pytest.mark.parametrize("maneuvers", [[], [{"type": "cavity_modulation", "dB2_dt": 1.0,
+                                                  "duration_s": 1.0}]])
+    def test_particle_past_the_lab_frame_bound_names_the_particle_file(
+        self, capsys, tmp_path, maneuvers
+    ):
+        # every body-frame entry is within the bound; the orientation pushes one past it, which
+        # the particle file is refused for, with no maneuver or before the first
+        wide = {"chi0": [0.9] * 9, "size_a_m": 1e-9, "density_kg_m3": 1e3,
+                "orientation": rotation_about([1, 1, 0], 0.7).ravel().tolist()}
+        err = self.run_ledger(capsys, tmp_path, [wide], maneuvers)
+        assert err == (
+            f"error: {tmp_path / 'particles.json'}:"
+            " particle 0: lab-frame |chi0| entries exceed sanity bound 1.0\n"
+        )
+
     def test_unrepresentable_particle_size(self, capsys, tmp_path):
         # Particle refuses this size too, so the record is written directly
         tiny = {"chi0": [0, 1e-3] + [0] * 7, "size_a_m": 1e-320, "density_kg_m3": 1000.0}

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import time
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -384,7 +385,9 @@ class TestDeltaVRotation:
         # a pi-flipped particle has negated lab-frame chi, so negated gain
         m = VacuumModel()
         p = particle()
-        flipped = p.rotated(np.diag([1.0, -1.0, -1.0]))
+        state = ParticleState.from_particles([p]).rotated(np.diag([1.0, -1.0, -1.0]))
+        flipped = Particle(p.size_a, p.density_rho, p.tensor, state.orientation[0], p.epsilon)
+        assert flipped.chi0_xy == state.chi0_xy[0] == -p.chi0_xy
         assert delta_v_rotation(flipped, m).value == pytest.approx(
             -delta_v_rotation(p, m).value, rel=1e-12
         )
@@ -661,13 +664,19 @@ class TestManeuverSequence:
 _Z = np.array([0.0, 0.0, 1.0])
 
 
-def _svd_rotated(p, r):
-    """The nearest proper rotation by SVD: the re-orthonormalisation before the polar step."""
-    u, _, vt = np.linalg.svd(r @ p.orientation)
+def _svd_rotated(one, r):
+    """A state of one turned by ``r`` to the nearest proper rotation by SVD: the
+    re-orthonormalisation before the polar step."""
+    u, _, vt = np.linalg.svd(r @ one.orientation[0])
     nearest = u @ vt
     if np.linalg.det(nearest) < 0:
         nearest = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return Particle(p.size_a, p.density_rho, p.tensor, nearest, p.epsilon)
+    return replace(one, orientation=nearest[None])
+
+
+def _floats(one):
+    """The lab-frame chi0_xy, the size and the kappas of a state of one, as floats."""
+    return float(one.chi0_xy[0]), float(one.size_a[0]), one.kappa[0].tolist()
 
 
 def _integrated(chi, s):
@@ -681,59 +690,62 @@ def _basis_impulses(s):
     return [_integrated(b, s) for b in (np.ones_like(s.e_x), s.e_x * s.b_y, s.e_x, s.b_y)]
 
 
-def _per_sample_quantum_impulse(p, s):
-    """The integral of the particle's own chi(t), sample by sample."""
+def _per_sample_quantum_impulse(one, s):
+    """The integral of the chi(t) of a state of one, sample by sample: the series' own, where
+    it holds chi columns, else the particle's."""
     if s.chi0_xy is not None:
         k1, k2, k3 = (0.0 if k is None else k for k in (s.kappa1, s.kappa2, s.kappa3))
         chi = s.chi0_xy + k1 * s.e_x * s.b_y + k2 * s.e_x + k3 * s.b_y
     else:
-        t = p.tensor
-        chi = p.chi0_xy + t.kappa1 * s.e_x * s.b_y + t.kappa2 * s.e_x + t.kappa3 * s.b_y
+        chi0_xy, _, (k1, k2, k3) = _floats(one)
+        chi = chi0_xy + k1 * s.e_x * s.b_y + k2 * s.e_x + k3 * s.b_y
     return _integrated(chi, s)
 
 
-def _reference_quantum_impulse(p, s):
-    """The series' own chi(t), or else the particle's parameters weighting the basis impulses."""
+def _reference_quantum_impulse(one, s):
+    """The series' own chi(t), or else the parameters of a state of one weighting the basis
+    impulses."""
     if s.chi0_xy is not None:
-        return _per_sample_quantum_impulse(p, s)
-    t, w = p.tensor, _basis_impulses(s)
-    return p.chi0_xy * w[0] + t.kappa1 * w[1] + t.kappa2 * w[2] + t.kappa3 * w[3]
+        return _per_sample_quantum_impulse(one, s)
+    (chi0_xy, _, (k1, k2, k3)), w = _floats(one), _basis_impulses(s)
+    return chi0_xy * w[0] + k1 * w[1] + k2 * w[2] + k3 * w[3]
 
 
 def reference_ledger(
-    particles, maneuvers, m_total, model, rotate=Particle.rotated,
+    particles, maneuvers, m_total, model, rotate=ParticleState.rotated,
     impulse=_reference_quantum_impulse,
 ):
-    """One Particle object per particle, each term added in particle order; by default each
-    particle turns by :meth:`Particle.rotated`, the frame composition of the state on a stack
-    of one."""
+    """One state of one per particle, each term added in particle order; by default each
+    particle turns by :meth:`ParticleState.rotated`, the frame composition of the fleet on a
+    stack of one."""
     ledger = ImpulseLedger(m_total)
-    current = list(particles)
+    current = [ParticleState.from_particles([p]) for p in particles]
     for mv in maneuvers:
         total = 0.0
         if isinstance(mv, Rotation):
             r = rotation_about(mv.axis, mv.angle)
-            rotated = [rotate(p, r) for p in current]
+            rotated = [rotate(one, r) for one in current]
             for before, after in zip(current, rotated):
-                p_before = vacuum_momentum_closed_form(before.chi0_xy, before.size_a, model)
-                p_after = vacuum_momentum_closed_form(after.chi0_xy, after.size_a, model)
+                p_before = vacuum_momentum_closed_form(*_floats(before)[:2], model)
+                p_after = vacuum_momentum_closed_form(*_floats(after)[:2], model)
                 total += p_after.value - p_before.value
             current = rotated
             kind, dp_vac = "rotation", total * _Z
         elif isinstance(mv, Aggregation):
             big_l = mv.n ** (1.0 / 3.0) * mv.size_a
-            for p in current:
-                before = mv.n * vacuum_momentum_closed_form(p.chi0_xy, mv.size_a, model).value
-                after = vacuum_momentum_closed_form(p.chi0_xy, big_l, model).value
+            for one in current:
+                chi = _floats(one)[0]
+                before = mv.n * vacuum_momentum_closed_form(chi, mv.size_a, model).value
+                after = vacuum_momentum_closed_form(chi, big_l, model).value
                 total += after - before
             kind, dp_vac = "aggregation", total * mv.direction
         elif isinstance(mv, FieldModulation):
-            for p in current:
-                total += impulse(p, mv.series)
+            for one in current:
+                total += impulse(one, mv.series)
             kind, dp_vac = "field_modulation", -total * _Z
         else:
-            for p in current:
-                total += channel_cavity(p.chi0_xy, mv.db2_dt, mv.duration)
+            for one in current:
+                total += channel_cavity(_floats(one)[0], mv.db2_dt, mv.duration)
             kind, dp_vac = "cavity_modulation", -total * _Z
         ledger.append(kind, -dp_vac, dp_vac)
     return ledger
@@ -753,7 +765,7 @@ def _term_sizes(particles, mv, model):
             total += mv.n * stored_momentum(chi, mv.size_a, model)
             total += stored_momentum(chi, big_l, model)
         elif isinstance(mv, FieldModulation) and mv.series.chi0_xy is not None:
-            total += abs(_per_sample_quantum_impulse(p, mv.series))
+            total += abs(_per_sample_quantum_impulse(None, mv.series))  # the series' own chi
         elif isinstance(mv, FieldModulation):
             w, t = _basis_impulses(mv.series), p.tensor
             total += chi * abs(w[0]) + sum(

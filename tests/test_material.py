@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpfdrive import material
@@ -28,6 +28,7 @@ from zpfdrive.material import (
 )
 from zpfdrive.dynamics import FieldTimeSeries
 
+_LAB_BOUND = "lab-frame |chi0| entries exceed sanity bound 1.0"
 PI_ABOUT_X = np.diag([1.0, -1.0, -1.0])  # exact pi rotation about x
 
 angles = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
@@ -200,9 +201,11 @@ class TestPolarization:
 
     def test_rotation_changes_polarization_sign_contribution(self):
         p = Particle(1e-9, 1000.0, MagnetoElectricTensor.from_xy(1e-3), epsilon=1.0)
-        flipped = p.rotated(PI_ABOUT_X)
+        state = ParticleState.from_particles([p]).rotated(PI_ABOUT_X)
+        flipped = Particle(p.size_a, p.density_rho, p.tensor, state.orientation[0], p.epsilon)
         assert polarization(p, 0.0, 1.0) == pytest.approx(1e-3)
         assert polarization(flipped, 0.0, 1.0) == pytest.approx(-1e-3)
+        assert state.chi0_xy[0] == flipped.chi0_xy == -1e-3
 
 
 class TestParticle:
@@ -251,9 +254,10 @@ class TestParticle:
     def test_rotated_orientation_stays_proper(self):
         rng = np.random.default_rng(7)
         p = Particle(1e-9, 1000.0, MagnetoElectricTensor.from_xy(1e-3))
+        state = ParticleState.from_particles([p])
         for _ in range(500):
-            p = p.rotated(random_rotation(rng))
-        r = p.orientation
+            state = state.rotated(random_rotation(rng))
+        r = state.orientation[0]
         assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-12
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
@@ -334,15 +338,18 @@ class TestParticleState:
             particle_from_dict({k: v for k, v in record.items() if k != "chi0"})
 
     def test_lab_frame_chi_and_rotation_match_particle_bit_for_bit(self):
+        # built, the state reads each particle's chi0_xy; turned, each state of one's
         rng = np.random.default_rng(2)
         particles = random_particles(rng, 40)
         state = ParticleState.from_particles(particles)
+        assert state.chi0_xy.tolist() == [p.chi0_xy for p in particles]
+        singles = [ParticleState.from_particles([p]) for p in particles]
         for _ in range(5):
             r = random_rotation(rng)
-            particles = [p.rotated(r) for p in particles]
+            singles = [one.rotated(r) for one in singles]
             state = state.rotated(r)
-            assert state.chi0_xy.tolist() == [p.chi0_xy for p in particles]
-            assert np.array_equal(state.orientation, [p.orientation for p in particles])
+            assert state.chi0_xy.tolist() == [one.chi0_xy[0] for one in singles]
+            assert np.array_equal(state.orientation, [one.orientation[0] for one in singles])
 
     def test_chained_rotations_stay_proper_to_rounding(self):
         rng = np.random.default_rng(11)
@@ -411,20 +418,21 @@ class TestParticleState:
             assert calls == [3]
 
     def test_particle_rotation_checks_the_factor_alone(self):
-        p = random_particles(np.random.default_rng(13), 1)[0]
+        particles = random_particles(np.random.default_rng(13), 3)
+        one = ParticleState.from_particles(particles[:1])
         r = rotation_about([1, 2, 3], 0.4)
         original = material._check_rotations
         with (
             mock.patch.object(material, "_check_rotations", side_effect=original) as rotations,
-            mock.patch.object(material, "_check_particles") as particles,
+            mock.patch.object(material, "_check_particles") as checks,
         ):
-            turned = p.rotated(r).rotated(r)
+            turned = one.rotated(r).rotated(r)
             turned.orientation
         assert rotations.call_count == 2  # each factor r; no product is checked again
-        particles.assert_not_called()
+        checks.assert_not_called()
         assert not turned.orientation.flags.writeable
-        state = ParticleState.from_particles([p]).rotated(r).rotated(r)
-        assert np.array_equal(turned.orientation, state.orientation[0])
+        state = ParticleState.from_particles(particles).rotated(r).rotated(r)
+        assert np.array_equal(turned.orientation[0], state.orientation[0])
 
     def test_improper_orientation_rejected(self):
         records = [particle_to_dict(p) for p in random_particles(np.random.default_rng(4), 3)]
@@ -452,19 +460,50 @@ class TestParticleState:
             state.size_a[0] = -1.0
 
     def test_lab_frame_bound_checked(self):
-        # entries within the bound whose rotation pushes one entry past it
+        # entries within the bound whose rotation pushes one entry past it: refused when built
         chi0 = np.full((3, 3), 0.9)
-        state = ParticleState.from_dicts(
-            [{"chi0": chi0.tolist(), "size_a_m": 1e-9, "density_kg_m3": 1e3,
-              "orientation": rotation_about([1, 1, 0], 0.7).ravel().tolist()}]
-        )
-        with pytest.raises(ValueError, match="particle 0: lab-frame"):
-            state.chi0_xy
+        with pytest.raises(ValueError) as state_error:
+            ParticleState.from_dicts(
+                [{"chi0": chi0.tolist(), "size_a_m": 1e-9, "density_kg_m3": 1e3,
+                  "orientation": rotation_about([1, 1, 0], 0.7).ravel().tolist()}]
+            )
+        assert str(state_error.value) == f"particle 0: {_LAB_BOUND}"
         # a Particle applies the same bound through the same kernel, naming no index
-        particle = Particle(1e-9, 1e3, MagnetoElectricTensor(chi0), rotation_about([1, 1, 0], 0.7))
         with pytest.raises(ValueError) as err:
-            particle.chi0_xy
-        assert str(err.value) == "lab-frame |chi0| entries exceed sanity bound 1.0"
+            Particle(1e-9, 1e3, MagnetoElectricTensor(chi0), rotation_about([1, 1, 0], 0.7))
+        assert str(err.value) == _LAB_BOUND
+
+    @settings(max_examples=300)
+    @given(
+        chi0=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9).map(
+            lambda v: np.reshape(v, (3, 3))
+        ),
+        axis=axes,
+        angle=angles,
+    )
+    def test_lab_frame_bound_refused_alike_at_construction(self, chi0, axis, angle):
+        o = rotation_about(axis, angle)
+        records = [
+            {"chi0": [0.0] * 9, "size_a_m": 1e-9, "density_kg_m3": 1e3},
+            {"chi0": chi0.ravel().tolist(), "size_a_m": 1e-9, "density_kg_m3": 1e3,
+             "orientation": o.ravel().tolist()},
+        ]
+        errors, built = [], []
+        for build in (
+            lambda: Particle(1e-9, 1e3, MagnetoElectricTensor(chi0), o),
+            lambda: ParticleState.from_dicts(records),
+        ):
+            try:
+                built.append(build())
+            except ValueError as exc:
+                errors.append(str(exc))
+        assert errors in ([], [_LAB_BOUND, f"particle 1: {_LAB_BOUND}"])
+        largest = np.abs(o @ chi0 @ o.T).max()
+        if abs(largest - 1.0) > 4 * np.finfo(float).eps:  # else rounding decides either way
+            assert bool(errors) == (largest > 1.0)
+        if built:
+            particle, state = built
+            assert particle.chi0_xy == state.chi0_xy[1]
 
     def test_particle_reads_its_lab_frame_chi_without_checking_again(self):
         p = random_particles(np.random.default_rng(6), 1)[0]
@@ -474,12 +513,13 @@ class TestParticleState:
         assert first == second == ParticleState.from_particles([p]).chi0_xy[0]
 
     def test_particle_and_state_share_one_conjugation(self):
-        particles = random_particles(np.random.default_rng(7), 3)
-        state = ParticleState.from_particles(particles)
         kernel = material._conjugate
         with mock.patch.object(material, "_conjugate", side_effect=kernel) as counted:
+            particles = random_particles(np.random.default_rng(7), 3)
+            state = ParticleState.from_particles(particles)
             values = [p.chi0_xy for p in particles]
             assert state.chi0_xy.tolist() == values
+        # each is built by one conjugation, and a read computes nothing
         assert [c.args[0].shape for c in counted.call_args_list] == [(1, 3, 3)] * 3 + [(3, 3, 3)]
 
     def test_from_dicts_takes_flat_and_nested_chi0_alike(self):
