@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from zpfdrive import CutoffConvention, ModeGrid, convergence_study, mode_sum_oracle
+from zpfdrive import CutoffConvention, convergence_study
 
 
 def main() -> None:
@@ -41,8 +41,7 @@ def main() -> None:
         eff = by_n[n][0]["effective_A"]
         print(f"n_per_axis={n:4d}  effective_A={eff:.6f}  rel_gap={eff / continuum - 1:+.3e}")
 
-    momenta = [abs(mode_sum_oracle(args.chi, a, ModeGrid.for_particle(a, 64, convention))[0].value)
-               for a in sizes]
+    momenta = [abs(row["p_kg_m_s"]) for row in by_n[64]]
     slope = np.polyfit(np.log(sizes), np.log(momenta), 1)[0]
     print(f"fitted |p| ~ a^s slope at n=64: s = {slope:.6f} (expect -1)")
     print(f"continuum effective_A under {convention.value}: {continuum:.6f}")

@@ -66,8 +66,8 @@ __all__ = [
 
 ORTHOGONALITY_TOL = 1e-12
 CHI0_SANITY_BOUND = 1.0
-# the mode-sum oracle's memory grows as n^2 and its time as n^3: about 10 s
-# and 0.8 GB at n = 2048 on one CPU core
+# the mode-sum oracle's memory grows as n^2 and its time as n^3: about 2.5 s
+# and 0.16 GB at n = 2048 on one core of a 2-vCPU shared host
 MAX_N_PER_AXIS = 2048
 
 

@@ -25,22 +25,25 @@ Two independent routes to the stored vacuum momentum are provided:
 
 The oracle's only grid-dependent quantity is the lattice sum of
 m_z^2/|m| over the integer ball |m| <= n.  It is evaluated shell by shell
-from exact int64 counts r3(s) of the ways to write s = |m|^2 as a sum of
-three squares, and summed so that the float returned is the correctly
-rounded value of the exact sum.  The cost is n vectorised integer adds
-over n^2 + 1 shell counts plus one pass over the shells: about 20 ms at
-n = 256 and 0.15-0.2 s at n = 512 on one CPU core.  As n grows,
-effective_A approaches its continuum value pi^2/24 (half-wavelength) or
-2 pi^2/3 (wavelength-equals-size) with a gap of order 1/n that is not
-monotone (the lattice-point discrepancy of the sphere).
+from exact int32 counts r3(s) of the ways to write s = |m|^2 as a sum of
+three squares, one table for every n of a call, and summed so that each
+float is the correctly rounded value of its exact sum.  The cost is n
+integer adds over n^2 + 1 counts plus one pass over the shells: about
+5-8 ms at n = 256, 30-50 ms at n = 512 and 2.5 s and 0.16 GB at n = 2048
+on one core of a 2-vCPU shared host.  As n grows, effective_A approaches
+its continuum value pi^2/24 (half-wavelength) or 2 pi^2/3
+(wavelength-equals-size) with a gap of order 1/n that is not monotone
+(the lattice-point discrepancy of the sphere).
 """
 
 from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import pairwise
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -96,7 +99,11 @@ class ModeGrid:
     k_cut: float  # 1/m
 
     def __post_init__(self) -> None:
-        check("n_per_axis", self.n_per_axis, "n_per_axis")
+        try:
+            n = operator.index(self.n_per_axis)
+        except TypeError:
+            raise ValueError(f"n_per_axis must be an integer, got {self.n_per_axis!r}") from None
+        object.__setattr__(self, "n_per_axis", check("n_per_axis", n, "n_per_axis"))
         check("k_cut", self.k_cut, "positive")
 
     @property
@@ -138,6 +145,8 @@ def stored_momentum(chi_xy, a_m, model: VacuumModel):
 
 
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp splits a double into 26-bit halves
+_BLOCK = 1 << 13  # shells per block of float terms
+_BINS = 2098  # np.frexp exponents e + 1073 of every finite double
 
 
 def _two_prod(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,38 +163,69 @@ def _two_prod(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
 
 
-def _geometry_sum(n: int) -> float:
-    """Sum of m_z^2 / |m| over the integer ball 0 < |m|^2 <= n^2, correctly rounded.
+def _add_binned(bins: np.ndarray, x: np.ndarray) -> None:
+    """Add the finite doubles ``x`` exactly to the (2, _BINS) float64 ``bins``.
 
-    By cubic symmetry the m_z^2 of the shell |m|^2 = s add up to the integer
-    c_s = s * r3(s) / 3, with r3(s) the number of ways to write s as a sum of
-    three squares, so the sum is sum_s c_s / sqrt(s).  r2 is counted on the
-    quarter disc i, j >= 0 (each nonzero coordinate stands for two signs) and
-    r3(s) = r2(s) + 2 * sum_k r2(s - k^2); all counts are exact int64.  Each
-    shell term t = c / sqrt(s) enters one ``math.fsum`` together with its
-    rounding error, from Dekker products of q*q and t*q, so that only the
-    final rounding remains.
+    Each is a 53-bit integer m times 2**(e - 53) (``np.frexp``); bin e + 1073 sums m >> 26
+    in row 0 and m's low 26 bits in row 1, exact while fewer than 2**26 terms are added.
     """
-    n2 = n * n
-    sq = np.arange(n + 1) ** 2
+    f, e = np.frexp(x)
+    m = (f * 2.0**53).astype(np.int64)
+    bins[0] += np.bincount(e + 1073, m >> 26, _BINS)
+    bins[1] += np.bincount(e + 1073, m & 0x3FFFFFF, _BINS)
+
+
+def _rounded(bins: np.ndarray) -> float:
+    """The exact sum held in ``bins`` as the nearest float (int true division rounds so)."""
+    used = np.flatnonzero(bins.any(axis=0))
+    high, low = bins[:, used].astype(np.int64).tolist()
+    return sum(((h << 26) + lo) << b for b, h, lo in zip(used.tolist(), high, low)) / (1 << 1126)
+
+
+def _geometry_sums(ns: Sequence[int]) -> dict[int, float]:
+    """Sum of m_z^2 / |m| over the integer ball 0 < |m|^2 <= n^2 for each n, correctly rounded.
+
+    By cubic symmetry the m_z^2 of the shell |m|^2 = s add up to c_s = s * r3(s) / 3,
+    with r3(s) the number of ways to write s as a sum of three squares, counted once
+    up to max(ns)^2: r2 on the quarter disc i, j >= 0 (each nonzero coordinate stands
+    for two signs), then r3(s) = r2(s) + 2 * sum_k r2(s - k^2) in int32.  Each term
+    t = c / sqrt(s) and its rounding error (Dekker products of q*q and t*q) enter one
+    exact binned sum (Demmel and Hida); each n reads its prefix s <= n^2, rounded once.
+    """
+    big = max(ns)
+    n2 = big * big
+    sq = np.arange(big + 1) ** 2
     quarter = (sq[1:, None] + sq[None, 1:]).ravel()
-    r2 = 4 * np.bincount(quarter[quarter <= n2], minlength=n2 + 1)
+    r2 = 4 * np.bincount(quarter[quarter <= n2], minlength=n2 + 1).astype(np.int32)
     r2[sq[1:]] += 4  # the four axis points (+-k, 0), (0, +-k)
     r2[0] = 1
     r3 = r2.copy()
     twice_r2 = 2 * r2
-    for k2 in sq[1:]:
-        r3[k2:] += twice_r2[: n2 + 1 - k2]
+    for k in range(1, big + 1):
+        r3[k * k :] += twice_r2[: n2 + 1 - k * k]
     s = np.flatnonzero(r3[1:]) + 1
-    c = (s * r3[s] // 3).astype(float)
-    sf = s.astype(float)
-    q = np.sqrt(sf)
-    t = c / q
-    qq, qq_lo = _two_prod(q, q)
-    tq, tq_lo = _two_prod(t, q)
-    sqrt_err = ((sf - qq) - qq_lo) / (2.0 * q)  # sqrt(s) - q to first order
-    t_err = (((c - tq) - tq_lo) - t * sqrt_err) / q  # c / sqrt(s) - t
-    return math.fsum(t.tolist() + t_err.tolist())
+    ends = {n: int(np.searchsorted(s, n * n, "right")) for n in ns}
+    bins = np.zeros((2, _BINS))  # gets 2 * 2048^2 < 2**26 terms at most
+    sums = {}
+    for start, stop in pairwise([0, *sorted({*ends.values(), *range(_BLOCK, s.size, _BLOCK)})]):
+        shells = s[start:stop]
+        c = (shells * r3[shells] // 3).astype(float)
+        sf = shells.astype(float)
+        q = np.sqrt(sf)
+        t = c / q
+        qq, qq_lo = _two_prod(q, q)
+        tq, tq_lo = _two_prod(t, q)
+        sqrt_err = ((sf - qq) - qq_lo) / (2.0 * q)  # sqrt(s) - q to first order
+        t_err = (((c - tq) - tq_lo) - t * sqrt_err) / q  # c / sqrt(s) - t
+        _add_binned(bins, np.concatenate([t, t_err]))
+        if stop in ends.values():
+            sums[stop] = _rounded(bins)
+    return {n: sums[ends[n]] for n in ns}
+
+
+def _geometry_sum(n: int) -> float:
+    """:func:`_geometry_sums` of the one resolution ``n``."""
+    return _geometry_sums([n])[n]
 
 
 def mode_sum_oracle(
@@ -226,7 +266,7 @@ def convergence_study(
 ) -> list[dict]:
     """Run the oracle over a (size, resolution) grid; optionally emit CSV.
 
-    The lattice sum of each resolution is computed once, for all sizes.
+    One lattice table, for the largest resolution, gives every resolution's sum.
     CSV columns: n_per_axis, a_m, chi, p_kg_m_s, effective_A, floats as their
     shortest round-trip ``repr``; ``out`` is a path or an open text handle.
     """
@@ -234,15 +274,12 @@ def convergence_study(
         if len(values) == 0:
             raise ValueError(f"{name} is empty")
     # build (and so validate) every grid, and check chi, before the first lattice sum
-    grids = [
-        (n, a_m, ModeGrid.for_particle(a_m, n, convention)) for n in n_values for a_m in sizes_m
-    ]
+    grids = [(a_m, ModeGrid.for_particle(a_m, n, convention)) for n in n_values for a_m in sizes_m]
     check("chi_xy", chi_xy, "chi")
-    geometry: dict[int, float] = {}
+    geometry = _geometry_sums([grid.n_per_axis for _, grid in grids])
     rows = []
-    for n, a_m, grid in grids:
-        if n not in geometry:
-            geometry[n] = _geometry_sum(n)
+    for a_m, grid in grids:
+        n = grid.n_per_axis
         p, eff_a = mode_sum_oracle(chi_xy, a_m, grid, geometry=geometry[n])
         rows.append(dict(zip(ORACLE_CSV_HEADER, (n, a_m, chi_xy, p.value, eff_a))))
     if out is not None:

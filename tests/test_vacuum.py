@@ -1,11 +1,15 @@
 import io
 import math
 import time
+import tracemalloc
 from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zpfdrive import vacuum
 from zpfdrive.vacuum import (
@@ -15,6 +19,7 @@ from zpfdrive.vacuum import (
     ORACLE_CSV_HEADER,
     VacuumModel,
     _geometry_sum,
+    _geometry_sums,
     convergence_study,
     mode_sum_oracle,
     vacuum_momentum_closed_form,
@@ -85,8 +90,15 @@ class TestModeGrid:
         with pytest.raises(ValueError, match="^n_per_axis 100000 is out of range$"):
             ModeGrid(n_per_axis=100_000, k_cut=1e9)
 
+    @pytest.mark.parametrize("n", [16.5, 16.0, "16"])
+    def test_resolution_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="^n_per_axis must be an integer, got "):
+            ModeGrid(n_per_axis=n, k_cut=1e9)
+        with pytest.raises(ValueError, match="^n_per_axis must be an integer, got "):
+            convergence_study(1e-3, [1e-9], [n])
+
     def test_study_validates_every_grid_before_computing(self):
-        with mock.patch("zpfdrive.vacuum._geometry_sum") as geometry:
+        with mock.patch("zpfdrive.vacuum._geometry_sums") as geometry:
             with pytest.raises(ValueError, match="n_per_axis 4096 is out of range"):
                 convergence_study(1e-3, [1e-9], [16, 4096])
         geometry.assert_not_called()
@@ -148,31 +160,41 @@ class TestConvergenceStudy:
         assert lines[0].split(",") == list(ORACLE_CSV_HEADER)
         assert len(lines) == 5
 
-    def test_each_lattice_sum_computed_once(self, monkeypatch):
-        sums, oracle_ns = [], []
-        geometry_sum, oracle = vacuum._geometry_sum, vacuum.mode_sum_oracle
+    def test_one_shell_table_per_call(self, monkeypatch):
+        tables, oracle_ns = [], []
+        geometry_sums, oracle = vacuum._geometry_sums, vacuum.mode_sum_oracle
 
-        def counting_sum(n):
-            sums.append(n)
-            return geometry_sum(n)
+        def counting_sums(ns):
+            tables.append(max(ns))
+            return geometry_sums(ns)
 
         def counting_oracle(chi, a, grid, *args, **kwargs):
             oracle_ns.append(grid.n_per_axis)
             return oracle(chi, a, grid, *args, **kwargs)
 
-        monkeypatch.setattr(vacuum, "_geometry_sum", counting_sum)
+        monkeypatch.setattr(vacuum, "_geometry_sums", counting_sums)
         monkeypatch.setattr(vacuum, "mode_sum_oracle", counting_oracle)
         sizes, n_values = [1e-9, 2e-9, 5e-9], [8, 16, 8]
         rows = convergence_study(1e-3, sizes, n_values)
-        assert sums == [8, 16]
+        assert tables == [16]
         assert oracle_ns == [8, 8, 8, 16, 16, 16, 8, 8, 8]
         for row in rows:
             grid = ModeGrid.for_particle(row["a_m"], row["n_per_axis"])
             p, eff_a = oracle(1e-3, row["a_m"], grid)
             assert (row["p_kg_m_s"], row["effective_A"]) == (p.value, eff_a)
 
+    def test_rows_follow_argv_order_with_repeats(self):
+        sizes = [1e-9, 3e-9]
+        rows = convergence_study(1e-3, sizes, [64, 16, 64])
+        assert [row["n_per_axis"] for row in rows] == [64, 64, 16, 16, 64, 64]
+        for row in rows:
+            grid = ModeGrid.for_particle(row["a_m"], row["n_per_axis"])
+            p, eff_a = mode_sum_oracle(1e-3, row["a_m"], grid, geometry=None)
+            assert (row["p_kg_m_s"], row["effective_A"]) == (p.value, eff_a)
+        assert rows[:2] == rows[4:]
+
     def test_chi_checked_before_the_first_lattice_sum(self, monkeypatch):
-        monkeypatch.setattr(vacuum, "_geometry_sum", None)  # calling it would fail differently
+        monkeypatch.setattr(vacuum, "_geometry_sums", None)  # calling it would fail differently
         with pytest.raises(ValueError, match="chi_xy .* is out of range"):
             convergence_study(2.0, [1e-9], [2048])
 
@@ -213,6 +235,59 @@ class TestGeometrySum:
         running = brute_force_geometry_sums(64)
         for n in range(8, 65):
             assert _geometry_sum(n) == float(running[n * n]), n
+
+    # bits of the per-n math.fsum kernel this one replaced; at the odd n an
+    # earlier slab sum was 1 ulp off
+    @pytest.mark.parametrize(
+        "n, bits",
+        [
+            (8, "0x1.061f05da018f1p+12"),
+            (9, "0x1.b0aaeaa99d234p+12"),
+            (11, "0x1.df163aaa2c03bp+13"),
+            (18, "0x1.acdc061c71ad4p+16"),
+            (23, "0x1.1d910d1bed5b7p+18"),
+            (34, "0x1.5552b69959675p+20"),
+            (54, "0x1.0fd5d8cde219ap+23"),
+            (64, "0x1.0c08b1ce5112cp+24"),
+            (111, "0x1.2f20b14f6da3fp+27"),
+            (128, "0x1.0c02f6bf5b367p+28"),
+            (149, "0x1.ec37b6fcb8fc3p+28"),
+            (159, "0x1.3f2271a91f43fp+29"),
+            (255, "0x1.07eb622f78cedp+32"),
+            (256, "0x1.0c128340b2ed9p+32"),
+            (384, "0x1.53488da4fccedp+34"),
+            (512, "0x1.0c144035e09aep+36"),
+        ],
+    )
+    def test_pinned_bits(self, n, bits):
+        assert _geometry_sum(n).hex() == bits
+
+    def test_one_table_gives_each_resolution_its_own_sum(self):
+        ns = [512, 8, 111, 256, 9, 255]
+        assert _geometry_sums(ns) == {n: _geometry_sum(n) for n in ns}
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(0, 300),
+            elements=st.floats(-1e300, 1e300, allow_subnormal=True)
+            | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.0, -1.0]),
+        )
+    )
+    def test_binned_sum_equals_fsum(self, x):
+        bins = np.zeros((2, vacuum._BINS))
+        vacuum._add_binned(bins, x[: x.size // 2])
+        vacuum._add_binned(bins, x[x.size // 2 :])
+        assert vacuum._rounded(bins) == math.fsum(x.tolist())
+
+    def test_n512_memory_guard(self):
+        tracemalloc.start()
+        try:
+            _geometry_sum(512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_n256_study_runtime_guard(self):
         start = time.perf_counter()
