@@ -283,8 +283,10 @@ class TestGeometrySum:
     def test_n512_memory_guard(self):
         tracemalloc.start()
         try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             _geometry_sum(512)
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak < 16e6
