@@ -561,7 +561,7 @@ def run_maneuver_sequence(
 ) -> ImpulseLedger:
     """Apply maneuvers in order, booking each into a conservation-checked ledger.
 
-    The particles are converted to one :class:`ParticleState` up front.  A
+    A list of particles is joined into one :class:`ParticleState` first.  A
     rotation turns the state's one 3x3 frame and reads the new lab-frame
     chi0_xy in one pass over the particles; every entry books the vacuum
     momentum change and its exact opposite on the particle side.  On

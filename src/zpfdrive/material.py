@@ -16,21 +16,22 @@ not modeled.
 
 Every numeric input obeys a rule of :data:`RULES`, whose predicates take
 floats and arrays alike.  One table of particle-field rules drives one
-validator: :class:`ParticleState` applies it to N rows, naming the first bad
-particle, and :class:`Particle` and :class:`MagnetoElectricTensor` to their
-one row.  Each rotation matrix is checked once, where it enters.
+validator over N rows, which names the first bad particle.  Each rotation
+matrix is checked once, where it enters.
 
-:class:`ParticleState` holds many particles as arrays (struct of arrays) for
-the maneuver ledger.  Its lab-frame tensors ``L_i = O_i chi0_i O_i^T`` are one
-batched conjugation, computed and checked against the sanity bound when the
-state is built, and every rotation of the state shares them: it turns one 3x3
-frame ``F`` by one checked Newton-Schulz polar step, and its lab-frame xy
-entries, those of ``F L_i F^T``, are one pass of nine multiply-adds over the
-particles.  Only a particle whose ``|L_i|_F`` reaches the sanity bound can
-break it in some frame, so only such particles get the full ``F L_i F^T`` on a
-rotation.  A :class:`Particle` computes and checks its lab frame by the same
-kernel on a stack of one, and the two agree bit for bit; it is not turned: a
-state of one turns one particle.  Records are read a column at a time.
+:class:`ParticleState` holds particles as arrays (struct of arrays); its
+constructor is the one place a particle is converted, checked and put in the
+lab frame.  A :class:`Particle` is a state of one row, and a
+:class:`MagnetoElectricTensor` or a rotation matrix is checked as a stack of
+one, each error the state's without ``particle 0: ``.  The lab-frame tensors
+``L_i = O_i chi0_i O_i^T`` are one batched conjugation, checked against the
+sanity bound when the state is built, and every rotation of the state shares
+them: it turns one 3x3 frame ``F`` by one checked Newton-Schulz polar step,
+and its lab-frame xy entries, those of ``F L_i F^T``, are one pass of nine
+multiply-adds over the particles.  Only a particle whose ``|L_i|_F`` reaches
+the sanity bound can break it in some frame, so only such particles get the
+full ``F L_i F^T`` on a rotation.  A state of many particles joins their rows,
+checked once more as one batch; records are read a column at a time.
 """
 
 from __future__ import annotations
@@ -214,28 +215,34 @@ _PARTICLE_FIELDS = {
 _KAPPAS = ("kappa1", "kappa2", "kappa3")
 
 
-def _reject_first(bad: np.ndarray, message: str, single: bool, error: type = ValueError) -> None:
-    """``error(message)`` for the first row where ``bad`` holds, named unless ``single``."""
+def _reject_first(bad: np.ndarray, message: str, error: type = ValueError) -> None:
+    """``error(message)`` for the first row where ``bad`` holds, named by its index."""
     if np.any(bad):
-        raise error(message if single else f"particle {int(np.argmax(bad))}: {message}")
+        raise error(f"particle {int(np.argmax(bad))}: {message}")
 
 
-def _check_particles(fields: Mapping[str, object], single: bool = False) -> None:
-    """Apply the checks of ``_PARTICLE_FIELDS`` to the fields given, then check that each
-    orientation is a proper rotation.  A field is an (N, *shape) array, or with ``single``
-    one particle's value, and an error then names no index."""
-    rows = {k: np.array([v], dtype=float) if single else v for k, v in fields.items()}
+def _unnamed(check: Callable, *args):
+    """``check(*args)`` on a stack of one, its error of the same type without ``particle 0: ``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise type(exc)(str(exc).removeprefix("particle 0: ")) from None
+
+
+def _check_particles(fields: Mapping[str, np.ndarray]) -> None:
+    """Apply the checks of ``_PARTICLE_FIELDS`` to the (N, *shape) fields given, then check
+    that each orientation is a proper rotation."""
     for name, (_, checks) in _PARTICLE_FIELDS.items():
-        if name not in rows:
+        if name not in fields:
             continue
         for rule, message in checks:
             if rule == "size":  # Python's float pow, entry by entry
-                ok = np.array([representable_size(a) for a in rows[name].tolist()], dtype=bool)
+                ok = np.array([representable_size(a) for a in fields[name].tolist()], dtype=bool)
             else:
-                ok = RULES[rule](rows[name])
-            _reject_first(~ok.all(axis=tuple(range(1, ok.ndim))), message, single)
-    if "orientation" in rows:
-        _check_rotations(rows["orientation"], single=single)
+                ok = RULES[rule](fields[name])
+            _reject_first(~ok.all(axis=tuple(range(1, ok.ndim))), message)
+    if "orientation" in fields:
+        _check_rotations(fields["orientation"])
 
 
 def _orthogonal(r: np.ndarray) -> np.ndarray:
@@ -249,7 +256,7 @@ def _orthogonal(r: np.ndarray) -> np.ndarray:
 _NOT_ORTHOGONAL = "rotation matrix is not orthogonal to tolerance"
 
 
-def _check_rotations(r: np.ndarray, single: bool = False) -> None:
+def _check_rotations(r: np.ndarray) -> None:
     """Refuse the first matrix of an (N, 3, 3) stack that is not a proper rotation."""
     orthogonal = _orthogonal(r)
     with np.errstate(all="ignore"):
@@ -264,7 +271,7 @@ def _check_rotations(r: np.ndarray, single: bool = False) -> None:
         message = _NOT_ORTHOGONAL
     elif abs(det[i] + 1.0) <= 1e-6:
         error, message = ImproperRotationError, "improper rotation (det = -1) rejected"
-    _reject_first(bad, message, single, error)
+    _reject_first(bad, message, error)
 
 
 def _proper_rotation(r: object) -> np.ndarray:
@@ -272,7 +279,7 @@ def _proper_rotation(r: object) -> np.ndarray:
     m = np.asarray(r, dtype=float)
     if m.shape != (3, 3):
         raise ValueError("rotation must be a 3x3 matrix")
-    _check_rotations(m[None], single=True)
+    _unnamed(_check_rotations, m[None])
     return m
 
 
@@ -289,8 +296,8 @@ class MagnetoElectricTensor:
         object.__setattr__(self, "chi0", _as_matrix(self.chi0, "chi0"))
         for k in _KAPPAS:
             object.__setattr__(self, k, float(getattr(self, k)))
-        kappa = [getattr(self, k) for k in _KAPPAS]
-        _check_particles({"chi0": self.chi0, "kappa": kappa}, single=True)
+        kappa = np.array([[getattr(self, k) for k in _KAPPAS]])
+        _unnamed(_check_particles, {"chi0": self.chi0[None], "kappa": kappa})
 
     @classmethod
     def from_xy(
@@ -311,9 +318,9 @@ class MagnetoElectricTensor:
 
 @dataclass(frozen=True, eq=False)
 class Particle:
-    """A magneto-electric cube: size, density, response tensor, orientation.  Its lab-frame
-    ``chi0_xy`` is computed and checked when it is built; to turn particles, turn a
-    :class:`ParticleState` (of one, for one particle)."""
+    """A magneto-electric cube: size, density, response tensor, orientation.  It is built
+    as one row of a :class:`ParticleState`, which checks it and computes its lab-frame
+    ``chi0_xy``; to turn particles, turn a :class:`ParticleState` (of one, for one particle)."""
 
     size_a: float  # m
     density_rho: float  # kg/m^3
@@ -325,11 +332,11 @@ class Particle:
         for k in ("size_a", "density_rho", "epsilon"):
             object.__setattr__(self, k, float(getattr(self, k)))
         object.__setattr__(self, "orientation", _as_matrix(self.orientation, "orientation"))
-        fields = {"size_a": self.size_a, "density": self.density_rho, "epsilon": self.epsilon}
-        _check_particles({**fields, "orientation": self.orientation}, single=True)
-        # the lab-frame intrinsic xy component, the one driving momentum transfer
-        lab = _lab_tensors(self.orientation[None], self.tensor.chi0[None], single=True)
-        object.__setattr__(self, "chi0_xy", float(lab[0, 0, 1]))
+        t = self.tensor
+        row = _unnamed(ParticleState, [self.size_a], [self.density_rho], [self.epsilon],
+                       t.chi0[None], [[getattr(t, k) for k in _KAPPAS]], self.orientation[None])
+        # the row's lab-frame intrinsic xy component, the one driving momentum transfer
+        self.__dict__.update(_row=row, chi0_xy=float(row.chi0_xy[0]))
 
     @property
     def mass(self) -> float:
@@ -346,12 +353,11 @@ def _conjugate(r: np.ndarray, x: np.ndarray) -> np.ndarray:
 _LAB_BOUND = f"lab-frame {_CHI0_BOUND}"
 
 
-def _lab_tensors(orientation: np.ndarray, chi0: np.ndarray, single: bool = False) -> np.ndarray:
+def _lab_tensors(orientation: np.ndarray, chi0: np.ndarray) -> np.ndarray:
     """The lab-frame tensors ``L_i = O_i chi0_i O_i^T`` of (N, 3, 3) stacks checked where they
-    entered; ValueError for the first particle with an entry past the sanity bound, named
-    unless ``single``."""
+    entered; ValueError for the first particle with an entry past the sanity bound."""
     tensors = _conjugate(orientation, chi0)
-    _reject_first(np.abs(tensors).max(axis=(1, 2)) > CHI0_SANITY_BOUND, _LAB_BOUND, single)
+    _reject_first(np.abs(tensors).max(axis=(1, 2)) > CHI0_SANITY_BOUND, _LAB_BOUND)
     return tensors
 
 
@@ -370,12 +376,13 @@ def _polar_step(m: np.ndarray) -> np.ndarray:
 class ParticleState:
     """N particles as arrays: what a list of :class:`Particle` holds, per field.
 
-    Construction converts every field and applies the particle checks batched,
-    the same checks :class:`Particle` and :class:`MagnetoElectricTensor` apply,
-    then computes and checks the lab-frame tensors (see :func:`_lab_tensors`);
-    an error names the particle index.  The arrays are read-only, so a valid
-    state stays valid.  A rotated state shares them and adds one 3x3 frame
-    (see :meth:`rotated`).  ``chi0_xy`` holds the lab-frame xy components.
+    Construction, the one path by which particles enter (a :class:`Particle` is
+    a state of one row), converts every field and applies the particle checks
+    batched, then computes and checks the lab-frame tensors (see
+    :func:`_lab_tensors`); an error names the particle index.  The arrays are
+    read-only, so a valid state stays valid.  A rotated state shares them and
+    adds one 3x3 frame (see :meth:`rotated`).  ``chi0_xy`` holds the lab-frame
+    xy components.
     """
 
     size_a: np.ndarray  # (N,) m
@@ -423,7 +430,9 @@ class ParticleState:
 
     @classmethod
     def from_particles(cls, particles: Sequence[Particle]) -> "ParticleState":
-        return cls.from_dicts([particle_to_dict(p) for p in particles])
+        rows = [p._row for p in particles]  # joined field by field, checked again as one batch
+        return cls(**{k: np.reshape([getattr(row, k) for row in rows], (len(rows), *shape))
+                      for k, (shape, _) in _PARTICLE_FIELDS.items()})
 
     @classmethod
     def from_dicts(cls, records: Sequence[object]) -> "ParticleState":
@@ -463,7 +472,7 @@ class ParticleState:
             turned = _conjugate(np.broadcast_to(frame, near_tensors.shape), near_tensors)
             bad = np.zeros(len(self), dtype=bool)
             bad[near] = np.abs(turned).max(axis=(1, 2)) > CHI0_SANITY_BOUND
-            _reject_first(bad, _LAB_BOUND, False)
+            _reject_first(bad, _LAB_BOUND)
         weights = np.multiply.outer(frame[0], frame[1]).ravel().tolist()  # F[0, j] * F[1, k]
         xy = weights[0] * self._columns[0]
         for weight, column in zip(weights[1:], self._columns[1:]):
@@ -535,7 +544,7 @@ def rotation_about(axis: object, angle: float) -> np.ndarray:
 def rotate_tensor(t: MagnetoElectricTensor, r: object) -> MagnetoElectricTensor:
     """Orthogonal conjugation chi0' = R chi0 R^T; kappas carried through unchanged."""
     m = _proper_rotation(r)
-    return replace(t, chi0=m @ t.chi0 @ m.T)
+    return replace(t, chi0=_conjugate(m[None], t.chi0[None])[0])
 
 
 # -- JSON serialization ------------------------------------------------------

@@ -321,6 +321,14 @@ class TestDataCommands:
         assert lines[0] == "t_s,f_dielectric,f_magnetoelectric,f_chi_rate,f_total"
         assert len(lines) == 22
 
+    def test_force_decompose_negative_zero_chi(self, capsys, series_file):
+        # the particle's lab frame, I chi0 I^T, holds chi0_xy = -0.0 as 0.0
+        assert Particle(1e-9, 1e3, MagnetoElectricTensor.from_xy(-0.0)).chi0_xy.hex() == "0x0.0p+0"
+        argv = ["force-decompose", "--series", series_file, "--chi"]
+        code, out, err = run_cli(capsys, *argv, "-0")
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, *argv, "0") == (0, out, "")
+
     def test_force_decompose_json(self, capsys, series_file):
         code, out, _ = run_cli(
             capsys, "force-decompose", "--series", series_file, "--format", "json"

@@ -91,8 +91,17 @@ class TestRotateTensor:
         assert np.array_equal(back.chi0, t.chi0)
 
     def test_improper_rotation_rejected(self):
-        with pytest.raises(ImproperRotationError):
+        # checked as a stack of one, whose error names no index
+        message = r"^improper rotation \(det = -1\) rejected$"
+        with pytest.raises(ImproperRotationError, match=message):
             rotate_tensor(MagnetoElectricTensor.from_xy(1e-3), np.diag([1.0, 1.0, -1.0]))
+
+    @given(chi0=chi_matrices, axis=axes, angle=angles)
+    def test_same_bits_as_a_particle_in_that_orientation(self, chi0, axis, angle):
+        # one conjugation kernel serves a rotated tensor and a particle's lab frame
+        t, r = MagnetoElectricTensor(chi0), rotation_about(axis, angle)
+        turned = rotate_tensor(t, r).chi0_xy
+        assert turned.hex() == Particle(1e-9, 1e3, t, orientation=r).chi0_xy.hex()
 
     def test_non_orthogonal_rejected(self):
         with pytest.raises(ValueError):
@@ -382,10 +391,13 @@ class TestParticleState:
             ("size_a_m", 1e-320, "size_a must be positive, with a finite, non-zero a\\^4"),
             ("density_kg_m3", float("inf"), "density must be positive"),
             ("epsilon", float("inf"), "epsilon must be >= 1"),
+            ("chi0", [0.9] * 9, re.escape(_LAB_BOUND)),  # past the bound in the lab frame only
         ],
     )
     def test_invalid_record_named_by_index(self, field, value, message):
         records = [particle_to_dict(p) for p in random_particles(np.random.default_rng(3), 4)]
+        # an orientation that turns the all-0.9 chi0 past the lab-frame bound
+        records[2]["orientation"] = rotation_about([1, 1, 0], 0.7).ravel().tolist()
         records[2][field] = value
         with pytest.raises(ValueError, match=f"particle 2: .*{message}") as state_error:
             ParticleState.from_dicts(records)
