@@ -1,5 +1,6 @@
 """Streamed text output shared by every numeric CSV and JSON writer, and the JSON reader.
-Floats print as their shortest round-trip ``repr``, from one C-level ``repr`` of a list."""
+Floats print as their shortest round-trip ``repr``, from one C-level ``repr`` of a list.
+A path is read or written as UTF-8, whatever the locale."""
 
 from __future__ import annotations
 
@@ -35,7 +36,8 @@ def load_json(source: Union[str, Path, io.TextIOBase]) -> object:
     ``not valid JSON: ...`` where the text is not JSON, starts with a byte-order mark, repeats
     a key in an object, or nests past the decoder's recursion limit."""
     try:
-        with open(source) if isinstance(source, (str, Path)) else nullcontext(source) as fh:
+        by_path = isinstance(source, (str, Path))
+        with open(source, encoding="utf-8") if by_path else nullcontext(source) as fh:
             text = fh.read()
         if text.startswith("\ufeff"):  # json.loads refuses it; the decoder alone would not say why
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
@@ -66,7 +68,8 @@ def write_blocks(
     """
     blocks = iter(blocks)
     first = next(blocks, "")
-    opened = open(out, "w", newline="") if isinstance(out, (str, Path)) else nullcontext(out)
+    by_path = isinstance(out, (str, Path))
+    opened = open(out, "w", newline="", encoding="utf-8") if by_path else nullcontext(out)
     with opened as fh:
         fh.write(head)
         fh.write(first)

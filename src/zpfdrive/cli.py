@@ -6,8 +6,7 @@ applies.  Exit codes: 0 success; 1 a refused value: a domain error, or a
 bad value of any numeric flag (``--n`` and ``--jobs`` included): one that
 does not convert or breaks the flag's rule; 2 a usage error: a missing
 required flag, an unknown flag or command, or an invalid choice.  The CLI
-computes one value itself, ``delta-v-rot``'s ``rho * a**4`` (the particle's
-m*a); every number printed is a library result.
+does no arithmetic on flag values: every number printed is a library result.
 """
 
 from __future__ import annotations
@@ -179,7 +178,7 @@ def _load_maneuver(d: object, read_series) -> dynamics.Maneuver:
 
 
 def _cmd_delta_v_rot(args) -> int:
-    dv = dynamics.checked_rotation_dv(args.chi, args.rho * args.a**4, args.A)
+    dv = dynamics.checked_rotation_dv(args.chi, args.rho, args.a, args.A)
     print(_single_value(args, "delta_v_rotation", Quantity(dv, "m/s")))
     return 0
 

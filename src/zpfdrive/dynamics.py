@@ -16,10 +16,11 @@ A series CSV given by path is read with ``np.loadtxt`` on the columns its
 header names; a file that ``loadtxt`` cannot read as the ``csv`` module
 would, and an open handle, go through a line-by-line reader that names the
 line and field of a bad cell.  Both give the same arrays, bit for bit.
-:meth:`FieldTimeSeries.to_csv` writes through the shared block writer.
+Every series file is read as UTF-8, whatever the locale.
 
 The pi-rotation delta-v 2*A*hbar*chi/(m*a) is one elementwise kernel,
-:func:`rotation_dv`; the mission planner and its sweep call it too.
+:func:`rotation_dv`; :func:`checked_rotation_dv` gives it of one cube of
+side a (m*a = rho*a**4) to the CLI, the particle and the mission planner.
 
 Maneuvers book momentum endpoint-wise against the closed-form vacuum model:
 a rotation transfers the change of stored vacuum momentum A*hbar*dchi/a, an
@@ -121,7 +122,7 @@ def _load_columns(path: Union[str, Path]) -> dict[str, np.ndarray]:
     ``loadtxt`` does not split quoted cells as the ``csv`` module does, so
     a file holding a quote character is refused before ``loadtxt`` sees it.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         if any('"' in chunk for chunk in iter(functools.partial(fh.read, 1 << 20), "")):
             raise ValueError("quoted cells")
         fh.seek(0)
@@ -221,7 +222,7 @@ class FieldTimeSeries:
             try:
                 columns = _load_columns(source)
             except ValueError:
-                with open(source, newline="") as fh:
+                with open(source, newline="", encoding="utf-8") as fh:
                     return cls.from_csv(fh)
             return cls(**columns)
         reader = _csv_rows(source)
@@ -241,12 +242,6 @@ class FieldTimeSeries:
                         f"line {line_no}: field {col!r} is not a number: {cell!r}"
                     ) from None
         return cls(**{_SERIES_COLUMNS[col]: np.array(values) for col, values in columns.items()})
-
-    def to_csv(self, target: Union[str, Path, io.TextIOBase]) -> None:
-        """Write the series as CSV to a path or an open handle, one line per sample."""
-        header = [col for col, name in _SERIES_COLUMNS.items() if getattr(self, name) is not None]
-        columns = [getattr(self, _SERIES_COLUMNS[col]) for col in header]
-        _io.write_blocks(target, _io.csv_blocks(columns), head=",".join(header) + "\n")
 
 
 def _ddt(y: np.ndarray, dt: float) -> np.ndarray:
@@ -307,15 +302,17 @@ def channel_cavity(chi_xy, db2_dt, duration: float):
 def rotation_dv(chi, m_a, prefactor_a):
     """Velocity gain 2*A*hbar*chi/(m*a) of a pi-rotation that flips ``chi``, elementwise.
 
-    ``m_a`` is the particle's mass times its size: rho*a**4 for a cube of
-    side a, or (rho*a_base**3)*a at a fixed particle mass.  Arrays broadcast,
-    and the caller refuses non-finite results (see :func:`checked_rotation_dv`).
+    ``m_a`` is the particle's mass times its size: rho*a**4 for a cube of side
+    a, as :func:`checked_rotation_dv` computes it, or (rho*a_base**3)*a at a
+    fixed particle mass.  Arrays broadcast; the caller refuses non-finite results.
     """
     return 2.0 * prefactor_a * HBAR_J_S * chi / m_a
 
 
-def checked_rotation_dv(chi: float, m_a: float, prefactor_a: float) -> float:
-    """:func:`rotation_dv` of floats; ValueError where ``m_a`` is 0 or the gain is not finite."""
+def checked_rotation_dv(chi: float, rho: float, a: float, prefactor_a: float) -> float:
+    """:func:`rotation_dv` of floats for a cube of density ``rho`` and side ``a``, whose
+    m*a is rho*a**4; ValueError where m*a is 0 or the gain is not finite."""
+    m_a = rho * a**4
     dv = rotation_dv(chi, m_a, prefactor_a) if m_a else math.inf
     if not math.isfinite(dv):
         raise ValueError(f"m*a = {m_a!r} gives a non-finite rotation delta-v")
@@ -325,11 +322,11 @@ def checked_rotation_dv(chi: float, m_a: float, prefactor_a: float) -> float:
 def delta_v_rotation(p: Particle, model: VacuumModel) -> Quantity:
     """Velocity gain of a particle whose chi0_xy flips sign under a pi rotation.
 
-    :func:`checked_rotation_dv` with m*a = rho*a**4, signed with the
-    particle's current lab-frame chi0_xy.
+    :func:`checked_rotation_dv` of the particle's density and size, signed
+    with its current lab-frame chi0_xy.
     """
-    m_a = p.density_rho * p.size_a**4
-    return Quantity(float(checked_rotation_dv(p.chi0_xy, m_a, model.prefactor_a)), "m/s")
+    dv = checked_rotation_dv(p.chi0_xy, p.density_rho, p.size_a, model.prefactor_a)
+    return Quantity(float(dv), "m/s")
 
 
 def delta_v_aggregation(

@@ -214,8 +214,8 @@ def tangential_v_to_rate(v: float, radius: float) -> float:
 
 def _payload_v(chi0, particle_size, particle_density, active_mass_fraction, prefactor_A) -> float:
     """fraction * dv of one pi-rotation cycle, as the sweep computes its dV_m_s cell."""
-    m_a = particle_density * particle_size**4
-    return active_mass_fraction * checked_rotation_dv(chi0, m_a, prefactor_A)
+    dv = checked_rotation_dv(chi0, particle_density, particle_size, prefactor_A)
+    return active_mass_fraction * dv
 
 
 def _design(spec: MissionSpec, unknown: str | None = None) -> tuple[float, dict]:
@@ -391,7 +391,7 @@ def _sweep_blocks(base: MissionSpec, required: float, lists: list[list[float]], 
                 m_a = (rho * mass_per_size) * a
             dv = rotation_dv(chi, m_a, pref)
             dvp = frac * dv
-            rate = dvp / base.wheel_radius * SECONDS_PER_DAY / RAD_PER_DEG
+            rate = tangential_v_to_rate(dvp, base.wheel_radius)
         for name, col in (("dv_m_s", dv), ("dV_m_s", dvp), ("rate_deg_day", rate)):
             bad = ~np.isfinite(col)
             if bad.any():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import struct
 import subprocess
@@ -23,6 +24,8 @@ from zpfdrive.material import (
 )
 from zpfdrive.mission import MissionSpec, evaluate_mission
 from zpfdrive.vacuum import VacuumModel, convergence_study, vacuum_momentum_closed_form
+
+from series_csv import write_series
 
 
 def run_cli(capsys, *argv):
@@ -71,7 +74,7 @@ def series_file(tmp_path):
     t = np.linspace(0.0, 1.0, 21)
     series = FieldTimeSeries(t=t, e_x=np.sin(3 * t), b_y=np.cos(2 * t))
     path = tmp_path / "series.csv"
-    series.to_csv(path)
+    write_series(series, path)
     return str(path)
 
 
@@ -304,13 +307,16 @@ class TestDataCommands:
         assert lines[0] == "n_per_axis,a_m,chi,p_kg_m_s,effective_A"
         assert len(lines) == 3
 
-    def test_oracle_json(self, capsys):
+    @pytest.mark.parametrize("n", [[8], [64, 16, 64]], ids=["8", "64,16,64"])
+    def test_oracle_json(self, capsys, n):
+        n_flag = ",".join(map(str, n))
         code, out, _ = run_cli(
-            capsys, "oracle", "--chi", "1e-3", "--a", "1e-9", "--n", "8", "--format", "json"
+            capsys, "oracle", "--chi", "1e-3", "--a", "1e-9", "--n", n_flag, "--format", "json"
         )
+        assert code == 0
         rows = json.loads(out)
-        assert len(rows) == 1
-        assert rows[0]["n_per_axis"] == 8
+        assert [row["n_per_axis"] for row in rows] == n  # argv order, a repeated n kept
+        assert all(row == rows[n.index(row["n_per_axis"])] for row in rows)
 
     def test_force_decompose(self, capsys, series_file):
         code, out, _ = run_cli(
@@ -361,7 +367,7 @@ class TestDataCommands:
             kappa1=np.full(n, 2e-5),
         )
         path = tmp_path / "series.csv"
-        series.to_csv(path)
+        write_series(series, path)
         argv = ["force-decompose", "--series", str(path), "--epsilon", "2.5", "--format", fmt]
         particle = Particle(1e-9, 1000.0, MagnetoElectricTensor.from_xy(0.0), epsilon=2.5)
         dec = force_decomposed(particle, FieldTimeSeries.from_csv(path))
@@ -386,7 +392,7 @@ class TestDataCommands:
         b_y = np.ones(11)
         b_y[4] = 1e200  # B^2 overflows; d(B^2)/dt is first inf at the sample before
         path = tmp_path / "series.csv"
-        FieldTimeSeries(t=t, e_x=np.zeros(11), b_y=b_y).to_csv(path)
+        write_series(FieldTimeSeries(t=t, e_x=np.zeros(11), b_y=b_y), path)
         out_path = tmp_path / "forces.csv"
         for fmt in ("text", "json"):
             for extra in ([], ["--out", str(out_path)]):
@@ -420,33 +426,47 @@ class TestDataCommands:
             convergence_study(-2.5e-4, [1e-9, 3.3e-9], [8, 17], out=study_path)
             assert study_path.read_bytes() == (want + "\n").encode()
 
-    def test_ledger(self, capsys, tmp_path):
+    THREE_KINDS = [
+        {"type": "rotation", "axis": [1, 0, 0], "angle_rad": 3.141592653589793},
+        {"type": "cavity_modulation", "dB2_dt": 2.0, "duration_s": 0.5},
+        {"type": "aggregation", "N": 8, "a_m": 1e-9, "direction": [0, 1, 0]},
+    ]
+    TURN = {"type": "rotation", "axis": [1, 0, 0], "angle_rad": 1.0}
+
+    @pytest.mark.parametrize(
+        "count, maneuvers, booked",
+        [
+            (1, THREE_KINDS, None),
+            # a turn and then its inverse: the two z bookings cancel to rounding
+            (1, [TURN, {**TURN, "angle_rad": -1.0}], "cancels"),
+            # no particles: every booking is zero
+            (0, THREE_KINDS, "nothing"),
+        ],
+        ids=["three-kinds", "turn-and-back", "no-particles"],
+    )
+    def test_ledger(self, capsys, tmp_path, count, maneuvers, booked):
         particles_path = tmp_path / "particles.json"
         particle = Particle(1e-9, 1000.0, MagnetoElectricTensor.from_xy(1e-3))
-        particles_path.write_text(json.dumps([particle_to_dict(particle)]))
+        particles_path.write_text(json.dumps([particle_to_dict(particle)] * count))
         maneuvers_path = tmp_path / "maneuvers.json"
-        maneuvers_path.write_text(
-            json.dumps(
-                [
-                    {"type": "rotation", "axis": [1, 0, 0], "angle_rad": 3.141592653589793},
-                    {"type": "cavity_modulation", "dB2_dt": 2.0, "duration_s": 0.5},
-                    {"type": "aggregation", "N": 8, "a_m": 1e-9, "direction": [0, 1, 0]},
-                ]
-            )
-        )
-        code, out, _ = run_cli(
+        maneuvers_path.write_text(json.dumps(maneuvers))
+        code, out, err = run_cli(
             capsys,
             "ledger",
             "--particles", str(particles_path),
             "--maneuvers", str(maneuvers_path),
             "--M-total", "1.0",
         )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 3
-        first = json.loads(lines[0])
-        assert first["type"] == "rotation"
-        assert len(first["cumulative_v"]) == 3
+        assert (code, err) == (0, "")
+        entries = [json.loads(line) for line in out.splitlines()]
+        assert [e["type"] for e in entries] == [m["type"] for m in maneuvers]
+        assert all(len(e["cumulative_v"]) == 3 for e in entries)
+        z = [e["dp_vacuum"][2] for e in entries]
+        if booked == "cancels":
+            assert abs(sum(z)) <= 1e-12 * max(map(abs, z)), z
+        elif booked == "nothing":
+            keys = ("dp_particles", "dp_vacuum", "cumulative_v")
+            assert [e[k] for e in entries for k in keys] == [[0.0] * 3] * (3 * len(entries))
 
     def test_ledger_reads_each_series_file_once(self, capsys, tmp_path, series_file, monkeypatch):
         particles_path = tmp_path / "particles.json"
@@ -490,10 +510,14 @@ class TestDataCommands:
         assert len(outputs[0].strip().splitlines()) == 4
 
 
-def fresh_process(*argv):
-    """Exit code, stdout and stderr of one CLI call in a new interpreter."""
+def fresh_process(*argv, env=None):
+    """Exit code, stdout and stderr of one CLI call in a new interpreter, with the variables
+    of ``env`` added to its environment."""
     result = subprocess.run(
-        [sys.executable, "-m", "zpfdrive.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "zpfdrive.cli", *argv],
+        capture_output=True,
+        encoding="utf-8",
+        env=None if env is None else {**os.environ, **env},
     )
     return result.returncode, result.stdout, result.stderr
 
@@ -854,7 +878,10 @@ class TestLedgerInputErrors:
             f" field 'type': unknown maneuver type {shown}\n"
         )
 
-    @pytest.mark.parametrize("which, key", [("particles", "kappa1"), ("maneuvers", "angle_rad")])
+    @pytest.mark.parametrize(
+        "which, key",
+        [("particles", "kappa1"), ("maneuvers", "angle_rad"), ("particles", "size_a_m")],
+    )
     def test_record_with_a_duplicate_key(self, capsys, tmp_path, which, key):
         good = particle_to_dict(Particle(1e-9, 1000.0, MagnetoElectricTensor.from_xy(1e-3)))
         for name, record in {"particles": good, "maneuvers": self.ROTATION}.items():
@@ -1012,6 +1039,11 @@ class TestRecordsHoldJsonNumbers:
             (json.dumps({**SPEC, "wheel_radius": None}), "field 'wheel_radius' must be a number"),
             (json.dumps({"chi0": 1e-3}), "missing field 'target_rate'"),
             (NESTED, "not valid JSON: maximum recursion depth exceeded"),
+            # within the limit in a new interpreter, but not always on pytest's deeper stack
+            (
+                "[" * 990 + "0" + "]" * 990,
+                ("expected an object, got list\n", "not valid JSON: maximum recursion depth"),
+            ),
             (twice(SPEC, "target_rate", 400.0), "not valid JSON: duplicate key 'target_rate'\n"),
             (
                 "\ufeff" + json.dumps(SPEC),
@@ -1026,7 +1058,9 @@ class TestRecordsHoldJsonNumbers:
         argv = [command, "--spec", str(path)]
         if command == "solve":
             argv += ["--unknown", "chi0"]
-        assert self.run_refused(capsys, argv).startswith(f"error: {path}: {message}")
+        messages = message if isinstance(message, tuple) else (message,)
+        err = self.run_refused(capsys, argv)
+        assert err.startswith(tuple(f"error: {path}: {m}" for m in messages))
 
 
 class TestCliContract:
@@ -1309,6 +1343,33 @@ class TestCliContract:
         assert out == ""
         assert err.startswith(f"error: {path}: line 3: field larger than field limit")
         assert err.count("\n") == 1
+
+    def test_empty_series_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("")
+        code, out, err = run_cli(capsys, "force-decompose", "--series", str(path))
+        assert (code, out, err) == (1, "", f"error: {path}: empty series CSV\n")
+
+    def test_files_are_read_as_utf8_in_an_ascii_locale(self, tmp_path):
+        particles, maneuvers = tmp_path / "particles.json", tmp_path / "maneuvers.json"
+        record = {"chi0": [0, 1e-3] + [0] * 7, "size_a_m": 1e-9, "density_kg_m3": 1e3,
+                  "orientati\u00f3n": [1, 0, 0, 0, 1, 0, 0, 0, 1]}
+        particles.write_text(json.dumps([record], ensure_ascii=False), encoding="utf-8")
+        maneuvers.write_text("[]")
+        series = tmp_path / "series.csv"  # full-width digits, which float() reads
+        series.write_text("t_s,E_x,B_y\n\uff10,\uff11,\uff12\n1,3,4\n2,5,6\n", encoding="utf-8")
+        ledger = ["ledger", "--particles", str(particles), "--maneuvers", str(maneuvers),
+                  "--M-total", "1"]
+        forces = ["force-decompose", "--series", str(series)]
+        results = [fresh_process(*argv) for argv in (ledger, forces)]
+        refused = f"error: {particles}: particle 0: unknown fields: ['orientati\u00f3n']\n"
+        assert results[0] == (1, "", refused)
+        code, out, err = results[1]
+        assert (code, out.splitlines()[1], err) == (0, "0.0,4.0,0.0,0.0,4.0", "")
+        # the locale's preferred encoding is ASCII; stdout and stderr stay UTF-8
+        ascii_locale = {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C",
+                        "PYTHONIOENCODING": "utf-8"}
+        assert [fresh_process(*argv, env=ascii_locale) for argv in (ledger, forces)] == results
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -37,6 +37,8 @@ from zpfdrive.vacuum import (
     vacuum_momentum_closed_form,
 )
 
+from series_csv import write_series
+
 
 def particle(chi=1e-3, a=1e-9, rho=1000.0, eps=1.0, **kappas):
     return Particle(a, rho, MagnetoElectricTensor.from_xy(chi, **kappas), epsilon=eps)
@@ -83,6 +85,15 @@ class TestFieldTimeSeries:
         with pytest.raises(SeriesFormatError, match="uniformly spaced"):
             FieldTimeSeries(t=t, e_x=np.zeros(1000), b_y=np.ones(1000))
 
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [({"t": np.zeros((3, 1))}, "t must be 1-D"), ({"e_x": np.zeros(2)}, "e_x length 2 != 3")],
+    )
+    def test_misshapen_arrays_rejected(self, arrays, message):
+        arrays = {"t": np.arange(3.0), "e_x": np.zeros(3), "b_y": np.zeros(3), **arrays}
+        with pytest.raises(SeriesFormatError, match=f"^{message}$"):
+            FieldTimeSeries(**arrays)
+
     def test_kappa_without_chi_rejected(self):
         with pytest.raises(SeriesFormatError, match=_KAPPA_WITHOUT_CHI):
             FieldTimeSeries(
@@ -101,7 +112,7 @@ class TestFieldTimeSeries:
             kappa2=np.array([0.1, 0.1, 0.1]),
         )
         buf = io.StringIO()
-        s.to_csv(buf)
+        write_series(s, buf)
         buf.seek(0)
         back = FieldTimeSeries.from_csv(buf)
         assert np.array_equal(back.t, s.t)
@@ -236,6 +247,7 @@ class TestSeriesReader:
             ("0,1,2\n1,3,4\n2,5, \n", "line 4: field 'B_y' is not a number: ''"),
             ("0,1,2\n1,nan,4\n2,5,6\n", "e_x contains non-finite samples"),
             ("0,1,2\n1,3,4\n", "series needs at least 3 samples"),
+            ("0,1,2\n0,3,4\n1,5,6\n", "time samples must be strictly increasing"),
         ],
     )
     def test_bad_file_reports_line_and_field(self, tmp_path, body, message):
@@ -262,7 +274,7 @@ class TestSeriesReader:
         x = random_bit_doubles(20_000)  # crosses the writer's block boundaries
         series = FieldTimeSeries(t=np.arange(x.size) * 0.5, e_x=x, b_y=x[::-1], chi0_xy=x)
         path = tmp_path / "series.csv"
-        series.to_csv(path)
+        write_series(series, path)
         rows = zip(series.t, series.e_x, series.b_y, series.chi0_xy)
         want = "t_s,E_x,B_y,chi0_xy\n" + "".join(
             ",".join(repr(float(v)) for v in row) + "\n" for row in rows
@@ -611,6 +623,13 @@ class TestManeuverSequence:
             run_maneuver_sequence([p], maneuvers, 1.0, VacuumModel())
         assert err.value.index == 2
         assert len(err.value.ledger.entries) == 2
+
+    def test_an_object_that_is_no_maneuver_is_refused(self):
+        with pytest.raises(ManeuverError) as err:
+            run_maneuver_sequence([], [object()], 1.0, VacuumModel())
+        assert str(err.value) == "maneuver 0 failed: unknown maneuver type object"
+        assert type(err.value.cause) is TypeError
+        assert err.value.__cause__ is err.value.cause
 
     def test_a_rotation_can_break_the_lab_frame_bound(self):
         # |chi0|_F = 2.7: every entry is within the bound until the turn pushes one past it

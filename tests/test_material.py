@@ -466,6 +466,13 @@ class TestParticleState:
         with pytest.raises(ValueError, match=message):
             ParticleState.from_dicts([record])
 
+    def test_misshapen_field_refused(self):
+        one = {"size_a": [1e-9], "density": [1e3], "epsilon": [1.0], "kappa": np.zeros((1, 3)),
+               "orientation": np.eye(3)[None]}
+        message = "chi0 must be N arrays of shape (3, 3), got (1, 2, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ParticleState(**one, chi0=np.zeros((1, 2, 3)))
+
     def test_arrays_read_only(self):
         state = ParticleState.from_particles(random_particles(np.random.default_rng(5), 2))
         with pytest.raises(ValueError):
