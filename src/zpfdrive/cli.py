@@ -96,40 +96,46 @@ def _check_flags(args) -> None:
             material.check(flag, v, rule)
 
 
-def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """A new parser of the zpfdrive argv grammar and its parser of each command."""
+def _build():
+    """A new parser of the zpfdrive argv grammar, its parser of each command, and each
+    command's flag table: the Action of each of its option strings, and its defaults."""
     parser = argparse.ArgumentParser(
         prog="zpfdrive",
         description="Vacuum momentum transfer for magneto-electric particles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p = {}
+    p, actions = {}, {}
+
+    def add(command, flag, **kwargs):
+        actions[command][flag] = p[command].add_argument(flag, **kwargs)
+
     for command, (_, summary, numbers) in _COMMANDS.items():
-        p[command] = sub.add_parser(command, help=summary)
+        p[command], actions[command] = sub.add_parser(command, help=summary), {}
         p[command].set_defaults(command=command)
         for name, default in numbers.items():
             flag, dest, _, _, text = _NUMBERS[name]
             if default is REQUIRED:
-                p[command].add_argument(flag, dest=dest, required=True, help=text)
+                add(command, flag, dest=dest, required=True, help=text)
             else:
-                p[command].add_argument(flag, dest=dest, default=default, help=text)
-        p[command].add_argument("--format", choices=("text", "json", "csv"), default="text")
+                add(command, flag, dest=dest, default=default, help=text)
+        add(command, "--format", choices=("text", "json", "csv"), default="text")
 
     for command in ("mission", "solve", "sweep"):
-        p[command].add_argument("--spec", required=True, help="MissionSpec JSON path")
-    p["solve"].add_argument("--unknown", choices=sorted(mission.SOLVE_BRACKETS), required=True)
-    p["sweep"].add_argument(
-        "--mode",
-        choices=[m.value for m in mission.SweepMode],
-        default=mission.SweepMode.MASS_BUDGET.value,
-    )
-    p["oracle"].add_argument("--cutoff", choices=sorted(_CUTOFFS), default="half-wavelength")
-    p["force-decompose"].add_argument("--series", required=True, help="field series CSV path")
-    p["ledger"].add_argument("--particles", required=True, help="JSON list of particles")
-    p["ledger"].add_argument("--maneuvers", required=True, help="JSON list of maneuvers")
+        add(command, "--spec", required=True, help="MissionSpec JSON path")
+    add("solve", "--unknown", choices=sorted(mission.SOLVE_BRACKETS), required=True)
+    modes = [m.value for m in mission.SweepMode]
+    add("sweep", "--mode", choices=modes, default=mission.SweepMode.MASS_BUDGET.value)
+    add("oracle", "--cutoff", choices=sorted(_CUTOFFS), default="half-wavelength")
+    add("force-decompose", "--series", required=True, help="field series CSV path")
+    add("ledger", "--particles", required=True, help="JSON list of particles")
+    add("ledger", "--maneuvers", required=True, help="JSON list of maneuvers")
     for command in ("oracle", "force-decompose", "sweep", "ledger"):
-        p[command].add_argument("--out", default=None, help="output path (default stdout)")
-    return parser, p
+        add(command, "--out", default=None, help="output path (default stdout)")
+    tables = {
+        command: (flags, {"command": command, **{a.dest: a.default for a in flags.values()}})
+        for command, flags in actions.items()
+    }
+    return parser, p, tables
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,10 +376,43 @@ def _joined_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _from_table(argv: list[str], tables) -> argparse.Namespace | None:
+    """The namespace argparse gives a well-formed ``argv``, read by one lookup per flag in
+    its command's flag table; None for argparse to parse: no command, an unknown,
+    abbreviated or repeated flag, a ``--``, a dash-led separate value, a bad choice, or a
+    missing required flag."""
+    if not argv or argv[0] not in tables:
+        return None
+    flags, defaults = tables[argv[0]]
+    given, rest = {}, iter(argv[1:])
+    for arg in rest:
+        flag, joined, value = arg.partition("=")
+        action = flags.get(flag)
+        if not joined:
+            value = next(rest, "-")  # a missing value declines, as a dash-led one does
+        if (
+            action is None
+            or action.dest in given
+            or value == "--"  # argparse drops a "--" value
+            or (not joined and value.startswith("-"))
+            or (action.choices is not None and value not in action.choices)
+        ):
+            return None
+        given[action.dest] = value
+    if any(a.required and a.dest not in given for a in flags.values()):
+        return None
+    return argparse.Namespace(**{**defaults, **given})
+
+
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """``argv`` parsed once, by the parser of the command it names, else by the top level."""
+    """``argv`` read from the flag table of the command it names; what the table cannot
+    decide (help, usage errors, abbreviated or repeated flags) is parsed once by argparse,
+    with the command's own parser, else by the top level."""
     argv = _joined_values(argv)
-    parser, commands = _main_parsers()
+    parser, commands, tables = _main_parsers()
+    args = _from_table(argv, tables)
+    if args is not None:
+        return args
     if argv and argv[0] in commands:
         parser, argv = commands[argv[0]], argv[1:]
     return parser.parse_args(argv)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -756,6 +757,77 @@ class TestGrammar:
         if code:
             assert text.splitlines()[-1].startswith("zpfdrive: error: ")
 
+    @staticmethod
+    def count_parse_args(monkeypatch) -> list:
+        """The calls of ``argparse.ArgumentParser.parse_args`` from here on."""
+        calls, parse_args = [], argparse.ArgumentParser.parse_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["delta-v-rot", "--chi", "-1e-3", "--a=1e-9", "--rho", "1000", "--format", "json"],
+            ["delta-v-agg", "--chi=-1e-3", "--a", "1e-9", "--rho", "1000", "--N", "8", "--A=-1"],
+            ["vacuum-momentum", "--chi", "-1e-3", "--a", "1e-9"],
+            ["oracle", "--chi=-1e-3", "--a", "1e-9,2e-9", "--n", "8", "--cutoff", "half-wavelength",
+             "--out", "o.csv"],
+            ["force-decompose", "--series", "s.csv", "--chi", "-1e-3", "--epsilon=2"],
+            ["mission", "--spec", "s.json", "--format=json"],
+            ["solve", "--spec=s.json", "--unknown", "chi0"],
+            ["sweep", "--spec", "s.json", "--chi", "-1e-3,2e-3", "--jobs", "2", "--mode",
+             "fixed-particle-mass", "--format", "csv"],
+            ["ledger", "--particles", "p.json", "--maneuvers", "m.json", "--M-total", "-1"],
+        ],
+    )
+    def test_well_formed_argv_is_read_without_argparse(self, monkeypatch, argv):
+        expected = cli.build_parser().parse_args(cli._joined_values(argv))
+        calls = self.count_parse_args(monkeypatch)
+        assert cli._parse(argv) == expected
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["mission", "--spe", "SPEC"], 0),
+            (["delta-v-rot", "--chi", "1", *DESIGN_ARGS], 0),
+            (["delta-v-rot", "-h"], 0),
+            (["delta-v-rot", "--chi=--", *DESIGN_ARGS[2:]], None),
+            (["delta-v-rot", *DESIGN_ARGS, "--warp-factor", "9"], 2),
+            (["mission", "--format", "json"], 2),
+            (["delta-v-rot", *DESIGN_ARGS, "--format", "xml"], 2),
+        ],
+        ids=["abbreviated", "repeated", "help", "dash-dash-value", "unknown", "missing", "choice"],
+    )
+    def test_what_the_table_cannot_decide_goes_to_argparse(
+        self, monkeypatch, capsys, spec_file, argv, code
+    ):
+        """Each call reaches argparse once, with the command's parser, and ends as it did
+        before the table: exit code (or escaping exception), stdout and stderr."""
+        argv = [spec_file if x == "SPEC" else x for x in argv]
+
+        def outcome():
+            try:
+                result = cli.main(argv)
+            except SystemExit as exc:
+                result = exc.code
+            except Exception as exc:  # compared below, not handled
+                result = (type(exc), str(exc))
+            return (result, *capsys.readouterr())
+
+        calls = self.count_parse_args(monkeypatch)
+        result = outcome()
+        assert calls == [f"zpfdrive {argv[0]}"]
+        if code is not None:
+            assert result[0] == code
+        monkeypatch.setattr(cli, "_from_table", lambda argv, tables: None)
+        assert outcome() == result
+
 
 class TestLedgerInputErrors:
     """A malformed particle or maneuver file ends in one error line, exit 1."""
@@ -1050,6 +1122,10 @@ class TestRecordsHoldJsonNumbers:
                 "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig):"
                 " line 1 column 1 (char 0)\n",
             ),
+        ],
+        ids=[
+            "unclosed", "truncated", "unknown-field", "null-field", "missing-field",
+            "nested-past-limit", "nested-990", "duplicate-key", "bom",
         ],
     )
     def test_spec_read_error_names_the_file(self, capsys, tmp_path, command, text, message):
