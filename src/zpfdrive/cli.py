@@ -7,6 +7,10 @@ bad value of any numeric flag (``--n`` and ``--jobs`` included): one that
 does not convert or breaks the flag's rule; 2 a usage error: a missing
 required flag, an unknown flag or command, or an invalid choice.  The CLI
 does no arithmetic on flag values: every number printed is a library result.
+
+A well-formed command line is read from its command's flag table, one lookup
+per flag, to the namespace argparse would give; argparse parses everything
+else, so help and every usage error print argparse's own text.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ def _check_flags(args) -> None:
             material.check(flag, v, rule)
 
 
-def _build():
+def _build() -> tuple[argparse.ArgumentParser, dict, dict]:
     """A new parser of the zpfdrive argv grammar, its parser of each command, and each
     command's flag table: the Action of each of its option strings, and its defaults."""
     parser = argparse.ArgumentParser(
