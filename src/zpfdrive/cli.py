@@ -8,9 +8,8 @@ does not convert or breaks the flag's rule; 2 a usage error: a missing
 required flag, an unknown flag or command, or an invalid choice.  The CLI
 does no arithmetic on flag values: every number printed is a library result.
 
-A well-formed command line is read from its command's flag table, one lookup
-per flag, to the namespace argparse would give; argparse parses everything
-else, so help and every usage error print argparse's own text.
+Every command line is read from its command's flag table, by argparse's rules;
+argparse is built only to print help and usage errors, in its own text.
 """
 
 from __future__ import annotations
@@ -100,57 +99,24 @@ def _check_flags(args) -> None:
             material.check(flag, v, rule)
 
 
-def _build() -> tuple[argparse.ArgumentParser, dict, dict]:
-    """A new parser of the zpfdrive argv grammar, its parser of each command, and each
-    command's flag table: the Action of each of its option strings, and its defaults."""
+def _build() -> tuple[argparse.ArgumentParser, dict]:
+    """A new parser of the zpfdrive argv grammar, and its parser of each command."""
     parser = argparse.ArgumentParser(
-        prog="zpfdrive",
-        description="Vacuum momentum transfer for magneto-electric particles.",
+        prog="zpfdrive", description="Vacuum momentum transfer for magneto-electric particles."
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    p, actions = {}, {}
-
-    def add(command, flag, **kwargs):
-        actions[command][flag] = p[command].add_argument(flag, **kwargs)
-
-    for command, (_, summary, numbers) in _COMMANDS.items():
-        p[command], actions[command] = sub.add_parser(command, help=summary), {}
-        p[command].set_defaults(command=command)
-        for name, default in numbers.items():
-            flag, dest, _, _, text = _NUMBERS[name]
-            if default is REQUIRED:
-                add(command, flag, dest=dest, required=True, help=text)
-            else:
-                add(command, flag, dest=dest, default=default, help=text)
-        add(command, "--format", choices=("text", "json", "csv"), default="text")
-
-    for command in ("mission", "solve", "sweep"):
-        add(command, "--spec", required=True, help="MissionSpec JSON path")
-    add("solve", "--unknown", choices=sorted(mission.SOLVE_BRACKETS), required=True)
-    modes = [m.value for m in mission.SweepMode]
-    add("sweep", "--mode", choices=modes, default=mission.SweepMode.MASS_BUDGET.value)
-    add("oracle", "--cutoff", choices=sorted(_CUTOFFS), default="half-wavelength")
-    add("force-decompose", "--series", required=True, help="field series CSV path")
-    add("ledger", "--particles", required=True, help="JSON list of particles")
-    add("ledger", "--maneuvers", required=True, help="JSON list of maneuvers")
-    for command in ("oracle", "force-decompose", "sweep", "ledger"):
-        add(command, "--out", default=None, help="output path (default stdout)")
-    tables = {
-        command: (flags, {"command": command, **{a.dest: a.default for a in flags.values()}})
-        for command, flags in actions.items()
-    }
-    return parser, p, tables
+    sub, commands = parser.add_subparsers(dest="command", required=True), {}
+    for command, (_, summary, _) in _COMMANDS.items():
+        commands[command] = p = sub.add_parser(command, help=summary)
+        p.set_defaults(command=command)
+        for flag, (dest, choices, default, text) in _TABLES[command][0].items():
+            p.add_argument(flag, dest=dest, choices=choices, required=default is REQUIRED,
+                           default=None if default is REQUIRED else default, help=text)
+    return parser, commands
 
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser of the zpfdrive argv grammar on every call."""
     return _build()[0]
-
-
-# main's parsers, built on its first call: building them takes longer than a
-# small command's own work.  It binds this module's builder, so a wrapper put
-# in place of the build_parser attribute never ends up inside it.
-_main_parsers = functools.cache(_build)
 
 
 @contextlib.contextmanager
@@ -365,10 +331,24 @@ _COMMANDS = {
 }
 
 
+# the other flags, in the order added: commands, choices, default (REQUIRED: given) and help
+_OPTIONS = [
+    ("--format", tuple(_COMMANDS), ("text", "json", "csv"), "text", None),
+    ("--spec", ("mission", "solve", "sweep"), None, REQUIRED, "MissionSpec JSON path"),
+    ("--unknown", ("solve",), sorted(mission.SOLVE_BRACKETS), REQUIRED, None),
+    ("--mode", ("sweep",), [m.value for m in mission.SweepMode], "mass-budget", None),
+    ("--cutoff", ("oracle",), sorted(_CUTOFFS), "half-wavelength", None),
+    ("--series", ("force-decompose",), None, REQUIRED, "field series CSV path"),
+    ("--particles", ("ledger",), None, REQUIRED, "JSON list of particles"),
+    ("--maneuvers", ("ledger",), None, REQUIRED, "JSON list of maneuvers"),
+    ("--out", ("oracle", "force-decompose", "sweep", "ledger"), None, None,
+     "output path (default stdout)"),
+]
+
+
 def _joined_values(argv: Sequence[str]) -> list[str]:
     """``argv`` with each ``--flag -value`` written ``--flag=-value``: argparse takes values
-    such as ``-4e-07``, ``-inf`` and ``-1,2`` for options.  Every long flag but --help
-    takes a value, and none takes one that starts with ``--``."""
+    such as ``-4e-07``, ``-inf`` and ``-1,2`` for options."""
     out: list[str] = []
     for arg in argv:
         if arg.startswith("-") and not arg.startswith("--") and arg != "-h" and out:
@@ -380,46 +360,65 @@ def _joined_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-def _from_table(argv: list[str], tables) -> argparse.Namespace | None:
-    """The namespace argparse gives a well-formed ``argv``, read by one lookup per flag in
-    its command's flag table; None for argparse to parse: no command, an unknown,
-    abbreviated or repeated flag, a ``--``, a dash-led separate value, a bad choice, or a
-    missing required flag."""
-    if not argv or argv[0] not in tables:
+def _table(command: str) -> tuple[dict, dict]:
+    """``command``'s flags in the order its parser adds them, each with its dest, choices,
+    default (REQUIRED: it must be given) and help; and the namespace of their defaults."""
+    flags = {}
+    for name, default in _COMMANDS[command][2].items():
+        flag, dest, _, _, text = _NUMBERS[name]
+        flags[flag] = (dest, None, default, text)
+    for flag, commands, *entry in _OPTIONS:
+        if command in commands:
+            flags[flag] = (flag[2:], *entry)
+    return flags, {"command": command, **{dest: d for dest, _, d, _ in flags.values()}}
+
+
+_TABLES = {command: _table(command) for command in _COMMANDS}
+
+
+def _names(flags: dict, option: str) -> list[str]:
+    """The option strings ``option`` names: itself, else each that starts with it, --help too."""
+    return [option] if option in flags else [f for f in (*flags, "--help") if f.startswith(option)]
+
+
+def _from_table(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives ``argv``, by argparse's rules: a flag may be a prefix of
+    one option string alone, the last of a repeated flag counts, a ``--`` value is ``'--'``.
+    None where argparse prints help or a usage error."""
+    if not argv or argv[0] not in _TABLES:
         return None
-    flags, defaults = tables[argv[0]]
-    given, rest = {}, iter(argv[1:])
+    flags, args = _TABLES[argv[0]][0], dict(_TABLES[argv[0]][1])
+    rest = iter(argv[1:])
     for arg in rest:
-        flag, joined, value = arg.partition("=")
-        action = flags.get(flag)
+        option, joined, value = arg.partition("=")
         if not joined:
-            value = next(rest, "-")  # a missing value declines, as a dash-led one does
-        if (
-            action is None
-            or action.dest in given
-            or value == "--"  # argparse drops a "--" value
-            or (not joined and value.startswith("-"))
-            or (action.choices is not None and value not in action.choices)
-        ):
+            value = next(rest, "-")  # a missing value is refused as "-" is
+            if value.startswith("-") and (" " not in value or _names(flags, value.split("=")[0])):
+                return None  # argparse takes it for an option
+        names = _names(flags, option)  # argparse refuses an unknown or ambiguous flag
+        dest, choices, _, _ = flags.get(names[0] if len(names) == 1 else None, (None,) * 4)
+        if dest is None or (choices is not None and value not in choices):
             return None
-        given[action.dest] = value
-    if any(a.required and a.dest not in given for a in flags.values()):
-        return None
-    return argparse.Namespace(**{**defaults, **given})
+        args[dest] = value
+    return None if REQUIRED in args.values() else argparse.Namespace(**args)
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """``argv`` read from the flag table of the command it names; what the table cannot
-    decide (help, usage errors, abbreviated or repeated flags) is parsed once by argparse,
-    with the command's own parser, else by the top level."""
+    """``argv`` read from its command's flag table; a new parser (the command's own, if
+    ``argv[0]`` is one) parses an argv that the table refuses, to print help or an error."""
     argv = _joined_values(argv)
-    parser, commands, tables = _main_parsers()
-    args = _from_table(argv, tables)
-    if args is not None:
+    if (args := _from_table(argv)) is not None:
         return args
-    if argv and argv[0] in commands:
-        parser, argv = commands[argv[0]], argv[1:]
-    return parser.parse_args(argv)
+    parser, commands = _build()
+    if not argv or argv[0] not in commands:
+        parser.parse_args(argv)  # exits: the top level runs no argv without a command
+    flags, parser = _TABLES[argv[0]][0], commands[argv[0]]
+    parser.parse_args(argv[1:])
+    # argparse before 3.13 reads a choice flag given "--" as [], unchecked; 3.13 refuses it
+    for names in (_names(flags, arg[:-3]) for arg in argv[1:] if arg.endswith("=--")):
+        if len(names) == 1 and names[0] in flags and flags[names[0]][1]:
+            choices = ", ".join(map(repr, flags[names[0]][1]))
+            parser.error(f"argument {names[0]}: invalid choice: '--' (choose from {choices})")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

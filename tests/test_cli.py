@@ -633,7 +633,7 @@ class TestFirstNumpyUse:
 
 
 class TestParserReuse:
-    """main parses every call of a process with one parser: no call leaks into the next."""
+    """main reads every call of a process afresh: no call's flags leak into the next."""
 
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
@@ -662,7 +662,7 @@ class TestParserReuse:
 
 class TestGrammar:
     """Every command's dests and defaults, as parsed before the numeric flags are checked;
-    main parses each call with the command's own parser, to the same namespace."""
+    main reads each call from the command's flag table, to the namespace of the parser."""
 
     @pytest.mark.parametrize(
         "argv, parsed",
@@ -758,16 +758,23 @@ class TestGrammar:
             assert text.splitlines()[-1].startswith("zpfdrive: error: ")
 
     @staticmethod
-    def count_parse_args(monkeypatch) -> list:
-        """The calls of ``argparse.ArgumentParser.parse_args`` from here on."""
-        calls, parse_args = [], argparse.ArgumentParser.parse_args
+    def count_argparse(monkeypatch) -> tuple[list, list]:
+        """The ``argparse.ArgumentParser`` objects built and the calls of their
+        ``parse_args`` (by ``prog``) from here on."""
+        built, calls = [], []
+        init, parse_args = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_args
 
-        def counted(self, *args, **kwargs):
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def counted_parse_args(self, *args, **kwargs):
             calls.append(self.prog)
             return parse_args(self, *args, **kwargs)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
-        return calls
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted_parse_args)
+        return built, calls
 
     @pytest.mark.parametrize(
         "argv",
@@ -787,46 +794,136 @@ class TestGrammar:
     )
     def test_well_formed_argv_is_read_without_argparse(self, monkeypatch, argv):
         expected = cli.build_parser().parse_args(cli._joined_values(argv))
-        calls = self.count_parse_args(monkeypatch)
+        built, calls = self.count_argparse(monkeypatch)
         assert cli._parse(argv) == expected
-        assert calls == []
+        assert built == calls == []
 
     @pytest.mark.parametrize(
-        "argv, code",
+        "argv, read",
         [
-            (["mission", "--spe", "SPEC"], 0),
-            (["delta-v-rot", "--chi", "1", *DESIGN_ARGS], 0),
-            (["delta-v-rot", "-h"], 0),
-            (["delta-v-rot", "--chi=--", *DESIGN_ARGS[2:]], None),
-            (["delta-v-rot", *DESIGN_ARGS, "--warp-factor", "9"], 2),
-            (["mission", "--format", "json"], 2),
-            (["delta-v-rot", *DESIGN_ARGS, "--format", "xml"], 2),
+            (["mission", "--spe", "s.json"], {"spec": "s.json"}),
+            (["delta-v-rot", "--chi", "1", *DESIGN_ARGS], {"chi": "1e-3"}),
+            (["delta-v-rot", "--chi=--", *DESIGN_ARGS[2:]], {"chi": "--"}),
+            (
+                ["oracle", "--ch=-1e-3", "--cu", "wavelength-equals-size", "--fo=json"],
+                {"chi": "-1e-3", "cutoff": "wavelength-equals-size", "format": "json"},
+            ),
+            (
+                ["sweep", "--spec", "s.json", "--mode", "fixed-particle-mass", "--mo=mass-budget"],
+                {"mode": "mass-budget"},
+            ),
+            (["oracle", "--chi", "1e-3", "--out=--", "--n=--"], {"out": "--", "n": "--"}),
+            (["mission", "--spec", "--x y"], {"spec": "--x y"}),
         ],
-        ids=["abbreviated", "repeated", "help", "dash-dash-value", "unknown", "missing", "choice"],
+        ids=[
+            "abbreviated", "repeated", "dash-dash-value", "abbreviated-forms",
+            "repeated-choice", "dash-dash-out", "dash-led-value-with-a-space",
+        ],
+    )
+    def test_odd_argv_that_argparse_runs_is_read_without_argparse(self, monkeypatch, argv, read):
+        """An abbreviated or repeated flag, a ``--`` value and a separate value that starts
+        with ``--`` and holds a space are read from the table: argparse runs them too."""
+        built, calls = self.count_argparse(monkeypatch)
+        args = vars(cli._parse(argv))
+        assert built == calls == []
+        assert {dest: args[dest] for dest in read} == read
+
+    @pytest.mark.parametrize(
+        "argv, code, line",
+        [
+            (["delta-v-rot", "-h"], 0, "usage: zpfdrive delta-v-rot [-h] --chi CHI --a A"),
+            (
+                ["delta-v-rot", *DESIGN_ARGS, "--warp-factor", "9"],
+                2,
+                "zpfdrive delta-v-rot: error: unrecognized arguments: --warp-factor 9",
+            ),
+            (
+                ["mission", "--format", "json"],
+                2,
+                "zpfdrive mission: error: the following arguments are required: --spec",
+            ),
+            (
+                ["delta-v-rot", *DESIGN_ARGS, "--format", "xml"],
+                2,
+                "zpfdrive delta-v-rot: error: argument --format: invalid choice: 'xml'"
+                " (choose from 'text', 'json', 'csv')",
+            ),
+        ],
+        ids=["help", "unknown", "missing", "choice"],
     )
     def test_what_the_table_cannot_decide_goes_to_argparse(
-        self, monkeypatch, capsys, spec_file, argv, code
+        self, monkeypatch, capsys, argv, code, line
     ):
-        """Each call reaches argparse once, with the command's parser, and ends as it did
-        before the table: exit code (or escaping exception), stdout and stderr."""
-        argv = [spec_file if x == "SPEC" else x for x in argv]
+        """Each call reaches argparse once, with the command's parser, and ends as it does
+        with the table switched off: exit code, stdout and stderr."""
 
         def outcome():
-            try:
-                result = cli.main(argv)
-            except SystemExit as exc:
-                result = exc.code
-            except TypeError as exc:  # --chi=-- before Python 3.13: argparse gives chi=[]
-                result = (type(exc), str(exc))
-            return (result, *capsys.readouterr())
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            return (exc.value.code, *capsys.readouterr())
 
-        calls = self.count_parse_args(monkeypatch)
+        _, calls = self.count_argparse(monkeypatch)
         result = outcome()
         assert calls == [f"zpfdrive {argv[0]}"]
-        if code is not None:
-            assert result[0] == code
-        monkeypatch.setattr(cli, "_from_table", lambda argv, tables: None)
+        assert result[0] == code
+        assert line in (result[2].splitlines()[-1] if code else result[1].splitlines()[0])
+        monkeypatch.setattr(cli, "_from_table", lambda argv: None)
         assert outcome() == result
+
+
+class TestDashDashValues:
+    """A ``--flag=--`` value is the text ``'--'`` on every Python: a value flag refuses it
+    with one ``error:`` line, exit 1, and a choice flag with a usage error, exit 2, as
+    argparse 3.13 does (argparse 3.10-3.12 read it as ``[]`` and check no choice)."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["delta-v-rot", "--chi=--", "--a", "1e-9", "--rho", "1000"],
+             "error: --chi expects a number, got '--'"),
+            (["oracle", "--chi", "1e-3", "--n=--"],
+             "error: --n expects comma-separated integers, got '--'"),
+            (["solve", "--spec=--", "--unknown", "chi0"],
+             "error: [Errno 2] No such file or directory: '--'"),
+            (["mission", "--spe=--"], "error: [Errno 2] No such file or directory: '--'"),
+            (["ledger", "--particles=--", "--maneuvers", "m.json", "--M-total", "1"],
+             "error: [Errno 2] No such file or directory: '--'"),
+        ],
+    )
+    def test_value_flag_exits_one(self, capsys, monkeypatch, tmp_path, argv, line):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *argv) == (1, "", line + "\n")
+
+    @pytest.mark.parametrize(
+        "argv, flag, choices",
+        [
+            (["delta-v-rot", *DESIGN_ARGS, "--format=--"], "--format", "'text', 'json', 'csv'"),
+            (["solve", "--spec", "s.json", "--unknown=--"], "--unknown",
+             "'active_mass_fraction', 'chi0', 'particle_size'"),
+            (["oracle", "--chi", "1e-3", "--cutoff=--"], "--cutoff",
+             "'half-wavelength', 'wavelength-equals-size'"),
+            (["sweep", "--spec", "s.json", "--mode=--"], "--mode",
+             "'mass-budget', 'fixed-particle-mass'"),
+            (["mission", "--spec", "s.json", "--fo=--", "--format", "json"], "--format",
+             "'text', 'json', 'csv'"),
+        ],
+    )
+    def test_choice_flag_is_a_usage_error(self, capsys, argv, flag, choices):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith(f"usage: zpfdrive {argv[0]} [-h]")
+        assert err.splitlines()[-1] == (
+            f"zpfdrive {argv[0]}: error: argument {flag}: invalid choice: '--'"
+            f" (choose from {choices})"
+        )
+
+    def test_out_writes_a_file_named_dash_dash(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "oracle", "--chi", "1e-3", "--n", "16", "--out=--")
+        assert (code, out, err) == (0, "wrote 1 rows to --\n", "")
+        assert (tmp_path / "--").read_text().startswith("n_per_axis,")
 
 
 class TestLedgerInputErrors:
