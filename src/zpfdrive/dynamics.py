@@ -498,7 +498,7 @@ def _ordered_sum(terms: np.ndarray) -> float:
 
 def _along_z(impulse: float) -> np.ndarray:
     """``impulse`` times the z axis, the one dual to the (x, y) tensor component pair; the
-    product keeps signed zeros, so ``-0.0`` books ``[-0.0, -0.0, -0.0]``."""
+    product keeps signed zeros (``run_maneuver_sequence`` books a zero as ``+0.0``)."""
     return impulse * np.array([0.0, 0.0, 1.0])
 
 
@@ -575,7 +575,10 @@ def run_maneuver_sequence(
                 raise TypeError(f"unknown maneuver type {type(mv).__name__}")
             kind, book = _BOOKINGS[type(mv)]
             state, dp_vac = book(state, mv, model)
-            ledger.append(kind, -dp_vac, dp_vac)
+            if dp_vac.any():
+                ledger.append(kind, -dp_vac, dp_vac)
+            else:  # a zero booking is +0.0 on both sides, where -dp_vac would write -0.0
+                ledger.append(kind, np.zeros(3), np.zeros(3))
         except (ValueError, TypeError) as exc:
             raise ManeuverError(idx, ledger, exc) from exc
     return ledger

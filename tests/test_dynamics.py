@@ -766,7 +766,8 @@ def reference_ledger(
             for one in current:
                 total += channel_cavity(_floats(one)[0], mv.db2_dt, mv.duration)
             kind, dp_vac = "cavity_modulation", -total * _Z
-        ledger.append(kind, -dp_vac, dp_vac)
+        zero = not dp_vac.any()  # a zero booking is +0.0 on both sides
+        ledger.append(kind, np.zeros(3) if zero else -dp_vac, np.zeros(3) if zero else dp_vac)
     return ledger
 
 
@@ -927,7 +928,15 @@ class TestLedgerEquivalence:
         model = VacuumModel()
         got = run_maneuver_sequence(ps, mv, 1.0, model).entry_dicts()
         assert json.dumps(got) == json.dumps(reference_ledger(ps, mv, 1.0, model).entry_dicts())
-        assert json.dumps(got[0]["dp_vacuum"]) == "[-0.0, -0.0, -0.0]"
+        assert json.dumps(got[0]["dp_vacuum"]) == "[0.0, 0.0, 0.0]"
+
+    @pytest.mark.parametrize(
+        "maneuver",
+        [Rotation(axis=[0, 0, 1], angle=1.0), CavityModulation(db2_dt=1.0, duration=1.0)],
+    )
+    def test_zero_booking_of_an_empty_fleet_is_positive_zero(self, maneuver):
+        got = run_maneuver_sequence([], [maneuver], 1.0, VacuumModel()).entry_dicts()[0]
+        assert json.dumps(got["dp_particles"]) == json.dumps(got["dp_vacuum"]) == "[0.0, 0.0, 0.0]"
 
     def test_state_and_particle_inputs_book_the_same(self):
         ps = [particle(chi=1e-3), particle(chi=-4e-4, a=2e-9, kappa3=1e-3)]
