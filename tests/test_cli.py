@@ -43,8 +43,9 @@ ZERO_REQUIRED = (
 )
 
 
-# JSON nested deeper than the decoder's recursion limit of every supported Python
+# JSON nested deeper than load_json reads, and than the decoder's recursion limit
 NESTED = "[" * 100_000 + "0" + "]" * 100_000
+TOO_DEEP = "not valid JSON: arrays and objects nest deeper than 100\n"
 
 SPEC = {
     "target_rate": 4.95,
@@ -1207,12 +1208,9 @@ class TestRecordsHoldJsonNumbers:
             (json.dumps({**SPEC, "thrusters": 4}), "unknown fields: ['thrusters']\n"),
             (json.dumps({**SPEC, "wheel_radius": None}), "field 'wheel_radius' must be a number"),
             (json.dumps({"chi0": 1e-3}), "missing field 'target_rate'"),
-            (NESTED, "not valid JSON: maximum recursion depth exceeded"),
-            # within the limit in a new interpreter, but not always on pytest's deeper stack
-            (
-                "[" * 990 + "0" + "]" * 990,
-                ("expected an object, got list\n", "not valid JSON: maximum recursion depth"),
-            ),
+            (NESTED, TOO_DEEP),
+            # within the decoder's recursion limit in a new interpreter, but past the reader's
+            ("[" * 990 + "0" + "]" * 990, TOO_DEEP),
             (twice(SPEC, "target_rate", 400.0), "not valid JSON: duplicate key 'target_rate'\n"),
             (
                 "\ufeff" + json.dumps(SPEC),
@@ -1305,7 +1303,7 @@ class TestCliContract:
             capsys, "ledger", "--particles", str(path), "--maneuvers", "m.json", "--M-total", "1"
         )
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: {path}: not valid JSON: maximum recursion depth")
+        assert err == f"error: {path}: {TOO_DEEP}"
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -1596,3 +1594,26 @@ class TestCliContract:
         )
         assert result.returncode == 0
         assert "2.10914e-06" in result.stdout
+
+
+class TestNestingLimit:
+    """The JSON reader refuses arrays and objects nested deeper than its own limit, well below
+    the recursion limit, whatever the depth of its caller's stack."""
+
+    @staticmethod
+    def deeper(frames, call):
+        return call() if frames == 0 else TestNestingLimit.deeper(frames - 1, call)
+
+    @pytest.mark.parametrize(
+        "depth, line",
+        [(100, "expected an object, got list"), (101, TOO_DEEP[:-1]), (990, TOO_DEEP[:-1])],
+    )
+    def test_same_error_line_in_a_new_interpreter_and_30_frames_deeper(
+        self, capsys, tmp_path, depth, line
+    ):
+        path = tmp_path / "spec.json"
+        path.write_text("[" * depth + "0" + "]" * depth)
+        argv = ["mission", "--spec", str(path)]
+        expected = (1, "", f"error: {path}: {line}\n")
+        assert fresh_process(*argv) == expected
+        assert self.deeper(30, lambda: run_cli(capsys, *argv)) == expected

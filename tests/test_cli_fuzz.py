@@ -9,7 +9,7 @@ the same way.  Whatever the input:
   ``error:`` line too, and argparse's usage error (exit 2) is left for a
   missing flag or an unknown command, which no case holds;
 * a bool, a string, an object or an array nested deeper than the JSON
-  decoder's recursion limit where a spec, particle or maneuver record holds
+  reader's nesting limit where a spec, particle or maneuver record holds
   a number gives 1, and so does a key that the record's schema does not name
   or that the record holds twice;
 * on 1, stdout is empty and stderr is exactly one ``error:`` line;
@@ -45,7 +45,7 @@ RECORD_POOL = [
     float("inf"), float("-inf"), float("nan"), 10**400, "abc", "", None, [1, 2], {"x": 1},
     True, "1e-3", "NESTED",
 ]
-# "NESTED" stands for an array nested deeper than the JSON decoder's recursion limit
+# "NESTED" stands for an array nested deeper than the JSON reader's nesting limit
 NESTED = "[" * 100_000 + "0" + "]" * 100_000
 # record keys that no schema names, each a misspelling of one that does
 MISSPELLINGS = ["orientaton", "kapa1", "angel", "thrusters", "chi_0"]
