@@ -1,12 +1,17 @@
 """Command-line surface.
 
-All inputs are SI (meters, kg/m^3, tesla); output is text (6 significant
-digits), JSON (full precision), or CSV, selected with --format where it
-applies.  Exit codes: 0 success; 1 a refused value: a domain error, or a
-bad value of any numeric flag (``--n`` and ``--jobs`` included): one that
-does not convert or breaks the flag's rule; 2 a usage error: a missing
-required flag, an unknown flag or command, or an invalid choice.  The CLI
-does no arithmetic on flag values: every number printed is a library result.
+All inputs are SI (meters, kg/m^3, tesla).  ``main`` runs every call in the
+same steps: parse the argv, check the numeric flags, ``run`` the command (load
+its input files, call its library kernel), then write the result to stdout or
+``--out`` with the writer of the ``--format`` chosen.  A command offers the
+formats it writes: ``text`` (6 significant digits; CSV for ``oracle``,
+``force-decompose`` and ``sweep``, which also take it as ``csv``; JSON lines for
+``ledger``) and ``json`` (full precision).  Exit codes: 0 success; 1 a refused
+value: a domain error, or a bad value of any numeric flag (``--n`` and
+``--jobs`` included): one that does not convert or breaks the flag's rule; 2 a
+usage error: a missing required flag, an unknown flag or command, or an invalid
+choice (``--format csv`` where a command writes no CSV).  The CLI does no
+arithmetic on flag values: every number printed is a library result.
 
 Every command line is read from its command's flag table, by argparse's rules;
 argparse is built only to print help and usage errors, in its own text.
@@ -30,13 +35,6 @@ from .quantities import Quantity
 np = NumpyOnFirstUse(globals())
 
 __all__ = ["main", "build_parser"]
-
-
-def _single_value(args, name: str, q: Quantity) -> str:
-    """The one output line of a single-value command (the library refuses non-finite values)."""
-    if args.format == "json":
-        return json.dumps({"quantity": name, "value": q.value, "unit": q.unit})
-    return f"{name} = {q.value:.6g} {q.unit}"
 
 
 _CUTOFFS = {c.value: c for c in vacuum.CutoffConvention}
@@ -87,7 +85,7 @@ def _number(text: str, flag: str, kind):
 def _check_flags(args) -> None:
     """Convert the text of each numeric flag of the command (a default that is not text
     is already a number) and check each value against its flag's rule, naming the flag."""
-    for name in _COMMANDS[args.command][2]:
+    for name in _COMMANDS[args.command][1]:
         flag, dest, kind, rule, _ = _NUMBERS[name]
         value = getattr(args, dest)
         if value is None:  # a sweep axis left at the spec's value
@@ -105,7 +103,7 @@ def _build() -> tuple[argparse.ArgumentParser, dict]:
         prog="zpfdrive", description="Vacuum momentum transfer for magneto-electric particles."
     )
     sub, commands = parser.add_subparsers(dest="command", required=True), {}
-    for command, (_, summary, _) in _COMMANDS.items():
+    for command, (summary, *_) in _COMMANDS.items():
         commands[command] = p = sub.add_parser(command, help=summary)
         p.set_defaults(command=command)
         for flag, (dest, choices, default, text) in _TABLES[command][0].items():
@@ -153,43 +151,53 @@ def _load_maneuver(d: object, read_series) -> dynamics.Maneuver:
     return cls(**args)
 
 
-def _cmd_delta_v_rot(args) -> int:
+def _json(value, out) -> int:
+    """Write ``value`` as one line of JSON; the count of its items."""
+    _io.write_blocks(out, [json.dumps(value)], tail="\n")
+    return len(value)
+
+
+def _value(name: str, q: Quantity) -> dict:
+    """A single value's JSON record (the library refuses non-finite values)."""
+    return {"quantity": name, "value": q.value, "unit": q.unit}
+
+
+def _value_text(value: dict, out) -> None:
+    print(f"{value['quantity']} = {value['value']:.6g} {value['unit']}", file=out)
+
+
+def _run_delta_v_rot(args) -> dict:
     dv = dynamics.checked_rotation_dv(args.chi, args.rho, args.a, args.A)
-    print(_single_value(args, "delta_v_rotation", Quantity(dv, "m/s")))
-    return 0
+    return _value("delta_v_rotation", Quantity(dv, "m/s"))
 
 
-def _cmd_delta_v_agg(args) -> int:
+def _run_delta_v_agg(args) -> dict:
     model = vacuum.VacuumModel(prefactor_a=args.A)
     q = dynamics.delta_v_aggregation(args.a, args.rho, args.chi, args.N, model)
-    print(_single_value(args, "delta_v_aggregation", q))
-    return 0
+    return _value("delta_v_aggregation", q)
 
 
-def _cmd_vacuum_momentum(args) -> int:
+def _run_vacuum_momentum(args) -> dict:
     model = vacuum.VacuumModel(prefactor_a=args.A)
-    q = vacuum.vacuum_momentum_closed_form(args.chi, args.a, model)
-    print(_single_value(args, "vacuum_momentum", q))
-    return 0
+    return _value("vacuum_momentum", vacuum.vacuum_momentum_closed_form(args.chi, args.a, model))
 
 
-def _cmd_oracle(args) -> int:
-    out = args.out or sys.stdout
-    csv_out = None if args.format == "json" else out
-    rows = vacuum.convergence_study(
-        args.chi, args.a, args.n, convention=_CUTOFFS[args.cutoff], out=csv_out
-    )
-    if csv_out is None:
-        _io.write_blocks(out, [json.dumps(rows)], tail="\n")
-    if args.out:
-        print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+def _run_oracle(args) -> tuple:
+    return args.chi, args.a, args.n, _CUTOFFS[args.cutoff]
+
+
+def _oracle_csv(study: tuple, out) -> int:
+    return len(vacuum.convergence_study(*study, out=out))  # the study writes its CSV itself
+
+
+def _oracle_json(study: tuple, out) -> int:
+    return _json(vacuum.convergence_study(*study), out)
 
 
 _FORCE_COLUMNS = ("t_s", "f_dielectric", "f_magnetoelectric", "f_chi_rate", "f_total")
 
 
-def _cmd_force_decompose(args) -> int:
+def _run_force_decompose(args) -> tuple:
     with _prefixed(args.series):
         series = dynamics.FieldTimeSeries.from_csv(args.series)
     # size and density do not enter the force terms; only epsilon and chi do
@@ -207,65 +215,81 @@ def _cmd_force_decompose(args) -> int:
         i = int(bad.any(axis=0).argmax())
         name = _FORCE_COLUMNS[1 + int(bad[:, i].argmax())]
         raise ValueError(f"{args.series}: t_s = {series.t[i].item()!r} gives a non-finite {name}")
-    columns = (series.t, *terms)
-    out = args.out or sys.stdout
-    if args.format == "json":
-        payload = {k: col.tolist() for k, col in zip(_FORCE_COLUMNS, columns)}
-        _io.write_blocks(out, [json.dumps(payload)], tail="\n")
-    else:
-        _io.write_blocks(out, _io.csv_blocks(columns), head=",".join(_FORCE_COLUMNS) + "\n")
-    if args.out:
-        print(f"wrote {series.t.size} samples to {args.out}")
-    return 0
+    return series.t, *terms
 
 
-def _cmd_mission(args) -> int:
-    with _prefixed(args.spec):  # the spec is the command's one numeric input
-        report = mission.evaluate_mission(mission.MissionSpec.from_json(args.spec))
-    if args.format == "json":
-        print(json.dumps(report.to_dict()))
-    else:
-        print(f"required_tangential_v = {report.required_tangential_v:.6g} m/s")
-        print(f"achieved_tangential_v = {report.achieved_tangential_v:.6g} m/s")
-        print(f"feasible: {'true' if report.feasible else 'false'}")
-        print(f"margin = {report.margin:.6g}")
-    return 0
+def _forces_csv(columns: tuple, out) -> int:
+    _io.write_blocks(out, _io.csv_blocks(columns), head=",".join(_FORCE_COLUMNS) + "\n")
+    return columns[0].size
 
 
-def _cmd_solve(args) -> int:
-    with _prefixed(args.spec):  # the spec is the command's one numeric input
-        spec = mission.MissionSpec.from_json(args.spec)
+def _forces_json(columns: tuple, out) -> int:
+    _json({k: col.tolist() for k, col in zip(_FORCE_COLUMNS, columns)}, out)
+    return columns[0].size
+
+
+@contextlib.contextmanager
+def _spec(args, errors=ValueError):
+    """The spec of ``args.spec``; an ``errors`` exception of the block names it, as in
+    ``_prefixed``, whose nesting here cost each call about 1.5 us on a 2-vCPU host."""
+    try:
+        yield mission.MissionSpec.from_json(args.spec)
+    except errors as exc:
+        raise ValueError(f"{args.spec}: {exc}") from None
+
+
+def _run_mission(args) -> dict:
+    with _spec(args) as spec:  # the spec is the command's one numeric input
+        return mission.evaluate_mission(spec).to_dict()
+
+
+def _mission_text(report: dict, out) -> None:
+    print(
+        f"required_tangential_v = {report['required_tangential_v_m_s']:.6g} m/s\n"
+        f"achieved_tangential_v = {report['achieved_tangential_v_m_s']:.6g} m/s\n"
+        f"feasible: {'true' if report['feasible'] else 'false'}\n"
+        f"margin = {report['margin']:.6g}",
+        file=out,
+    )
+
+
+def _run_solve(args) -> tuple[dict, float]:
+    with _spec(args) as spec:  # the spec is the command's one numeric input
         value = mission.solve_for_unknown(spec, args.unknown)
         report = mission.evaluate_mission(replace(spec, **{args.unknown: value}))
-    if args.format == "json":
-        unit = "m" if args.unknown == "particle_size" else "dimensionless"
-        print(json.dumps({"quantity": args.unknown, "value": value, "unit": unit}))
-    else:
-        print(f"{args.unknown} = {value:.6g}")
-        print(f"margin at solution = {report.margin:.6g}")
-    return 0
+    unit = "m" if args.unknown == "particle_size" else "dimensionless"
+    return _value(args.unknown, Quantity(value, unit)), report.margin
 
 
-def _cmd_sweep(args) -> int:
+def _solve_text(solved: tuple[dict, float], out) -> None:
+    value, margin = solved
+    print(f"{value['quantity']} = {value['value']:.6g}", file=out)
+    print(f"margin at solution = {margin:.6g}", file=out)
+
+
+def _solve_json(solved: tuple[dict, float], out) -> None:
+    _json(solved[0], out)
+
+
+def _run_sweep(args) -> tuple:
     axes = {name: getattr(args, _NUMBERS[name][1]) for name in mission._SWEEP_AXES}
     axes = {name: values for name, values in axes.items() if values is not None}
-    mode = mission.SweepMode(args.mode)
-    fmt = "json" if args.format == "json" else "csv"
+    with _spec(args, mission.MissionSpecError) as spec:
+        return args.spec, spec, axes, mission.SweepMode(args.mode), args.jobs
+
+
+def _sweep_csv(job: tuple, out, fmt="csv") -> int:
+    """The sweep writes each block of rows as it computes it."""
+    path, spec, axes, mode, jobs = job
     try:  # a spec error names the spec, an axis error its flag
-        with _prefixed(args.spec, mission.MissionSpecError):
-            spec = mission.MissionSpec.from_json(args.spec)
-            count = mission.sweep(
-                spec, axes, out=args.out or sys.stdout, mode=mode, jobs=args.jobs, fmt=fmt
-            )
+        with _prefixed(path, mission.MissionSpecError):
+            return mission.sweep(spec, axes, out=out, mode=mode, jobs=jobs, fmt=fmt)
     except mission.SweepValueError as exc:
         named = " ".join(f"{_NUMBERS[k][0]} {v!r}" for k, v in exc.values.items())
         raise ValueError(f"{named} {exc.problem}") from None
-    if args.out:
-        print(f"wrote {count} rows to {args.out}")
-    return 0
 
 
-def _cmd_ledger(args) -> int:
+def _run_ledger(args) -> dynamics.ImpulseLedger:
     records = _load_json_list(args.particles, "particles")
     with _prefixed(args.particles):
         state = material.ParticleState.from_dicts(records)
@@ -277,63 +301,77 @@ def _cmd_ledger(args) -> int:
     model = vacuum.VacuumModel(prefactor_a=args.A)
     # a non-finite booking is refused by the ledger
     with np.errstate(all="ignore"), _prefixed(args.maneuvers, dynamics.ManeuverError):
-        ledger = dynamics.run_maneuver_sequence(state, maneuvers, args.m_total, model)
-    out = args.out or sys.stdout
-    if args.format == "json":
-        _io.write_blocks(out, [json.dumps(ledger.entry_dicts())], tail="\n")
-    else:
-        ledger.to_jsonl(out)
-    if args.out:
-        print(f"wrote {len(ledger.entries)} entries to {args.out}")
-    return 0
+        return dynamics.run_maneuver_sequence(state, maneuvers, args.m_total, model)
 
 
-# each command: its handler, its help, and its numeric flags by _NUMBERS key,
-# each with its default or REQUIRED, in the order they are checked
+def _ledger_jsonl(ledger: dynamics.ImpulseLedger, out) -> int:
+    ledger.to_jsonl(out)
+    return len(ledger.entries)
+
+
+def _ledger_json(ledger: dynamics.ImpulseLedger, out) -> int:
+    return _json(ledger.entry_dicts(), out)
+
+
+# each command: its help; its numeric flags by _NUMBERS key, each with its default or
+# REQUIRED, in the order they are checked; its run(args), which loads its inputs and calls
+# its kernel; its writers by --format, writer(result, out) -> the count of what it wrote
+# (a kernel that streams its rows runs in its writer); and the noun of that count
+_VALUE_WRITERS = {"text": _value_text, "json": _json}
 _COMMANDS = {
     "delta-v-rot": (
-        _cmd_delta_v_rot,
         "pi-rotation velocity gain of one particle",
         {"chi": REQUIRED, "a": REQUIRED, "rho": REQUIRED, "A": 1e-2},
+        _run_delta_v_rot, _VALUE_WRITERS, None,
     ),
     "delta-v-agg": (
-        _cmd_delta_v_agg,
         "aggregation velocity gain",
         {"chi": REQUIRED, "a": REQUIRED, "rho": REQUIRED, "N": REQUIRED, "A": 1e-2},
+        _run_delta_v_agg, _VALUE_WRITERS, None,
     ),
     "vacuum-momentum": (
-        _cmd_vacuum_momentum,
         "closed-form stored vacuum momentum",
         {"chi": REQUIRED, "a": REQUIRED, "A": 1e-2},
+        _run_vacuum_momentum, _VALUE_WRITERS, None,
     ),
     "oracle": (
-        _cmd_oracle,
         "mode-sum oracle convergence study (CSV)",
         {"chi": REQUIRED, "sizes": "1e-9", "n": "16,32,64"},
+        _run_oracle, {"text": _oracle_csv, "json": _oracle_json, "csv": _oracle_csv}, "rows",
     ),
     "force-decompose": (
-        _cmd_force_decompose,
         "three-term force decomposition of a series (--chi if it has no chi0_xy column)",
         {"chi": 0.0, "epsilon": 1.0},
+        _run_force_decompose, {"text": _forces_csv, "json": _forces_json, "csv": _forces_csv},
+        "samples",
     ),
-    "mission": (_cmd_mission, "evaluate a mission spec", {}),
-    "solve": (_cmd_solve, "solve the design chain for one unknown", {}),
+    "mission": (
+        "evaluate a mission spec", {},
+        _run_mission, {"text": _mission_text, "json": _json}, None,
+    ),
+    "solve": (
+        "solve the design chain for one unknown", {},
+        _run_solve, {"text": _solve_text, "json": _solve_json}, None,
+    ),
     "sweep": (
-        _cmd_sweep,
         "Cartesian parameter sweep to CSV",
         {**dict.fromkeys(mission._SWEEP_AXES), "jobs": 1},
+        _run_sweep,
+        {"text": _sweep_csv, "json": functools.partial(_sweep_csv, fmt="json"), "csv": _sweep_csv},
+        "rows",
     ),
     "ledger": (
-        _cmd_ledger,
         "run a maneuver sequence, emit the impulse ledger",
         {"m_total": REQUIRED, "A": 1e-2},
+        _run_ledger, {"text": _ledger_jsonl, "json": _ledger_json}, "entries",
     ),
 }
 
 
-# the other flags, in the order added: commands, choices, default (REQUIRED: given) and help
+# the flags between a command's --format, whose choices are its writers, and its --out,
+# which a command with a counted output takes: commands, choices, default (REQUIRED:
+# given) and help
 _OPTIONS = [
-    ("--format", tuple(_COMMANDS), ("text", "json", "csv"), "text", None),
     ("--spec", ("mission", "solve", "sweep"), None, REQUIRED, "MissionSpec JSON path"),
     ("--unknown", ("solve",), sorted(mission.SOLVE_BRACKETS), REQUIRED, None),
     ("--mode", ("sweep",), [m.value for m in mission.SweepMode], "mass-budget", None),
@@ -341,35 +379,38 @@ _OPTIONS = [
     ("--series", ("force-decompose",), None, REQUIRED, "field series CSV path"),
     ("--particles", ("ledger",), None, REQUIRED, "JSON list of particles"),
     ("--maneuvers", ("ledger",), None, REQUIRED, "JSON list of maneuvers"),
-    ("--out", ("oracle", "force-decompose", "sweep", "ledger"), None, None,
-     "output path (default stdout)"),
 ]
 
 
 def _joined_values(argv: Sequence[str]) -> list[str]:
-    """``argv`` with each ``--flag -value`` written ``--flag=-value``: argparse takes values
-    such as ``-4e-07``, ``-inf`` and ``-1,2`` for options."""
+    """``argv`` with each ``--flag -value`` written ``--flag=-value``, for argparse: it takes
+    values such as ``-4e-07``, ``-inf`` and ``-1,2`` for options.  A dash-led token after a
+    flag's value is left alone."""
     out: list[str] = []
+    awaits = False  # whether out[-1] is a flag that awaits its value
     for arg in argv:
-        if arg.startswith("-") and not arg.startswith("--") and arg != "-h" and out:
-            flag = out[-1]
-            if flag.startswith("--") and "=" not in flag and flag not in ("--", "--help"):
-                out[-1] = f"{flag}={arg}"
-                continue
-        out.append(arg)
+        if awaits and arg.startswith("-") and not arg.startswith("--") and arg != "-h":
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+        awaits = not awaits and arg[:2] == "--" and "=" not in arg and arg not in ("--", "--help")
     return out
 
 
 def _table(command: str) -> tuple[dict, dict]:
     """``command``'s flags in the order its parser adds them, each with its dest, choices,
     default (REQUIRED: it must be given) and help; and the namespace of their defaults."""
+    _, numbers, _, writers, noun = _COMMANDS[command]
     flags = {}
-    for name, default in _COMMANDS[command][2].items():
+    for name, default in numbers.items():
         flag, dest, _, _, text = _NUMBERS[name]
         flags[flag] = (dest, None, default, text)
+    flags["--format"] = ("format", tuple(writers), "text", None)
     for flag, commands, *entry in _OPTIONS:
         if command in commands:
             flags[flag] = (flag[2:], *entry)
+    if noun:
+        flags["--out"] = ("out", None, None, "output path (default stdout)")
     return flags, {"command": command, **{dest: d for dest, _, d, _ in flags.values()}}
 
 
@@ -381,10 +422,11 @@ def _names(flags: dict, option: str) -> list[str]:
     return [option] if option in flags else [f for f in (*flags, "--help") if f.startswith(option)]
 
 
-def _from_table(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse gives ``argv``, by argparse's rules: a flag may be a prefix of
-    one option string alone, the last of a repeated flag counts, a ``--`` value is ``'--'``.
-    None where argparse prints help or a usage error."""
+def _from_table(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives ``_joined_values(argv)``, by argparse's rules: a flag may
+    be a prefix of one option string alone, the last of a repeated flag counts, a ``--`` value
+    is ``'--'``, and a separate value may start with one dash.  None where argparse prints
+    help or a usage error."""
     if not argv or argv[0] not in _TABLES:
         return None
     flags, args = _TABLES[argv[0]][0], dict(_TABLES[argv[0]][1])
@@ -392,8 +434,10 @@ def _from_table(argv: list[str]) -> argparse.Namespace | None:
     for arg in rest:
         option, joined, value = arg.partition("=")
         if not joined:
-            value = next(rest, "-")  # a missing value is refused as "-" is
-            if value.startswith("-") and (" " not in value or _names(flags, value.split("=")[0])):
+            value = next(rest, "--")  # a missing value is refused as "--" is
+            if value == "-h" or value.startswith("--") and (
+                " " not in value or _names(flags, value.split("=")[0])
+            ):
                 return None  # argparse takes it for an option
         names = _names(flags, option)  # argparse refuses an unknown or ambiguous flag
         dest, choices, _, _ = flags.get(names[0] if len(names) == 1 else None, (None,) * 4)
@@ -406,9 +450,9 @@ def _from_table(argv: list[str]) -> argparse.Namespace | None:
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """``argv`` read from its command's flag table; a new parser (the command's own, if
     ``argv[0]`` is one) parses an argv that the table refuses, to print help or an error."""
-    argv = _joined_values(argv)
     if (args := _from_table(argv)) is not None:
         return args
+    argv = _joined_values(argv)
     parser, commands = _build()
     if not argv or argv[0] not in commands:
         parser.parse_args(argv)  # exits: the top level runs no argv without a command
@@ -422,14 +466,20 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one CLI call and return its exit code; callable any number of times."""
+    """Run one CLI call and return its exit code; callable any number of times.  A call is
+    parse, check, run (load and kernel), then the writer of its --format."""
     args = _parse(sys.argv[1:] if argv is None else argv)
+    _, _, run, writers, noun = _COMMANDS[args.command]
+    path = getattr(args, "out", None)
     try:
         _check_flags(args)
-        return _COMMANDS[args.command][0](args)
+        count = writers[args.format](run(args), path or sys.stdout)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if path:
+        print(f"wrote {count} {noun} to {path}")
+    return 0
 
 
 if __name__ == "__main__":

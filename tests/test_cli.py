@@ -847,10 +847,15 @@ class TestGrammar:
                 ["delta-v-rot", *DESIGN_ARGS, "--format", "xml"],
                 2,
                 "zpfdrive delta-v-rot: error: argument --format: invalid choice: 'xml'"
-                " (choose from 'text', 'json', 'csv')",
+                " (choose from 'text', 'json')",
+            ),
+            (
+                ["mission", "--spec", "--x y", "-1"],
+                2,
+                "zpfdrive mission: error: unrecognized arguments: -1",
             ),
         ],
-        ids=["help", "unknown", "missing", "choice"],
+        ids=["help", "unknown", "missing", "choice", "dash-led-token-after-a-value"],
     )
     def test_what_the_table_cannot_decide_goes_to_argparse(
         self, monkeypatch, capsys, argv, code, line
@@ -898,14 +903,14 @@ class TestDashDashValues:
     @pytest.mark.parametrize(
         "argv, flag, choices",
         [
-            (["delta-v-rot", *DESIGN_ARGS, "--format=--"], "--format", "'text', 'json', 'csv'"),
+            (["oracle", "--chi", "1e-3", "--format=--"], "--format", "'text', 'json', 'csv'"),
             (["solve", "--spec", "s.json", "--unknown=--"], "--unknown",
              "'active_mass_fraction', 'chi0', 'particle_size'"),
             (["oracle", "--chi", "1e-3", "--cutoff=--"], "--cutoff",
              "'half-wavelength', 'wavelength-equals-size'"),
             (["sweep", "--spec", "s.json", "--mode=--"], "--mode",
              "'mass-budget', 'fixed-particle-mass'"),
-            (["mission", "--spec", "s.json", "--fo=--", "--format", "json"], "--format",
+            (["sweep", "--spec", "s.json", "--fo=--", "--format", "json"], "--format",
              "'text', 'json', 'csv'"),
         ],
     )
@@ -1594,6 +1599,41 @@ class TestCliContract:
         )
         assert result.returncode == 0
         assert "2.10914e-06" in result.stdout
+
+
+# a command that takes no --format csv, and its required flags
+NARROWED = {
+    "delta-v-rot": DESIGN_ARGS,
+    "delta-v-agg": [*DESIGN_ARGS, "--N", "8"],
+    "vacuum-momentum": ["--chi", "1e-3", "--a", "1e-9"],
+    "mission": ["--spec", "s.json"],
+    "solve": ["--spec", "s.json", "--unknown", "chi0"],
+    "ledger": ["--particles", "p.json", "--maneuvers", "m.json", "--M-total", "1"],
+}
+
+
+class TestFormats:
+    """A command's --format choices are the formats it writes: csv only where it writes CSV."""
+
+    def test_choices_are_the_writer_keys(self):
+        for command, (_, _, _, writers, _) in cli._COMMANDS.items():
+            assert cli._TABLES[command][0]["--format"][1] == tuple(writers)
+        assert {c for c, entry in cli._COMMANDS.items() if "csv" in entry[3]} == {
+            "oracle", "force-decompose", "sweep"
+        }
+        assert set(NARROWED) == {c for c, entry in cli._COMMANDS.items() if "csv" not in entry[3]}
+
+    @pytest.mark.parametrize("value", ["csv", "--"])
+    @pytest.mark.parametrize("command", sorted(NARROWED))
+    def test_csv_is_a_usage_error(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *NARROWED[command], f"--format={value}"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            f"zpfdrive {command}: error: argument --format: invalid choice: '{value}'"
+            " (choose from 'text', 'json')"
+        )
 
 
 class TestNestingLimit:

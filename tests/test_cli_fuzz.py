@@ -106,7 +106,7 @@ NON_FINITE = re.compile(r"(?i)\b(inf|infinity|nan)\b")
 
 def test_commands_hold_every_numeric_flag():
     """A numeric flag that the CLI declares is fuzzed, as a comma list where it is one."""
-    for command, (_, _, numbers) in cli._COMMANDS.items():
+    for command, (_, numbers, *_) in cli._COMMANDS.items():
         entries = [cli._NUMBERS[name] for name in numbers]
         assert set(COMMANDS[command][0]) == {flag for flag, *_ in entries}
         lists = {flag for flag, _, kind, *_ in entries if isinstance(kind, list)}

@@ -4,8 +4,9 @@
 argparse parser only for an argv the table refuses, to print help or a usage
 error.  So the table must read exactly what argparse runs: for an argv built
 from a command's own flags, ``cli._from_table`` returns a namespace if and only
-if the full parser returns one without exiting, and the two are equal.  Both
-sides read ``cli._joined_values(argv)``, which is what the CLI parses.
+if the full parser returns one without exiting, and the two are equal.  The
+table reads the argv as given; argparse reads ``cli._joined_values(argv)``, the
+argv with each dash-led value joined to its flag, which the CLI hands it.
 
 argparse before Python 3.13 reads a ``--flag=--`` value as ``[]`` and checks no
 choice against it; 3.13 reads it as the text ``'--'``, as the table does.  On
@@ -15,7 +16,8 @@ no choice and maps it back to ``'--'``, which is how 3.13 reads it.
 An argv holds the command's required flags (now and then one is left out) and
 some of its optional ones, each as ``--flag value`` or ``--flag=value``.  One
 flag of it may be odd: repeated, abbreviated to a prefix of any length (unique
-or ambiguous, such as ``sweep --f``), without its value, or given an odd value
+or ambiguous, such as ``sweep --f``), without its value, followed by a
+dash-led token after its value (``--spec "--x y" -1``), or given an odd value
 (``--``, ``-h``, a bad choice, a dash-led one with a space).  Or a stray token
 (``-h``, ``--he``, ``--``, an unknown flag, a word) lands anywhere in it.
 
@@ -61,7 +63,7 @@ def argv_for(command: str, pick) -> list[str]:
         for _ in range(choose([1] if default is cli.REQUIRED else [0, 1], [0, 2, 3])):
             name = choose([flag], [flag[:n] for n in range(2, len(flag))])
             value = choose(VALUES if choices is None else list(choices), ODD)
-            argv += choose([[name, value], [f"{name}={value}"]], [[name]])
+            argv += choose([[name, value], [f"{name}={value}"]], [[name], [name, value, "-1"]])
     if odd == "stray":
         argv.insert(pick(range(1, len(argv) + 1)), pick(STRAY))
     return argv
@@ -91,9 +93,8 @@ def argparse_runs(joined: list[str]):
 def table_reads_what_argparse_runs(argv: list[str]) -> bool:
     """Whether the flag table read ``argv``.  Raises AssertionError if the table and
     argparse do not both read it, to the same namespace, or both refuse it."""
-    joined = cli._joined_values(argv)
-    args = cli._from_table(joined)
-    expected = argparse_runs(joined)
+    args = cli._from_table(argv)
+    expected = argparse_runs(cli._joined_values(argv))
     assert args == expected, (argv, args, expected)
     return args is not None
 
