@@ -11,7 +11,9 @@ value: a domain error, or a bad value of any numeric flag (``--n`` and
 ``--jobs`` included): one that does not convert or breaks the flag's rule; 2 a
 usage error: a missing required flag, an unknown flag or command, or an invalid
 choice (``--format csv`` where a command writes no CSV).  The CLI does no
-arithmetic on flag values: every number printed is a library result.
+arithmetic on flag values: every number printed is a library result, and the
+library reads every record of the input files, which the CLI names in its errors.
+``solve``'s note on a sub-atomic size is one ``warning:`` line on stderr, exit 0.
 
 Every command line is read from its command's flag table, by argparse's rules;
 argparse is built only to print help and usage errors, in its own text.
@@ -24,6 +26,7 @@ import contextlib
 import functools
 import json
 import sys
+import warnings
 from dataclasses import replace
 from typing import Sequence
 
@@ -117,13 +120,15 @@ def build_parser() -> argparse.ArgumentParser:
     return _build()[0]
 
 
-@contextlib.contextmanager
-def _prefixed(prefix: str, errors=ValueError):
+class _prefixed(contextlib.AbstractContextManager):
     """Re-raise an ``errors`` exception of the block as a ValueError that starts ``prefix: ``."""
-    try:
-        yield
-    except errors as exc:
-        raise ValueError(f"{prefix}: {exc}") from None
+
+    def __init__(self, prefix: str, errors=ValueError) -> None:
+        self.prefix, self.errors = prefix, errors
+
+    def __exit__(self, kind, exc, _) -> None:
+        if kind is not None and issubclass(kind, self.errors):
+            raise ValueError(f"{self.prefix}: {exc}") from None
 
 
 def _load_json_list(path: str, what: str) -> list:
@@ -132,23 +137,6 @@ def _load_json_list(path: str, what: str) -> list:
     if not isinstance(records, list):
         raise ValueError(f"{path}: expected a JSON list of {what}, got {type(records).__name__}")
     return records
-
-
-def _load_maneuver(d: object, read_series) -> dynamics.Maneuver:
-    if not isinstance(d, dict):
-        raise ValueError(f"expected an object, got {type(d).__name__}")
-    kind = d.get("type")
-    if not isinstance(kind, str) or kind not in dynamics.MANEUVER_TYPES:
-        raise ValueError(f"field 'type': unknown maneuver type {kind!r}")
-    cls, _, fields = dynamics.MANEUVER_TYPES[kind]
-    schema = {key: (json_kind, REQUIRED) for key, (_, json_kind) in fields.items()}
-    record = material.read_record(d, {"type": (str, REQUIRED), **schema})
-    args = {param: record[key] for key, (param, _) in fields.items()}
-    for key, (param, json_kind) in fields.items():
-        if json_kind is str:  # a series CSV path, the one string field of a maneuver
-            with _prefixed(f"field {key!r}: {record[key]}", (ValueError, OSError)):
-                args[param] = read_series(record[key])
-    return cls(**args)
 
 
 def _json(value, out) -> int:
@@ -228,19 +216,9 @@ def _forces_json(columns: tuple, out) -> int:
     return columns[0].size
 
 
-@contextlib.contextmanager
-def _spec(args, errors=ValueError):
-    """The spec of ``args.spec``; an ``errors`` exception of the block names it, as in
-    ``_prefixed``, whose nesting here cost each call about 1.5 us on a 2-vCPU host."""
-    try:
-        yield mission.MissionSpec.from_json(args.spec)
-    except errors as exc:
-        raise ValueError(f"{args.spec}: {exc}") from None
-
-
 def _run_mission(args) -> dict:
-    with _spec(args) as spec:  # the spec is the command's one numeric input
-        return mission.evaluate_mission(spec).to_dict()
+    with _prefixed(args.spec):  # the spec is the command's one numeric input
+        return mission.evaluate_mission(mission.MissionSpec.from_json(args.spec)).to_dict()
 
 
 def _mission_text(report: dict, out) -> None:
@@ -254,9 +232,13 @@ def _mission_text(report: dict, out) -> None:
 
 
 def _run_solve(args) -> tuple[dict, float]:
-    with _spec(args) as spec:  # the spec is the command's one numeric input
+    with _prefixed(args.spec), warnings.catch_warnings(record=True) as notes:
+        warnings.simplefilter("always", UserWarning)  # every call's note, not the first alone
+        spec = mission.MissionSpec.from_json(args.spec)  # the command's one numeric input
         value = mission.solve_for_unknown(spec, args.unknown)
         report = mission.evaluate_mission(replace(spec, **{args.unknown: value}))
+    for note in notes:
+        print(f"warning: {note.message}", file=sys.stderr)
     unit = "m" if args.unknown == "particle_size" else "dimensionless"
     return _value(args.unknown, Quantity(value, unit)), report.margin
 
@@ -274,8 +256,9 @@ def _solve_json(solved: tuple[dict, float], out) -> None:
 def _run_sweep(args) -> tuple:
     axes = {name: getattr(args, _NUMBERS[name][1]) for name in mission._SWEEP_AXES}
     axes = {name: values for name, values in axes.items() if values is not None}
-    with _spec(args, mission.MissionSpecError) as spec:
-        return args.spec, spec, axes, mission.SweepMode(args.mode), args.jobs
+    with _prefixed(args.spec, mission.MissionSpecError):
+        spec = mission.MissionSpec.from_json(args.spec)
+    return args.spec, spec, axes, mission.SweepMode(args.mode), args.jobs
 
 
 def _sweep_csv(job: tuple, out, fmt="csv") -> int:
@@ -297,7 +280,7 @@ def _run_ledger(args) -> dynamics.ImpulseLedger:
     read_series = functools.cache(dynamics.FieldTimeSeries.from_csv)  # arrays are read-only
     for i, d in enumerate(_load_json_list(args.maneuvers, "maneuvers")):
         with _prefixed(f"{args.maneuvers}: maneuver {i}"):
-            maneuvers.append(_load_maneuver(d, read_series))
+            maneuvers.append(dynamics.maneuver_from_dict(d, read_series))
     model = vacuum.VacuumModel(prefactor_a=args.A)
     # a non-finite booking is refused by the ledger
     with np.errstate(all="ignore"), _prefixed(args.maneuvers, dynamics.ManeuverError):

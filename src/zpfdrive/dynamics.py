@@ -27,13 +27,14 @@ a rotation transfers the change of stored vacuum momentum A*hbar*dchi/a, an
 aggregation of N size-a units into one size-L body (L = N^(1/3) a) transfers
 the stored-momentum difference, and the two external-driving channels book
 their time-integrated force.  Every ledger entry balances particle and
-vacuum momentum exactly.  A maneuver sequence runs over a
-:class:`~zpfdrive.material.ParticleState`: each maneuver is a few array
-operations over all particles, and per-particle terms are summed in particle
-order, as a scalar loop would sum them.  The quantum impulse is linear in chi,
-so a field modulation weights the impulses of the series 1, E*B, E and B by
-each particle's chi0_xy and kappas; a series integrates them once, however
-many modulations share it.
+vacuum momentum exactly and stores each zero as +0.0.  :func:`maneuver_from_dict`
+reads a JSON maneuver record by the fields :data:`MANEUVER_TYPES` declares.  A
+maneuver sequence runs over a :class:`~zpfdrive.material.ParticleState`: each
+maneuver is a few array operations over all particles, and per-particle terms
+are summed in particle order, as a scalar loop would sum them.  The quantum
+impulse is linear in chi, so a field modulation weights the impulses of the
+series 1, E*B, E and B by each particle's chi0_xy and kappas; a series
+integrates them once, however many modulations share it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ from typing import Sequence, Union
 from . import _io
 from ._deferred import NumpyOnFirstUse
 from .material import (
-    RULES, Particle, ParticleState, check, representable_size, rotation_about, unit_vector
+    REQUIRED, RULES, Particle, ParticleState, check, read_record, representable_size,
+    rotation_about, unit_vector,
 )
 from .quantities import HBAR_J_S, Quantity
 from .vacuum import VacuumModel, stored_momentum
@@ -75,6 +77,7 @@ __all__ = [
     "CavityModulation",
     "Maneuver",
     "MANEUVER_TYPES",
+    "maneuver_from_dict",
     "LedgerEntry",
     "ImpulseLedger",
     "ManeuverError",
@@ -421,7 +424,8 @@ class ImpulseLedger:
     """Per-maneuver record of particle vs vacuum momentum, conservation-checked.
 
     Every appended entry must satisfy dp_particles + dp_vacuum = 0 to
-    CONSERVATION_RTOL relative; cumulative_v tracks the payload velocity.
+    CONSERVATION_RTOL relative, and stores each zero as +0.0, whatever the
+    sign of the zero appended; cumulative_v tracks the payload velocity.
     """
 
     def __init__(self, m_total: float) -> None:
@@ -434,8 +438,8 @@ class ImpulseLedger:
         return self._cumulative_dp / self.m_total
 
     def append(self, kind: str, dp_particles: np.ndarray, dp_vacuum: np.ndarray) -> LedgerEntry:
-        dp_particles = np.asarray(dp_particles, dtype=float)
-        dp_vacuum = np.asarray(dp_vacuum, dtype=float)
+        dp_particles = np.asarray(dp_particles, dtype=float) + 0.0  # -0.0 + 0.0 is 0.0
+        dp_vacuum = np.asarray(dp_vacuum, dtype=float) + 0.0
         for dp in (dp_particles, dp_vacuum):
             if not np.isfinite(dp).all():
                 raise ValueError(f"booking {dp.tolist()} kg m/s is not finite")
@@ -489,16 +493,13 @@ class ManeuverError(ValueError):
 
 
 def _ordered_sum(terms: np.ndarray) -> float:
-    """``total = 0.0; for x in terms: total += x``, bit for bit."""
-    if terms.size == 0:
-        return 0.0
-    # cumsum adds strictly left to right; 0.0 + turns an all-zero -0.0 into 0.0
-    return 0.0 + float(np.cumsum(terms)[-1])
+    """``total = 0.0; for x in terms: total += x``, bit for bit but for the sign of a zero,
+    which the ledger drops; cumsum adds strictly left to right."""
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def _along_z(impulse: float) -> np.ndarray:
-    """``impulse`` times the z axis, the one dual to the (x, y) tensor component pair; the
-    product keeps signed zeros (``run_maneuver_sequence`` books a zero as ``+0.0``)."""
+    """``impulse`` times the z axis, the one dual to the (x, y) tensor component pair."""
     return impulse * np.array([0.0, 0.0, 1.0])
 
 
@@ -550,6 +551,28 @@ MANEUVER_TYPES = {
 _BOOKINGS = {cls: (kind, book) for kind, (cls, book, _) in MANEUVER_TYPES.items()}
 
 
+def maneuver_from_dict(d: object, read_series) -> Maneuver:
+    """The maneuver of a JSON record: its ``type`` and every field that
+    :data:`MANEUVER_TYPES` declares for it, each required.  ``read_series`` reads the
+    series CSV path of a field modulation; a ValueError names the field at fault."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected an object, got {type(d).__name__}")
+    kind = d.get("type")
+    if not isinstance(kind, str) or kind not in MANEUVER_TYPES:
+        raise ValueError(f"field 'type': unknown maneuver type {kind!r}")
+    cls, _, fields = MANEUVER_TYPES[kind]
+    schema = {key: (json_kind, REQUIRED) for key, (_, json_kind) in fields.items()}
+    record = read_record(d, {"type": (str, REQUIRED), **schema})
+    args = {param: record[key] for key, (param, _) in fields.items()}
+    for key, (param, json_kind) in fields.items():
+        if json_kind is str:  # a series CSV path, the one string field of a maneuver
+            try:
+                args[param] = read_series(record[key])
+            except (ValueError, OSError) as exc:
+                raise ValueError(f"field {key!r}: {record[key]}: {exc}") from None
+    return cls(**args)
+
+
 def run_maneuver_sequence(
     particles: Union[Sequence[Particle], ParticleState],
     maneuvers: Sequence[Maneuver],
@@ -575,10 +598,7 @@ def run_maneuver_sequence(
                 raise TypeError(f"unknown maneuver type {type(mv).__name__}")
             kind, book = _BOOKINGS[type(mv)]
             state, dp_vac = book(state, mv, model)
-            if dp_vac.any():
-                ledger.append(kind, -dp_vac, dp_vac)
-            else:  # a zero booking is +0.0 on both sides, where -dp_vac would write -0.0
-                ledger.append(kind, np.zeros(3), np.zeros(3))
+            ledger.append(kind, -dp_vac, dp_vac)
         except (ValueError, TypeError) as exc:
             raise ManeuverError(idx, ledger, exc) from exc
     return ledger

@@ -88,6 +88,9 @@ CASES.update({
     "solve-particle_size": ["solve", "--spec", "spec.json", "--unknown", "particle_size"],
     "solve-fraction-json": ["solve", "--spec", "spec.json", "--unknown", "active_mass_fraction",
                             "--format", "json"],
+    # a solved size below the atomic scale: one warning line on stderr, exit 0
+    "solve-subatomic-size": ["solve", "--spec", "spec_subatomic.json", "--unknown",
+                             "particle_size"],
     "delta-v-rot-negative-chi": ["delta-v-rot", "--chi", "-4e-07", "--a", "2e-9", "--rho", "800"],
     "oracle-wavelength-out": [*ORACLE, "--cutoff", "wavelength-equals-size", "--out", "o.csv"],
     "oracle-wavelength-json-out": [*ORACLE, "--cutoff", "wavelength-equals-size",
@@ -153,6 +156,9 @@ def write_inputs(root: Path) -> None:
     """Write every input file of the cases into ``root``, from ``SEED``."""
     rng = np.random.default_rng(SEED)
     files = {"spec.json": json.dumps(SPEC), **BAD_SPECS}
+    files["spec_subatomic.json"] = json.dumps(
+        {**SPEC, "target_rate": 4.95e6, "chi0": 1e-4, "particle_size": None}
+    )
     t = np.linspace(0.0, 2.0, 200)
     plain = {"t_s": t, "E_x": rng.normal(size=t.size), "B_y": rng.normal(size=t.size)}
     files["series.csv"] = _series_text(plain)

@@ -234,6 +234,21 @@ class TestMissionCommands:
         assert payload["quantity"] == "chi0"
         assert payload["value"] == pytest.approx(9.48e-4, rel=1e-2)
 
+    def test_subatomic_size_is_one_warning_line_on_every_call(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps({**SPEC, "target_rate": 4.95e6, "chi0": 1e-4, "particle_size": None})
+        )
+        argv = ["solve", "--spec", str(path), "--unknown", "particle_size"]
+        note = (
+            "warning: solved particle_size 1.80209e-11 m is below the atomic scale (1e-10 m);"
+            " physically implausible\n"
+        )
+        # Python shows a warning once per code location, so the second call would print none
+        calls = [run_cli(capsys, *argv), run_cli(capsys, *argv), fresh_process(*argv)]
+        solved = "particle_size = 1.80209e-11\nmargin at solution = 1\n"
+        assert calls == [(0, solved, note)] * 3
+
     @pytest.mark.parametrize(
         "command, fields",
         [

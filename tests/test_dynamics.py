@@ -814,64 +814,65 @@ angle = st.floats(-7.0, 7.0, allow_nan=False)
 kappa = st.floats(1e-6, 1e-2).flatmap(lambda k: st.sampled_from([k, -k]))
 chi_entry = st.floats(-1e-3, 1e-3, allow_nan=False)
 
-random_particles = st.lists(
-    st.builds(
-        lambda a, rho, eps, chi, ks, axis, ang: Particle(
-            a,
-            rho,
-            MagnetoElectricTensor(np.reshape(chi, (3, 3)), *ks),
-            orientation=rotation_about(axis, ang),
-            epsilon=eps,
-        ),
-        st.floats(1e-10, 1e-8),
-        st.floats(100.0, 1e4),
-        st.floats(1.0, 5.0),
-        st.lists(chi_entry, min_size=9, max_size=9),
-        st.tuples(kappa, kappa, kappa),
-        vectors,
-        angle,
+random_particle = st.builds(
+    lambda a, rho, eps, chi, ks, axis, ang: Particle(
+        a,
+        rho,
+        MagnetoElectricTensor(np.reshape(chi, (3, 3)), *ks),
+        orientation=rotation_about(axis, ang),
+        epsilon=eps,
     ),
-    min_size=1,
-    max_size=20,  # past 8 terms numpy's pairwise sum departs from a += loop
+    st.floats(1e-10, 1e-8),
+    st.floats(100.0, 1e4),
+    st.floats(1.0, 5.0),
+    st.lists(chi_entry, min_size=9, max_size=9),
+    st.tuples(kappa, kappa, kappa),
+    vectors,
+    angle,
 )
+# past 8 terms numpy's pairwise sum departs from a += loop
+random_particles = st.lists(random_particle, min_size=1, max_size=20)
 rotations = st.builds(Rotation, axis=vectors, angle=angle)
-random_maneuvers = st.lists(
-    st.one_of(
-        rotations,
-        st.builds(
-            Aggregation,
-            n=st.floats(1.0, 1e3),
-            size_a=st.floats(1e-10, 1e-8),
-            direction=vectors,
-        ),
-        st.builds(FieldModulation, series=st.sampled_from(SERIES)),
-        st.builds(
-            CavityModulation,
-            db2_dt=st.floats(-10.0, 10.0, allow_nan=False),
-            duration=st.floats(1e-3, 10.0),
-        ),
+random_maneuver = st.one_of(
+    rotations,
+    st.builds(
+        Aggregation,
+        n=st.floats(1.0, 1e3),
+        size_a=st.floats(1e-10, 1e-8),
+        direction=vectors,
     ),
-    max_size=8,
+    st.builds(FieldModulation, series=st.sampled_from(SERIES)),
+    st.builds(
+        CavityModulation,
+        db2_dt=st.floats(-10.0, 10.0, allow_nan=False),
+        duration=st.floats(1e-3, 10.0),
+    ),
+)
+random_maneuvers = st.lists(random_maneuver, max_size=8)
+# maneuvers that book zero: a turn by no angle, and a cavity that holds <B^2> constant
+zero_bookings = st.one_of(
+    st.builds(Rotation, axis=vectors, angle=st.just(0.0)),
+    st.builds(CavityModulation, db2_dt=st.just(0.0), duration=st.floats(1e-3, 10.0)),
 )
 
 
-# the JSON lines of the pinned ledger below
+# the JSON lines of the pinned ledger below; no entry holds -0.0
 PINNED_LEDGER = [
     (
         '{"maneuver_id": 0, "type": "aggregation", '
         '"dp_particles": [0.0, 1.3432110433224792e-30, 1.3432110433224792e-30], '
-        '"dp_vacuum": [-0.0, -1.3432110433224792e-30, -1.3432110433224792e-30], '
+        '"dp_vacuum": [0.0, -1.3432110433224792e-30, -1.3432110433224792e-30], '
         '"cumulative_v": [0.0, 1.3432110433224791e-31, 1.3432110433224791e-31]}'
     ),
     (
         '{"maneuver_id": 1, "type": "cavity_modulation", '
         '"dp_particles": [0.0, 0.0, 0.00025218028223054174], '
-        '"dp_vacuum": [-0.0, -0.0, -0.00025218028223054174], '
+        '"dp_vacuum": [0.0, 0.0, -0.00025218028223054174], '
         '"cumulative_v": [0.0, 1.3432110433224791e-31, 2.5218028223054175e-05]}'
     ),
     (
         '{"maneuver_id": 2, "type": "field_modulation", '
-        '"dp_particles": [-0.0, -0.0, -0.004454344568321665], '
+        '"dp_particles": [0.0, 0.0, -0.004454344568321665], '
         '"dp_vacuum": [0.0, 0.0, 0.004454344568321665], '
         '"cumulative_v": [0.0, 1.3432110433224791e-31, -0.00042021642860911223]}'
     ),
@@ -938,6 +939,25 @@ class TestLedgerEquivalence:
         got = run_maneuver_sequence([], [maneuver], 1.0, VacuumModel()).entry_dicts()[0]
         assert json.dumps(got["dp_particles"]) == json.dumps(got["dp_vacuum"]) == "[0.0, 0.0, 0.0]"
 
+    def test_append_stores_every_zero_as_positive_zero(self):
+        entry = ImpulseLedger(1.0).append("x", np.array([-0.0, -0.0, 2.0]), [0.0, -0.0, -2.0])
+        assert json.dumps([entry.dp_particles.tolist(), entry.dp_vacuum.tolist()]) == (
+            "[[0.0, 0.0, 2.0], [0.0, 0.0, -2.0]]"
+        )
+
+    @settings(max_examples=100)
+    @given(
+        particles=st.one_of(st.just([]), random_particles),
+        maneuvers=st.lists(st.one_of(zero_bookings, random_maneuver), max_size=8),
+    )
+    def test_no_ledger_line_holds_negative_zero(self, particles, maneuvers):
+        out = io.StringIO()
+        run_maneuver_sequence(particles, maneuvers, 1.0, VacuumModel()).to_jsonl(out)
+        for line in out.getvalue().splitlines():
+            entry = json.loads(line)
+            values = entry["dp_particles"] + entry["dp_vacuum"] + entry["cumulative_v"]
+            assert not [x for x in values if x == 0.0 and math.copysign(1.0, x) < 0.0], line
+
     def test_state_and_particle_inputs_book_the_same(self):
         ps = [particle(chi=1e-3), particle(chi=-4e-4, a=2e-9, kappa3=1e-3)]
         mv = [Rotation(axis=[1, 1, 0], angle=1.0), FieldModulation(series=SERIES[1])]
@@ -964,6 +984,22 @@ class TestLedgerEquivalence:
         assert abs(net[2]) <= 1e-12 * scale
         drift = np.abs(state.orientation - initial.orientation).max()
         assert drift <= 8 * np.finfo(float).eps, drift / np.finfo(float).eps
+
+    @given(particles=st.lists(random_particle, min_size=1, max_size=60), turn=rotations)
+    def test_turns_whose_product_is_the_identity_book_nothing(self, particles, turn):
+        # pi about x, then y, then z is the identity; so is it between a turn and its inverse
+        model = VacuumModel()
+        half_turns = [Rotation(axis, math.pi) for axis in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+        sequence = [turn, *half_turns, Rotation(turn.axis, -turn.angle)]
+        ledger = run_maneuver_sequence(particles, sequence, 1.0, model)
+        net = np.sum([e.dp_vacuum for e in ledger.entries], axis=0)
+        # sum |P_vac| with each chi0_xy at its bound |chi0|_F: the largest booking can be
+        # rounding alone (chi0 = diag(0, 0, c) books only sin(pi) terms)
+        state = ParticleState.from_particles(particles)
+        chi_bound = np.linalg.norm(state.chi0, axis=(1, 2))
+        scale = np.sum(stored_momentum(chi_bound, state.size_a, model))
+        assert net[:2].tolist() == [0.0, 0.0]
+        assert abs(net[2]) <= 1e-12 * scale, abs(net[2]) / scale
 
     @pytest.mark.parametrize("chi_params", [False, True])
     def test_modulations_that_share_a_series_integrate_it_once(self, chi_params):
