@@ -12,9 +12,9 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-from ._deferred import NumpyOnFirstUse
+from ._deferred import OnFirstUse
 
-np = NumpyOnFirstUse(globals())
+np = OnFirstUse(globals(), "numpy", "np")
 
 # rows per block when a CSV is written from float columns
 CSV_BLOCK_ROWS = 1 << 13

@@ -16,31 +16,41 @@ library reads every record of the input files, which the CLI names in its errors
 ``solve``'s note on a sub-atomic size is one ``warning:`` line on stderr, exit 0.
 
 Every command line is read from its command's flag table, by argparse's rules;
-argparse is built only to print help and usage errors, in its own text.
+argparse is imported and built only to print help and usage errors, in its own
+text.  At start the CLI imports only what every command runs (``material`` and
+``quantities``); numpy, ``json`` and the other modules import on a command's first
+read of them, so ``delta-v-rot`` loads neither ``dynamics`` nor ``mission``.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
-import json
 import sys
+import types
 import warnings
 from dataclasses import replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import _io, dynamics, material, mission, vacuum
-from ._deferred import NumpyOnFirstUse
+from . import material
+from ._deferred import OnFirstUse
 from .material import REQUIRED
 from .quantities import Quantity
 
-np = NumpyOnFirstUse(globals())
+if TYPE_CHECKING:
+    import argparse
+
+# what not every command runs is imported where a command first reads it
+np = OnFirstUse(globals(), "numpy", "np")
+json = OnFirstUse(globals(), "json", "json")
+_io, dynamics, mission, vacuum = (
+    OnFirstUse(globals(), f"zpfdrive.{m}", m) for m in ("_io", "dynamics", "mission", "vacuum")
+)
 
 __all__ = ["main", "build_parser"]
 
-
-_CUTOFFS = {c.value: c for c in vacuum.CutoffConvention}
+# mission._SWEEP_AXES, a literal like the choices in _OPTIONS, so the tables import no kernel
+_SWEEP_AXES = ("chi0", "particle_size", "particle_density", "active_mass_fraction", "prefactor_A")
 
 # every numeric flag: its text, argparse dest, kind (float or int: one value;
 # [float] or [int]: a comma list), rule in material.RULES, and help.  The
@@ -102,6 +112,8 @@ def _check_flags(args) -> None:
 
 def _build() -> tuple[argparse.ArgumentParser, dict]:
     """A new parser of the zpfdrive argv grammar, and its parser of each command."""
+    import argparse  # only help and usage errors build it
+
     parser = argparse.ArgumentParser(
         prog="zpfdrive", description="Vacuum momentum transfer for magneto-electric particles."
     )
@@ -155,7 +167,7 @@ def _value_text(value: dict, out) -> None:
 
 
 def _run_delta_v_rot(args) -> dict:
-    dv = dynamics.checked_rotation_dv(args.chi, args.rho, args.a, args.A)
+    dv = vacuum.checked_rotation_dv(args.chi, args.rho, args.a, args.A)
     return _value("delta_v_rotation", Quantity(dv, "m/s"))
 
 
@@ -171,7 +183,7 @@ def _run_vacuum_momentum(args) -> dict:
 
 
 def _run_oracle(args) -> tuple:
-    return args.chi, args.a, args.n, _CUTOFFS[args.cutoff]
+    return args.chi, args.a, args.n, vacuum.CutoffConvention(args.cutoff)
 
 
 def _oracle_csv(study: tuple, out) -> int:
@@ -254,7 +266,7 @@ def _solve_json(solved: tuple[dict, float], out) -> None:
 
 
 def _run_sweep(args) -> tuple:
-    axes = {name: getattr(args, _NUMBERS[name][1]) for name in mission._SWEEP_AXES}
+    axes = {name: getattr(args, _NUMBERS[name][1]) for name in _SWEEP_AXES}
     axes = {name: values for name, values in axes.items() if values is not None}
     with _prefixed(args.spec, mission.MissionSpecError):
         spec = mission.MissionSpec.from_json(args.spec)
@@ -338,7 +350,7 @@ _COMMANDS = {
     ),
     "sweep": (
         "Cartesian parameter sweep to CSV",
-        {**dict.fromkeys(mission._SWEEP_AXES), "jobs": 1},
+        {**dict.fromkeys(_SWEEP_AXES), "jobs": 1},
         _run_sweep,
         {"text": _sweep_csv, "json": functools.partial(_sweep_csv, fmt="json"), "csv": _sweep_csv},
         "rows",
@@ -356,9 +368,10 @@ _COMMANDS = {
 # given) and help
 _OPTIONS = [
     ("--spec", ("mission", "solve", "sweep"), None, REQUIRED, "MissionSpec JSON path"),
-    ("--unknown", ("solve",), sorted(mission.SOLVE_BRACKETS), REQUIRED, None),
-    ("--mode", ("sweep",), [m.value for m in mission.SweepMode], "mass-budget", None),
-    ("--cutoff", ("oracle",), sorted(_CUTOFFS), "half-wavelength", None),
+    ("--unknown", ("solve",), ["active_mass_fraction", "chi0", "particle_size"], REQUIRED, None),
+    ("--mode", ("sweep",), ["mass-budget", "fixed-particle-mass"], "mass-budget", None),
+    ("--cutoff", ("oracle",), ["half-wavelength", "wavelength-equals-size"], "half-wavelength",
+     None),
     ("--series", ("force-decompose",), None, REQUIRED, "field series CSV path"),
     ("--particles", ("ledger",), None, REQUIRED, "JSON list of particles"),
     ("--maneuvers", ("ledger",), None, REQUIRED, "JSON list of maneuvers"),
@@ -405,8 +418,8 @@ def _names(flags: dict, option: str) -> list[str]:
     return [option] if option in flags else [f for f in (*flags, "--help") if f.startswith(option)]
 
 
-def _from_table(argv: Sequence[str]) -> argparse.Namespace | None:
-    """The namespace argparse gives ``_joined_values(argv)``, by argparse's rules: a flag may
+def _from_table(argv: Sequence[str]) -> types.SimpleNamespace | None:
+    """The attributes argparse gives ``_joined_values(argv)``, by argparse's rules: a flag may
     be a prefix of one option string alone, the last of a repeated flag counts, a ``--`` value
     is ``'--'``, and a separate value may start with one dash.  None where argparse prints
     help or a usage error."""
@@ -427,10 +440,10 @@ def _from_table(argv: Sequence[str]) -> argparse.Namespace | None:
         if dest is None or (choices is not None and value not in choices):
             return None
         args[dest] = value
-    return None if REQUIRED in args.values() else argparse.Namespace(**args)
+    return None if REQUIRED in args.values() else types.SimpleNamespace(**args)
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
+def _parse(argv: Sequence[str]) -> types.SimpleNamespace:
     """``argv`` read from its command's flag table; a new parser (the command's own, if
     ``argv[0]`` is one) parses an argv that the table refuses, to print help or an error."""
     if (args := _from_table(argv)) is not None:

@@ -18,9 +18,8 @@ would, and an open handle, go through a line-by-line reader that names the
 line and field of a bad cell.  Both give the same arrays, bit for bit.
 Every series file is read as UTF-8, whatever the locale.
 
-The pi-rotation delta-v 2*A*hbar*chi/(m*a) is one elementwise kernel,
-:func:`rotation_dv`; :func:`checked_rotation_dv` gives it of one cube of
-side a (m*a = rho*a**4) to the CLI, the particle and the mission planner.
+:func:`delta_v_rotation` gives a particle's pi-rotation delta-v by the
+kernels of :mod:`zpfdrive.vacuum`, which are re-exported here.
 
 Maneuvers book momentum endpoint-wise against the closed-form vacuum model:
 a rotation transfers the change of stored vacuum momentum A*hbar*dchi/a, an
@@ -50,15 +49,15 @@ from pathlib import Path
 from typing import Sequence, Union
 
 from . import _io
-from ._deferred import NumpyOnFirstUse
+from ._deferred import OnFirstUse
 from .material import (
     REQUIRED, RULES, Particle, ParticleState, check, read_record, representable_size,
     rotation_about, unit_vector,
 )
 from .quantities import HBAR_J_S, Quantity
-from .vacuum import VacuumModel, stored_momentum
+from .vacuum import VacuumModel, checked_rotation_dv, rotation_dv, stored_momentum
 
-np = NumpyOnFirstUse(globals())
+np = OnFirstUse(globals(), "numpy", "np")
 
 __all__ = [
     "FieldTimeSeries",
@@ -107,14 +106,18 @@ def _csv_rows(fh):
 
 
 def _column_index(reader) -> dict[str, int]:
-    """Series column -> cell index, from the header row of a CSV ``reader``."""
+    """Series column -> cell index, from a CSV header that names each column at most once."""
     try:
         header = next(reader)
     except StopIteration:
         raise SeriesFormatError("empty series CSV") from None
+    if header and header[0].startswith("\ufeff"):  # else read as part of the first name
+        raise SeriesFormatError("series CSV starts with a UTF-8 byte-order mark")
     header = [h.strip() for h in header]
-    for col in ("t_s", "E_x", "B_y"):
-        if col not in header:
+    for col in _SERIES_COLUMNS:
+        if header.count(col) > 1:
+            raise SeriesFormatError(f"repeated column {col!r}")
+        if col in ("t_s", "E_x", "B_y") and col not in header:
             raise SeriesFormatError(f"missing required column {col!r}")
     return {col: header.index(col) for col in _SERIES_COLUMNS if col in header}
 
@@ -300,26 +303,6 @@ def channel_cavity(chi_xy, db2_dt, duration: float):
     """
     check("duration", duration, "positive")
     return chi_xy * 0.5 * db2_dt * duration
-
-
-def rotation_dv(chi, m_a, prefactor_a):
-    """Velocity gain 2*A*hbar*chi/(m*a) of a pi-rotation that flips ``chi``, elementwise.
-
-    ``m_a`` is the particle's mass times its size: rho*a**4 for a cube of side
-    a, as :func:`checked_rotation_dv` computes it, or (rho*a_base**3)*a at a
-    fixed particle mass.  Arrays broadcast; the caller refuses non-finite results.
-    """
-    return 2.0 * prefactor_a * HBAR_J_S * chi / m_a
-
-
-def checked_rotation_dv(chi: float, rho: float, a: float, prefactor_a: float) -> float:
-    """:func:`rotation_dv` of floats for a cube of density ``rho`` and side ``a``, whose
-    m*a is rho*a**4; ValueError where m*a is 0 or the gain is not finite."""
-    m_a = rho * a**4
-    dv = rotation_dv(chi, m_a, prefactor_a) if m_a else math.inf
-    if not math.isfinite(dv):
-        raise ValueError(f"m*a = {m_a!r} gives a non-finite rotation delta-v")
-    return dv
 
 
 def delta_v_rotation(p: Particle, model: VacuumModel) -> Quantity:

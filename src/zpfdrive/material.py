@@ -41,9 +41,9 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Callable, Mapping, Sequence
 
-from ._deferred import NumpyOnFirstUse
+from ._deferred import OnFirstUse
 
-np = NumpyOnFirstUse(globals())
+np = OnFirstUse(globals(), "numpy", "np")
 
 __all__ = [
     "ORTHOGONALITY_TOL",

@@ -8,7 +8,7 @@ sweeps parameter grids to CSV or JSON.
 
 One cycle means one pi-rotation of all active particles; sustained cycling
 rates are out of scope.  The achieved velocity is the payload share of the
-rotation kernel :func:`~zpfdrive.dynamics.rotation_dv`,
+rotation kernel :func:`~zpfdrive.vacuum.rotation_dv`,
 
     dV = fraction * dv,    dv = 2 * A * hbar * chi0 / (m * a),    m * a = rho * a^4
 
@@ -42,11 +42,11 @@ from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 from . import _io
-from ._deferred import NumpyOnFirstUse
-from .dynamics import checked_rotation_dv, rotation_dv
+from ._deferred import OnFirstUse
 from .material import REQUIRED, RULES, check, read_record
+from .vacuum import checked_rotation_dv, rotation_dv
 
-np = NumpyOnFirstUse(globals())
+np = OnFirstUse(globals(), "numpy", "np")
 
 __all__ = [
     "MissionSpec",

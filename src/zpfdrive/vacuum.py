@@ -11,7 +11,9 @@ Two independent routes to the stored vacuum momentum are provided:
 
 * ``vacuum_momentum_closed_form``: p = A * hbar * chi / a, with the single
   dimensionless prefactor ``A`` absorbing all geometry and convention
-  factors (default 1e-2).
+  factors (default 1e-2).  A pi-rotation flips chi and gains the velocity
+  ``rotation_dv`` = 2*A*hbar*chi/(m*a); ``checked_rotation_dv`` gives it of
+  one cube (m*a = rho*a**4) to the CLI, the particle and the mission planner.
 
 * ``mode_sum_oracle``: a discretized sum over vacuum modes on a Cartesian
   k-grid.  Each counter-propagating mode pair acquires a fractional momentum
@@ -47,12 +49,12 @@ from itertools import pairwise
 from pathlib import Path
 from typing import Sequence, Union
 
-from . import _io
-from ._deferred import NumpyOnFirstUse
+from ._deferred import OnFirstUse
 from .material import MAX_N_PER_AXIS, check
 from .quantities import HBAR_J_S, Quantity
 
-np = NumpyOnFirstUse(globals())
+np = OnFirstUse(globals(), "numpy", "np")
+_io = OnFirstUse(globals(), "zpfdrive._io", "_io")  # the oracle's CSV writer alone reads it
 
 __all__ = [
     "CutoffConvention",
@@ -60,6 +62,8 @@ __all__ = [
     "ModeGrid",
     "vacuum_momentum_closed_form",
     "stored_momentum",
+    "rotation_dv",
+    "checked_rotation_dv",
     "mode_sum_oracle",
     "convergence_study",
     "ORACLE_CSV_HEADER",
@@ -142,6 +146,26 @@ def stored_momentum(chi_xy, a_m, model: VacuumModel):
     whose sizes are already validated (e.g. a :class:`ParticleState`).
     """
     return model.prefactor_a * HBAR_J_S * chi_xy / a_m
+
+
+def rotation_dv(chi, m_a, prefactor_a):
+    """Velocity gain 2*A*hbar*chi/(m*a) of a pi-rotation that flips ``chi``, elementwise.
+
+    ``m_a`` is the particle's mass times its size: rho*a**4 for a cube of side
+    a, as :func:`checked_rotation_dv` computes it, or (rho*a_base**3)*a at a
+    fixed particle mass.  Arrays broadcast; the caller refuses non-finite results.
+    """
+    return 2.0 * prefactor_a * HBAR_J_S * chi / m_a
+
+
+def checked_rotation_dv(chi: float, rho: float, a: float, prefactor_a: float) -> float:
+    """:func:`rotation_dv` of floats for a cube of density ``rho`` and side ``a``, whose
+    m*a is rho*a**4; ValueError where m*a is 0 or the gain is not finite."""
+    m_a = rho * a**4
+    dv = rotation_dv(chi, m_a, prefactor_a) if m_a else math.inf
+    if not math.isfinite(dv):
+        raise ValueError(f"m*a = {m_a!r} gives a non-finite rotation delta-v")
+    return dv
 
 
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp splits a double into 26-bit halves

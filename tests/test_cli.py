@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zpfdrive import cli
+from zpfdrive import cli, mission, vacuum
 from zpfdrive.dynamics import (
     FieldTimeSeries,
     delta_v_aggregation,
@@ -26,6 +26,7 @@ from zpfdrive.material import (
 from zpfdrive.mission import MissionSpec, evaluate_mission
 from zpfdrive.vacuum import VacuumModel, convergence_study, vacuum_momentum_closed_form
 
+from golden import cases
 from series_csv import write_series
 
 
@@ -57,6 +58,20 @@ SPEC = {
     "chi0": 1e-3,
     "prefactor_A": 1e-2,
 }
+
+
+# series files whose header is refused, read by np.loadtxt or (a quoted cell) by the line
+# reader, and the refusal
+BAD_SERIES_HEADERS = pytest.mark.parametrize(
+    "text, message",
+    [
+        ("t_s,E_x,B_y,E_x\n0,1,2,3\n1,3,4,5\n2,5,6,7\n", "repeated column 'E_x'"),
+        ('t_s,E_x,B_y,E_x\n"0",1,2,3\n1,3,4,5\n2,5,6,7\n', "repeated column 'E_x'"),
+        ("\ufefft_s,E_x,B_y\n0,1,2\n1,3,4\n2,5,6\n",
+         "series CSV starts with a UTF-8 byte-order mark"),
+    ],
+    ids=["repeated", "repeated-quoted", "byte-order-mark"],
+)
 
 
 def twice(record: dict, key: str, value) -> str:
@@ -539,24 +554,46 @@ def fresh_process(*argv, env=None):
     return result.returncode, result.stdout, result.stderr
 
 
-def numpy_after(statements, *argv):
-    """Run ``statements`` in a new interpreter with ``sys.argv[1:] == argv``: the exit code
-    they leave in ``code``, and whether numpy was imported by then."""
-    probe = f"import sys\ncode = 0\n{statements}\nprint(code, 'numpy' in sys.modules)"
+def modules_after(statements, *argv, cwd="."):
+    """Run ``statements`` in a new interpreter with ``sys.argv[1:] == argv``, in the directory
+    ``cwd``: the exit code they leave in ``code``, and the names in ``sys.modules`` by then."""
+    # the interpreter starts here, where the relative paths of PYTHONPATH hold
+    probe = f"import os, sys\nos.chdir({str(cwd)!r})\ncode = 0\n{statements}\n"
+    probe += "print(code, *sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe, *argv], capture_output=True, text=True, check=True
     )
-    code, loaded = result.stdout.splitlines()[-1].split()
-    return int(code), loaded == "True"
+    code, *loaded = result.stdout.splitlines()[-1].split()
+    return int(code), set(loaded)
+
+
+def numpy_after(statements, *argv):
+    """The exit code of ``statements`` in a new interpreter, and whether numpy was imported."""
+    code, loaded = modules_after(statements, *argv)
+    return code, "numpy" in loaded
 
 
 MAIN = "from zpfdrive.cli import main\ncode = main(sys.argv[1:])"
+# by command, the package modules that it does not run and so does not import; no
+# command's runnable argv imports argparse, and only the array commands import numpy
+UNUSED = {
+    "delta-v-rot": {"zpfdrive.dynamics", "zpfdrive.mission"},
+    "delta-v-agg": {"zpfdrive.mission"},
+    "vacuum-momentum": {"zpfdrive.dynamics", "zpfdrive.mission"},
+    "oracle": {"zpfdrive.dynamics", "zpfdrive.mission"},
+    "force-decompose": {"zpfdrive.mission"},
+    "mission": {"zpfdrive.dynamics"},
+    "solve": {"zpfdrive.dynamics"},
+    "sweep": {"zpfdrive.dynamics"},
+    "ledger": {"zpfdrive.mission"},
+}
 
 
 class TestStartupWithoutNumpy:
     """Importing the package, building the parser and every single-value command, refusals
-    included, run without importing numpy.  pytest has numpy loaded already, so only a new
-    interpreter shows a stray ``np.`` read at import time or in these commands."""
+    included, run without importing numpy; these commands import neither argparse nor the
+    package modules they do not run.  pytest has all of them loaded already, so only a new
+    interpreter shows a stray read at import time or in these commands."""
 
     @pytest.mark.parametrize(
         "statements",
@@ -581,11 +618,13 @@ class TestStartupWithoutNumpy:
     )
     def test_single_value_command(self, spec_file, argv, fmt):
         argv = [spec_file if x == "SPEC" else x for x in argv]
-        assert numpy_after(MAIN, *argv, "--format", fmt) == (0, False)
+        code, loaded = modules_after(MAIN, *argv, "--format", fmt)
+        assert (code, loaded & {"numpy", "argparse", *UNUSED[argv[0]]}) == (0, set())
 
     def test_refused_value(self):
         argv = ["delta-v-rot", "--chi", "5", "--a", "1e-9", "--rho", "1000"]
-        assert numpy_after(MAIN, *argv) == (1, False)
+        code, loaded = modules_after(MAIN, *argv)
+        assert (code, loaded & {"numpy", "argparse", *UNUSED[argv[0]]}) == (1, set())
 
 
 class TestFirstNumpyUse:
@@ -631,6 +670,12 @@ class TestFirstNumpyUse:
         self.check(capsys, "oracle", "--chi", "1e-3", "--a", "1e-9,2e-9", "--n", "8,12",
                    "--format", "json")
 
+    @pytest.mark.parametrize("command", ["oracle", "force-decompose", "sweep", "ledger"])
+    def test_array_command_loads_only_what_it_runs(self, tmp_path, command):
+        cases.write_inputs(tmp_path)
+        code, loaded = modules_after(MAIN, *cases.CASES[f"{command}-text"], cwd=tmp_path)
+        assert (code, loaded & {"argparse", *UNUSED[command]}) == (0, set())
+
     def test_first_use_from_many_threads(self):
         # more threads than cores make the first np read at once; each gets numpy itself
         statements = "\n".join([
@@ -646,6 +691,25 @@ class TestFirstNumpyUse:
             "code = int(got != [numpy.ndarray] * 8 or _io.np is not numpy)",
         ])
         assert numpy_after(statements) == (0, True)
+
+
+class TestLiteralTables:
+    """The CLI holds these library values as literals, so that its flag tables import
+    neither mission nor vacuum; each literal equals the library's value."""
+
+    @pytest.mark.parametrize(
+        "flag, library",
+        [
+            ("--unknown", sorted(mission.SOLVE_BRACKETS)),
+            ("--mode", [m.value for m in mission.SweepMode]),
+            ("--cutoff", sorted(c.value for c in vacuum.CutoffConvention)),
+        ],
+    )
+    def test_choices(self, flag, library):
+        assert [choices for f, _, choices, *_ in cli._OPTIONS if f == flag] == [library]
+
+    def test_sweep_axes(self):
+        assert cli._SWEEP_AXES == mission._SWEEP_AXES
 
 
 class TestParserReuse:
@@ -811,7 +875,7 @@ class TestGrammar:
     def test_well_formed_argv_is_read_without_argparse(self, monkeypatch, argv):
         expected = cli.build_parser().parse_args(cli._joined_values(argv))
         built, calls = self.count_argparse(monkeypatch)
-        assert cli._parse(argv) == expected
+        assert vars(cli._parse(argv)) == vars(expected)
         assert built == calls == []
 
     @pytest.mark.parametrize(
@@ -1001,6 +1065,17 @@ class TestLedgerInputErrors:
         assert err == (
             f"error: {tmp_path / 'maneuvers.json'}: maneuver 1: field 'series_csv': {missing}:"
             f" [Errno 2] No such file or directory: '{missing}'\n"
+        )
+
+    @BAD_SERIES_HEADERS
+    def test_series_with_a_refused_header_names_it(self, capsys, tmp_path, text, message):
+        series = tmp_path / "series.csv"
+        series.write_text(text, encoding="utf-8")
+        modulation = {"type": "field_modulation", "series_csv": str(series)}
+        err = self.run_ledger(capsys, tmp_path, [None], [self.ROTATION, modulation])
+        assert err == (
+            f"error: {tmp_path / 'maneuvers.json'}: maneuver 1: field 'series_csv': {series}:"
+            f" {message}\n"
         )
 
     def test_missing_angle(self, capsys, tmp_path):
@@ -1540,6 +1615,13 @@ class TestCliContract:
         path.write_text("")
         code, out, err = run_cli(capsys, "force-decompose", "--series", str(path))
         assert (code, out, err) == (1, "", f"error: {path}: empty series CSV\n")
+
+    @BAD_SERIES_HEADERS
+    def test_series_with_a_refused_header_exits_one(self, capsys, tmp_path, text, message):
+        path = tmp_path / "series.csv"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "force-decompose", "--series", str(path))
+        assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
 
     def test_files_are_read_as_utf8_in_an_ascii_locale(self, tmp_path):
         particles, maneuvers = tmp_path / "particles.json", tmp_path / "maneuvers.json"

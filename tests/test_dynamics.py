@@ -257,6 +257,26 @@ class TestSeriesReader:
             FieldTimeSeries.from_csv(path)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("t_s,E_x,B_y,E_x", "repeated column 'E_x'"),
+            ("t_s,chi0_xy,E_x,B_y, chi0_xy ", "repeated column 'chi0_xy'"),
+            ("t_s,t_s,B_y", "repeated column 't_s'"),
+            ("\ufefft_s,E_x,B_y", "series CSV starts with a UTF-8 byte-order mark"),
+        ],
+        ids=["repeated", "repeated-padded", "repeated-first", "byte-order-mark"],
+    )
+    def test_bad_header_is_refused_by_both_readers(self, tmp_path, header, message):
+        text = header + "\n0,1,2,3,4\n1,3,4,5,6\n2,5,6,7,8\n"
+        path = tmp_path / "series.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SeriesFormatError, match=f"^{message}$"):
+            dynamics._load_columns(path)
+        for source in (path, io.StringIO(text)):  # the line reader reads a handle
+            with pytest.raises(SeriesFormatError, match=f"^{message}$"):
+                FieldTimeSeries.from_csv(source)
+
     @pytest.mark.parametrize("where", ["header", "row"])
     def test_cell_longer_than_the_csv_limit_names_its_line(self, tmp_path, where):
         long_cell = '"' + "1" * 200_000 + '"'
