@@ -29,7 +29,6 @@ import functools
 import sys
 import types
 import warnings
-from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
 from . import material
@@ -244,6 +243,8 @@ def _mission_text(report: dict, out) -> None:
 
 
 def _run_solve(args) -> tuple[dict, float]:
+    from dataclasses import replace  # mission has loaded it; start-up does not
+
     with _prefixed(args.spec), warnings.catch_warnings(record=True) as notes:
         warnings.simplefilter("always", UserWarning)  # every call's note, not the first alone
         spec = mission.MissionSpec.from_json(args.spec)  # the command's one numeric input

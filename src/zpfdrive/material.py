@@ -37,11 +37,11 @@ checked once more as one batch; records are read a column at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 from ._deferred import OnFirstUse
+from .quantities import Record
 
 np = OnFirstUse(globals(), "numpy", "np")
 
@@ -283,21 +283,19 @@ def _proper_rotation(r: object) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class MagnetoElectricTensor:
-    """Intrinsic chi0 (3x3, dimensionless) plus induced-response scalars."""
+class MagnetoElectricTensor(Record):
+    """Intrinsic ``chi0`` (3x3, dimensionless) plus induced-response scalars: ``kappa1``
+    per E*B product, ``kappa2`` per E and ``kappa3`` per B."""
 
-    chi0: np.ndarray
-    kappa1: float = 0.0  # response per E*B product
-    kappa2: float = 0.0  # response per E
-    kappa3: float = 0.0  # response per B
+    _fields = ("chi0", *_KAPPAS)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chi0", _as_matrix(self.chi0, "chi0"))
-        for k in _KAPPAS:
-            object.__setattr__(self, k, float(getattr(self, k)))
-        kappa = np.array([[getattr(self, k) for k in _KAPPAS]])
-        _unnamed(_check_particles, {"chi0": self.chi0[None], "kappa": kappa})
+    def __init__(
+        self, chi0: object, kappa1: float = 0.0, kappa2: float = 0.0, kappa3: float = 0.0
+    ) -> None:
+        chi0 = _as_matrix(chi0, "chi0")
+        kappas = [float(kappa1), float(kappa2), float(kappa3)]
+        self.__dict__.update(zip(self._fields, (chi0, *kappas)))
+        _unnamed(_check_particles, {"chi0": chi0[None], "kappa": np.array([kappas])})
 
     @classmethod
     def from_xy(
@@ -316,27 +314,30 @@ class MagnetoElectricTensor:
         return float(np.linalg.norm(self.chi0))
 
 
-@dataclass(frozen=True, eq=False)
-class Particle:
-    """A magneto-electric cube: size, density, response tensor, orientation.  It is built
-    as one row of a :class:`ParticleState`, which checks it and computes its lab-frame
-    ``chi0_xy``; to turn particles, turn a :class:`ParticleState` (of one, for one particle)."""
+# a tuple, which no particle shares: _as_matrix makes each particle its own array
+_EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
-    size_a: float  # m
-    density_rho: float  # kg/m^3
-    tensor: MagnetoElectricTensor
-    orientation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    epsilon: float = 1.0  # linear dielectric constant
 
-    def __post_init__(self) -> None:
-        for k in ("size_a", "density_rho", "epsilon"):
-            object.__setattr__(self, k, float(getattr(self, k)))
-        object.__setattr__(self, "orientation", _as_matrix(self.orientation, "orientation"))
-        t = self.tensor
-        row = _unnamed(ParticleState, [self.size_a], [self.density_rho], [self.epsilon],
-                       t.chi0[None], [[getattr(t, k) for k in _KAPPAS]], self.orientation[None])
+class Particle(Record):
+    """A magneto-electric cube: ``size_a`` in m, ``density_rho`` in kg/m^3, response
+    ``tensor``, ``orientation`` (body to lab, the identity by default) and linear dielectric
+    constant ``epsilon``.  It is built as one row of a :class:`ParticleState`, which checks it
+    and computes its lab-frame ``chi0_xy``; to turn particles, turn a :class:`ParticleState`
+    (of one, for one particle)."""
+
+    _fields = ("size_a", "density_rho", "tensor", "orientation", "epsilon")
+
+    def __init__(self, size_a: float, density_rho: float, tensor: MagnetoElectricTensor,
+                 orientation: object = _EYE, epsilon: float = 1.0) -> None:
+        size_a, density_rho, epsilon = float(size_a), float(density_rho), float(epsilon)
+        orientation = _as_matrix(orientation, "orientation")
+        kappa = [[getattr(tensor, k) for k in _KAPPAS]]
+        row = _unnamed(ParticleState, [size_a], [density_rho], [epsilon],
+                       tensor.chi0[None], kappa, orientation[None])
         # the row's lab-frame intrinsic xy component, the one driving momentum transfer
-        self.__dict__.update(_row=row, chi0_xy=float(row.chi0_xy[0]))
+        self.__dict__.update(size_a=size_a, density_rho=density_rho, tensor=tensor,
+                             orientation=orientation, epsilon=epsilon,
+                             _row=row, chi0_xy=float(row.chi0_xy[0]))
 
     @property
     def mass(self) -> float:
@@ -372,8 +373,7 @@ def _polar_step(m: np.ndarray) -> np.ndarray:
     return m @ (3.0 * np.eye(3) - np.ascontiguousarray(np.swapaxes(m, -1, -2)) @ m) * 0.5
 
 
-@dataclass(frozen=True, eq=False)
-class ParticleState:
+class ParticleState(Record):
     """N particles as arrays: what a list of :class:`Particle` holds, per field.
 
     Construction, the one path by which particles enter (a :class:`Particle` is
@@ -383,24 +383,27 @@ class ParticleState:
     read-only, so a valid state stays valid.  A rotated state shares them and
     adds one 3x3 frame (see :meth:`rotated`).  ``chi0_xy`` holds the lab-frame
     xy components.
+
+    The fields: ``size_a`` (N,) in m, ``density`` (N,) in kg/m^3, ``epsilon`` (N,) linear
+    dielectric constant, ``chi0`` (N, 3, 3) intrinsic tensor in the body frame, ``kappa``
+    (N, 3) kappa1, kappa2, kappa3, and ``orientation`` (N, 3, 3) proper rotations, body to lab.
     """
 
-    size_a: np.ndarray  # (N,) m
-    density: np.ndarray  # (N,) kg/m^3
-    epsilon: np.ndarray  # (N,) linear dielectric constant
-    chi0: np.ndarray  # (N, 3, 3) intrinsic tensor, body frame
-    kappa: np.ndarray  # (N, 3) kappa1, kappa2, kappa3
-    orientation: np.ndarray  # (N, 3, 3) proper rotations, body to lab
+    _fields = tuple(_PARTICLE_FIELDS)
 
-    def __post_init__(self) -> None:
-        n = np.shape(self.size_a)[0] if np.ndim(self.size_a) == 1 else -1
-        for name, (shape, _) in _PARTICLE_FIELDS.items():
-            a = np.array(getattr(self, name), dtype=float)
+    def __init__(self, size_a: object, density: object, epsilon: object, chi0: object,
+                 kappa: object, orientation: object) -> None:
+        given = (size_a, density, epsilon, chi0, kappa, orientation)  # in _PARTICLE_FIELDS order
+        n = np.shape(size_a)[0] if np.ndim(size_a) == 1 else -1
+        fields = {}
+        for (name, (shape, _)), value in zip(_PARTICLE_FIELDS.items(), given):
+            a = np.array(value, dtype=float)
             if n < 0 or a.shape != (n, *shape):
                 raise ValueError(f"{name} must be N arrays of shape {shape}, got {a.shape}")
             a.flags.writeable = False
-            object.__setattr__(self, name, a)
-        _check_particles({name: getattr(self, name) for name in _PARTICLE_FIELDS})
+            fields[name] = a
+        _check_particles(fields)
+        self.__dict__.update(fields)
         tensors = _lab_tensors(self.orientation, self.chi0)
         # no entry of F L F^T exceeds |L|_F for a rotation F, so only a particle whose
         # Frobenius norm reaches the bound, less a margin for rounding, can break it
@@ -478,7 +481,7 @@ class ParticleState:
         for weight, column in zip(weights[1:], self._columns[1:]):
             xy += weight * column
         xy.flags.writeable = False
-        after = object.__new__(ParticleState)  # skips __post_init__: only the frame is new
+        after = object.__new__(ParticleState)  # skips __init__: only the frame is new
         shared = {k: v for k, v in self.__dict__.items() if k != "orientation"}
         after.__dict__.update(shared, _frame=frame, chi0_xy=xy)
         return after
@@ -544,7 +547,7 @@ def rotation_about(axis: object, angle: float) -> np.ndarray:
 def rotate_tensor(t: MagnetoElectricTensor, r: object) -> MagnetoElectricTensor:
     """Orthogonal conjugation chi0' = R chi0 R^T; kappas carried through unchanged."""
     m = _proper_rotation(r)
-    return replace(t, chi0=_conjugate(m[None], t.chi0[None])[0])
+    return type(t)(_conjugate(m[None], t.chi0[None])[0], t.kappa1, t.kappa2, t.kappa3)
 
 
 # -- JSON serialization ------------------------------------------------------

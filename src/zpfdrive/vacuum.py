@@ -43,7 +43,6 @@ from __future__ import annotations
 import io
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import pairwise
 from pathlib import Path
@@ -51,7 +50,7 @@ from typing import Sequence, Union
 
 from ._deferred import OnFirstUse
 from .material import MAX_N_PER_AXIS, check
-from .quantities import HBAR_J_S, Quantity
+from .quantities import HBAR_J_S, Quantity, ValueRecord
 
 np = OnFirstUse(globals(), "numpy", "np")
 _io = OnFirstUse(globals(), "zpfdrive._io", "_io")  # the oracle's CSV writer alone reads it
@@ -85,30 +84,27 @@ class CutoffConvention(Enum):
         return math.pi / a
 
 
-@dataclass(frozen=True)
-class VacuumModel:
-    """Calibration of the vacuum-momentum closed forms."""
+class VacuumModel(ValueRecord):
+    """Calibration of the vacuum-momentum closed forms: the dimensionless prefactor ``A``."""
 
-    prefactor_a: float = 1e-2
+    _fields = ("prefactor_a",)
 
-    def __post_init__(self) -> None:
-        check("prefactor_a", self.prefactor_a, "positive")
+    def __init__(self, prefactor_a: float = 1e-2) -> None:
+        self.__dict__["prefactor_a"] = check("prefactor_a", prefactor_a, "positive")
 
 
-@dataclass(frozen=True)
-class ModeGrid:
-    """Cubic k-space lattice covering the ball |k| <= k_cut symmetrically."""
+class ModeGrid(ValueRecord):
+    """Cubic k-space lattice covering the ball |k| <= k_cut (1/m) symmetrically."""
 
-    n_per_axis: int
-    k_cut: float  # 1/m
+    _fields = ("n_per_axis", "k_cut")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n_per_axis: int, k_cut: float) -> None:
         try:
-            n = operator.index(self.n_per_axis)
+            n = operator.index(n_per_axis)
         except TypeError:
-            raise ValueError(f"n_per_axis must be an integer, got {self.n_per_axis!r}") from None
-        object.__setattr__(self, "n_per_axis", check("n_per_axis", n, "n_per_axis"))
-        check("k_cut", self.k_cut, "positive")
+            raise ValueError(f"n_per_axis must be an integer, got {n_per_axis!r}") from None
+        self.__dict__.update(n_per_axis=check("n_per_axis", n, "n_per_axis"),
+                             k_cut=check("k_cut", k_cut, "positive"))
 
     @property
     def dk(self) -> float:

@@ -2,7 +2,6 @@ import io
 import json
 import math
 import time
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -710,7 +709,7 @@ def _svd_rotated(one, r):
     nearest = u @ vt
     if np.linalg.det(nearest) < 0:
         nearest = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return replace(one, orientation=nearest[None])
+    return ParticleState(one.size_a, one.density, one.epsilon, one.chi0, one.kappa, nearest[None])
 
 
 def _floats(one):
