@@ -33,7 +33,8 @@ maneuver is a few array operations over all particles, and per-particle terms
 are summed in particle order, as a scalar loop would sum them.  The quantum
 impulse is linear in chi, so a field modulation weights the impulses of the
 series 1, E*B, E and B by each particle's chi0_xy and kappas; a series
-integrates them once, however many modulations share it.
+integrates them once, however many modulations share it.  Every record here is
+a :class:`~zpfdrive.quantities.Record` that checks its fields once, in ``__init__``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -54,7 +54,7 @@ from .material import (
     REQUIRED, RULES, Particle, ParticleState, check, read_record, representable_size,
     rotation_about, unit_vector,
 )
-from .quantities import HBAR_J_S, Quantity
+from .quantities import HBAR_J_S, Quantity, Record, ValueRecord
 from .vacuum import VacuumModel, checked_rotation_dv, rotation_dv, stored_momentum
 
 np = OnFirstUse(globals(), "numpy", "np")
@@ -140,53 +140,45 @@ def _load_columns(path: Union[str, Path]) -> dict[str, np.ndarray]:
     return {_SERIES_COLUMNS[col]: row for col, row in zip(index, np.ascontiguousarray(data.T))}
 
 
-@dataclass(frozen=True, eq=False)
-class FieldTimeSeries:
-    """Uniformly sampled E_x(t), B_y(t), with optional per-sample chi params.
+class FieldTimeSeries(Record):
+    """Uniformly sampled E_x(t), B_y(t) (t in s), with optional per-sample chi params.
 
     When ``chi0_xy`` is present the series overrides the particle's response
     parameters sample by sample (missing kappas default to zero); otherwise
     the particle's own lab-frame parameters are used, constant in time.
     """
 
-    t: np.ndarray  # s
-    e_x: np.ndarray
-    b_y: np.ndarray
-    chi0_xy: np.ndarray | None = None
-    kappa1: np.ndarray | None = None
-    kappa2: np.ndarray | None = None
-    kappa3: np.ndarray | None = None
+    _fields = ("t", "e_x", "b_y", *_CHI_FIELDS)
 
-    def __post_init__(self) -> None:
-        arrays = {"t": self.t, "e_x": self.e_x, "b_y": self.b_y}
-        if self.chi0_xy is None and any(getattr(self, k) is not None for k in _CHI_FIELDS[1:]):
+    def __init__(self, t: np.ndarray, e_x: np.ndarray, b_y: np.ndarray,
+                 chi0_xy: np.ndarray | None = None, kappa1: np.ndarray | None = None,
+                 kappa2: np.ndarray | None = None, kappa3: np.ndarray | None = None) -> None:
+        fields = dict(zip(self._fields, (t, e_x, b_y, chi0_xy, kappa1, kappa2, kappa3)))
+        if chi0_xy is None and any(fields[k] is not None for k in _CHI_FIELDS[1:]):
             raise SeriesFormatError("chi0_xy is required when kappa columns are present")
-        for k in _CHI_FIELDS:
-            if getattr(self, k) is not None:
-                arrays[k] = getattr(self, k)
-        n = None
-        for name, arr in arrays.items():
-            a = np.asarray(arr, dtype=float)
+        for name, value in fields.items():
+            if value is None and name in _CHI_FIELDS:
+                continue
+            a = fields[name] = np.asarray(value, dtype=float)
             if a.ndim != 1:
                 raise SeriesFormatError(f"{name} must be 1-D")
-            if n is None:
-                n = a.size
-            elif a.size != n:
+            n = fields["t"].size  # t comes first
+            if a.size != n:
                 raise SeriesFormatError(f"{name} length {a.size} != {n}")
             if not RULES["finite"](a).all():
                 raise SeriesFormatError(f"{name} contains non-finite samples")
             a.flags.writeable = False
-            object.__setattr__(self, name, a)
-        if n is None or n < 3:
+        if n < 3:
             raise SeriesFormatError("series needs at least 3 samples")
-        steps = np.diff(self.t)
+        steps = np.diff(fields["t"])
         if not np.all(steps > 0):
             raise SeriesFormatError("time samples must be strictly increasing")
         dt = steps[0]
         # relative to dt, plus the rounding of the time stamps themselves
-        tol = 1e-9 * dt + 4.0 * np.finfo(float).eps * np.max(np.abs(self.t))
+        tol = 1e-9 * dt + 4.0 * np.finfo(float).eps * np.max(np.abs(fields["t"]))
         if np.max(np.abs(steps - dt)) > tol:
             raise SeriesFormatError("time samples must be uniformly spaced")
+        self.__dict__.update(fields)
 
     @property
     def dt(self) -> float:
@@ -262,18 +254,20 @@ def force_direct(p: Particle, s: FieldTimeSeries) -> np.ndarray:
     return s.b_y * _ddt(polarization, s.dt)
 
 
-@dataclass(frozen=True, eq=False)
-class ForceDecomposition:
-    """The three exact product-rule terms of the driving force.
+class ForceDecomposition(Record):
+    """The three exact product-rule terms of the driving force: ``dielectric``,
+    B * d(eps E)/dt; ``magnetoelectric``, chi * (1/2) d(B^2)/dt; ``chi_rate``, B^2 * dchi/dt.
 
     ``dielectric`` is classical only; ``magnetoelectric`` and ``chi_rate``
     also carry quantum-vacuum contributions because <B^2> does not vanish
     for zero-point fields.
     """
 
-    dielectric: np.ndarray  # B * d(eps E)/dt
-    magnetoelectric: np.ndarray  # chi * (1/2) d(B^2)/dt
-    chi_rate: np.ndarray  # B^2 * dchi/dt
+    _fields = ("dielectric", "magnetoelectric", "chi_rate")
+
+    def __init__(self, dielectric: np.ndarray, magnetoelectric: np.ndarray,
+                 chi_rate: np.ndarray) -> None:
+        self.__dict__.update(zip(self._fields, (dielectric, magnetoelectric, chi_rate)))
 
     @property
     def total(self) -> np.ndarray:
@@ -283,11 +277,8 @@ class ForceDecomposition:
 def force_decomposed(p: Particle, s: FieldTimeSeries) -> ForceDecomposition:
     chi = s.chi_samples(p)
     magnetoelectric, chi_rate = _vacuum_terms(chi, s)
-    return ForceDecomposition(
-        dielectric=s.b_y * _ddt(p.epsilon * s.e_x, s.dt),
-        magnetoelectric=magnetoelectric,
-        chi_rate=chi_rate,
-    )
+    dielectric = s.b_y * _ddt(p.epsilon * s.e_x, s.dt)
+    return ForceDecomposition(dielectric, magnetoelectric, chi_rate)
 
 
 def _vacuum_terms(chi: np.ndarray, s: FieldTimeSeries) -> tuple[np.ndarray, np.ndarray]:
@@ -342,65 +333,62 @@ def delta_v_aggregation(
 # -- maneuvers and the impulse ledger ---------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Rotation:
-    """Rigid rotation of every particle by ``angle`` about ``axis``.
+class Rotation(Record):
+    """Rigid rotation of every particle by ``angle`` (rad) about ``axis``.
 
     Books the endpoint change of stored vacuum momentum; the angular
     trajectory and duration are irrelevant by path independence.
     """
 
-    axis: np.ndarray
-    angle: float  # rad
+    _fields = ("axis", "angle")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "axis", unit_vector(self.axis, "axis"))
-        object.__setattr__(self, "angle", check("angle", float(self.angle), "finite"))
-
-
-@dataclass(frozen=True, eq=False)
-class Aggregation:
-    """Merge N units of size ``size_a`` into one body, per template particle."""
-
-    n: float
-    size_a: float  # m
-    direction: np.ndarray
-
-    def __post_init__(self) -> None:
-        check("N", self.n, "at_least_one")
-        check("a_m", self.size_a, "size")
-        object.__setattr__(self, "direction", unit_vector(self.direction, "direction"))
+    def __init__(self, axis: np.ndarray, angle: float) -> None:
+        self.__dict__.update(axis=unit_vector(axis, "axis"),
+                             angle=check("angle", float(angle), "finite"))
 
 
-@dataclass(frozen=True, eq=False)
-class FieldModulation:
+class Aggregation(Record):
+    """Merge N units of size ``size_a`` (m) into one body, per template particle."""
+
+    _fields = ("n", "size_a", "direction")
+
+    def __init__(self, n: float, size_a: float, direction: np.ndarray) -> None:
+        self.__dict__.update(n=check("N", n, "at_least_one"), size_a=check("a_m", size_a, "size"),
+                             direction=unit_vector(direction, "direction"))
+
+
+class FieldModulation(Record):
     """External E/B driving over a sampled series; books the quantum terms."""
 
-    series: FieldTimeSeries
+    _fields = ("series",)
+
+    def __init__(self, series: FieldTimeSeries) -> None:
+        self.__dict__["series"] = series
 
 
-@dataclass(frozen=True)
-class CavityModulation:
-    """Cavity-imposed <B^2_vac> ramp at a constant rate for ``duration``."""
+class CavityModulation(ValueRecord):
+    """Cavity-imposed <B^2_vac> ramp at a constant rate for ``duration`` (s)."""
 
-    db2_dt: float
-    duration: float  # s
+    _fields = ("db2_dt", "duration")
 
-    def __post_init__(self) -> None:
-        check("dB2_dt", self.db2_dt, "finite")
-        check("duration", self.duration, "positive")
+    def __init__(self, db2_dt: float, duration: float) -> None:
+        self.__dict__.update(db2_dt=check("dB2_dt", db2_dt, "finite"),
+                             duration=check("duration", duration, "positive"))
 
 
 Maneuver = Union[Rotation, Aggregation, FieldModulation, CavityModulation]
 
 
-@dataclass(frozen=True, eq=False)
-class LedgerEntry:
-    maneuver_id: int
-    kind: str
-    dp_particles: np.ndarray  # kg m/s
-    dp_vacuum: np.ndarray  # kg m/s
-    cumulative_v: np.ndarray  # m/s
+class LedgerEntry(Record):
+    """One booking: ``dp_particles`` and ``dp_vacuum`` in kg m/s, and the payload's
+    ``cumulative_v`` in m/s after it."""
+
+    _fields = ("maneuver_id", "kind", "dp_particles", "dp_vacuum", "cumulative_v")
+
+    def __init__(self, maneuver_id: int, kind: str, dp_particles: np.ndarray,
+                 dp_vacuum: np.ndarray, cumulative_v: np.ndarray) -> None:
+        self.__dict__.update(zip(self._fields, (maneuver_id, kind, dp_particles, dp_vacuum,
+                                                cumulative_v)))
 
 
 class ImpulseLedger:
@@ -438,13 +426,7 @@ class ImpulseLedger:
         if not np.isfinite(cumulative_v).all():
             raise ValueError(f"cumulative velocity {cumulative_v.tolist()} m/s is not finite")
         self._cumulative_dp = cumulative_dp
-        entry = LedgerEntry(
-            maneuver_id=len(self.entries),
-            kind=kind,
-            dp_particles=dp_particles,
-            dp_vacuum=dp_vacuum,
-            cumulative_v=cumulative_v,
-        )
+        entry = LedgerEntry(len(self.entries), kind, dp_particles, dp_vacuum, cumulative_v)
         self.entries.append(entry)
         return entry
 

@@ -20,18 +20,19 @@ validator over N rows, which names the first bad particle.  Each rotation
 matrix is checked once, where it enters.
 
 :class:`ParticleState` holds particles as arrays (struct of arrays); its
-constructor is the one place a particle is converted, checked and put in the
-lab frame.  A :class:`Particle` is a state of one row, and a
-:class:`MagnetoElectricTensor` or a rotation matrix is checked as a stack of
-one, each error the state's without ``particle 0: ``.  The lab-frame tensors
+constructor converts, checks and puts many particles in the lab frame at once.
+A :class:`Particle`, a :class:`MagnetoElectricTensor` and a rotation matrix
+get the state's checks on their own fields as a stack of one, each error the
+state's without ``particle 0: ``; a particle keeps only its fields and the
+lab-frame ``chi0_xy`` of the state's kernel.  The lab-frame tensors
 ``L_i = O_i chi0_i O_i^T`` are one batched conjugation, checked against the
 sanity bound when the state is built, and every rotation of the state shares
 them: it turns one 3x3 frame ``F`` by one checked Newton-Schulz polar step,
 and its lab-frame xy entries, those of ``F L_i F^T``, are one pass of nine
 multiply-adds over the particles.  Only a particle whose ``|L_i|_F`` reaches
 the sanity bound can break it in some frame, so only such particles get the
-full ``F L_i F^T`` on a rotation.  A state of many particles joins their rows,
-checked once more as one batch; records are read a column at a time.
+full ``F L_i F^T`` on a rotation.  A state of particles joins their fields, checked
+once more as one batch; records are read a column at a time.
 """
 
 from __future__ import annotations
@@ -321,9 +322,9 @@ _EYE = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 class Particle(Record):
     """A magneto-electric cube: ``size_a`` in m, ``density_rho`` in kg/m^3, response
     ``tensor``, ``orientation`` (body to lab, the identity by default) and linear dielectric
-    constant ``epsilon``.  It is built as one row of a :class:`ParticleState`, which checks it
-    and computes its lab-frame ``chi0_xy``; to turn particles, turn a :class:`ParticleState`
-    (of one, for one particle)."""
+    constant ``epsilon``.  Its fields get the :class:`ParticleState` checks as a stack of one
+    (the tensor checked its own), and it keeps its lab-frame ``chi0_xy``; to turn particles,
+    turn a :class:`ParticleState` (of one, for one particle)."""
 
     _fields = ("size_a", "density_rho", "tensor", "orientation", "epsilon")
 
@@ -331,13 +332,13 @@ class Particle(Record):
                  orientation: object = _EYE, epsilon: float = 1.0) -> None:
         size_a, density_rho, epsilon = float(size_a), float(density_rho), float(epsilon)
         orientation = _as_matrix(orientation, "orientation")
-        kappa = [[getattr(tensor, k) for k in _KAPPAS]]
-        row = _unnamed(ParticleState, [size_a], [density_rho], [epsilon],
-                       tensor.chi0[None], kappa, orientation[None])
-        # the row's lab-frame intrinsic xy component, the one driving momentum transfer
+        _unnamed(_check_particles, {  # each a stack of one
+            "size_a": np.array([size_a]), "density": np.array([density_rho]),
+            "epsilon": np.array([epsilon]), "orientation": orientation[None]})
+        lab = _unnamed(_lab_tensors, orientation[None], tensor.chi0[None])
+        # the lab-frame intrinsic xy component, the one driving momentum transfer
         self.__dict__.update(size_a=size_a, density_rho=density_rho, tensor=tensor,
-                             orientation=orientation, epsilon=epsilon,
-                             _row=row, chi0_xy=float(row.chi0_xy[0]))
+                             orientation=orientation, epsilon=epsilon, chi0_xy=float(lab[0, 0, 1]))
 
     @property
     def mass(self) -> float:
@@ -376,9 +377,8 @@ def _polar_step(m: np.ndarray) -> np.ndarray:
 class ParticleState(Record):
     """N particles as arrays: what a list of :class:`Particle` holds, per field.
 
-    Construction, the one path by which particles enter (a :class:`Particle` is
-    a state of one row), converts every field and applies the particle checks
-    batched, then computes and checks the lab-frame tensors (see
+    Construction converts every field and applies the particle checks batched,
+    then computes and checks the lab-frame tensors (see
     :func:`_lab_tensors`); an error names the particle index.  The arrays are
     read-only, so a valid state stays valid.  A rotated state shares them and
     adds one 3x3 frame (see :meth:`rotated`).  ``chi0_xy`` holds the lab-frame
@@ -433,9 +433,11 @@ class ParticleState(Record):
 
     @classmethod
     def from_particles(cls, particles: Sequence[Particle]) -> "ParticleState":
-        rows = [p._row for p in particles]  # joined field by field, checked again as one batch
-        return cls(**{k: np.reshape([getattr(row, k) for row in rows], (len(rows), *shape))
-                      for k, (shape, _) in _PARTICLE_FIELDS.items()})
+        # the particles' own fields, joined field by field and checked again as one batch
+        columns = [[p.size_a, p.density_rho, p.epsilon, p.tensor.chi0,
+                    [getattr(p.tensor, k) for k in _KAPPAS], p.orientation] for p in particles]
+        return cls(*(np.reshape([c[i] for c in columns], (len(columns), *shape))
+                     for i, (shape, _) in enumerate(_PARTICLE_FIELDS.values())))
 
     @classmethod
     def from_dicts(cls, records: Sequence[object]) -> "ParticleState":

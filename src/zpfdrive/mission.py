@@ -44,6 +44,7 @@ from typing import Mapping, Sequence, Union
 from . import _io
 from ._deferred import OnFirstUse
 from .material import REQUIRED, RULES, check, read_record
+from .quantities import ValueRecord
 from .vacuum import checked_rotation_dv, rotation_dv
 
 np = OnFirstUse(globals(), "numpy", "np")
@@ -186,12 +187,15 @@ _SPEC_SCHEMA = {f.name: (float, REQUIRED) for f in fields(MissionSpec)}
 _SPEC_SCHEMA |= dict.fromkeys(SOLVE_BRACKETS, (float, None))
 
 
-@dataclass(frozen=True)
-class MissionReport:
-    required_tangential_v: float  # m/s
-    achieved_tangential_v: float  # m/s
-    feasible: bool
-    margin: float  # achieved / required
+class MissionReport(ValueRecord):
+    """Required and achieved tangential velocity in m/s, and the margin achieved / required."""
+
+    _fields = ("required_tangential_v", "achieved_tangential_v", "feasible", "margin")
+
+    def __init__(self, required_tangential_v: float, achieved_tangential_v: float,
+                 feasible: bool, margin: float) -> None:
+        self.__dict__.update(zip(self._fields, (required_tangential_v, achieved_tangential_v,
+                                                feasible, margin)))
 
     def to_dict(self) -> dict:
         return {
@@ -241,12 +245,7 @@ def evaluate_mission(spec: MissionSpec) -> MissionReport:
             f"invalid mission spec: target_rate = {spec.target_rate} at wheel_radius ="
             f" {spec.wheel_radius} gives a margin of {margin}, not a finite number"
         )
-    return MissionReport(
-        required_tangential_v=required,
-        achieved_tangential_v=achieved,
-        feasible=achieved >= required,
-        margin=margin,
-    )
+    return MissionReport(required, achieved, achieved >= required, margin)
 
 
 def analytic_solve_for_unknown(spec: MissionSpec, unknown: str) -> float:

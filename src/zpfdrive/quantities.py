@@ -5,6 +5,8 @@ unit-suffixed name; the magneto-electric constant chi stays dimensionless
 (Gaussian convention), with all convention factors absorbed into the single
 calibration prefactor of the vacuum model.  The public closed forms return a
 :class:`Quantity`, a float with the SI unit label that the CLI prints.
+Every record of the package but ``mission.MissionSpec`` is a :class:`Record`,
+or a :class:`ValueRecord` where it compares by value.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ HBAR_J_S: float = 1.054571817e-34
 
 
 class Record:
-    """Fields, named in order by ``_fields``, that ``__init__`` sets once in ``__dict__``.
+    """Fields, named in order by ``_fields``, that ``__init__`` converts, checks and sets once
+    in ``__dict__``.
 
-    As on a frozen dataclass, assigning or deleting an attribute raises AttributeError, and
-    ``copy`` and ``pickle``, which restore ``__dict__`` directly, round-trip; the records that
-    every command loads are not dataclasses, whose import (with ``inspect``) would dominate
-    the start-up.  The repr names each field; equality and hash are by identity.
+    Assigning or deleting an attribute raises AttributeError.  ``copy`` and ``pickle``
+    restore ``__dict__`` and make read-only again each array that was read-only, which both
+    would otherwise give back writeable.  The repr names each field; equality and hash are
+    by identity.  No record imports ``inspect``, which would dominate the start-up.
     """
 
     _fields: tuple[str, ...] = ()
@@ -34,6 +37,18 @@ class Record:
     def __repr__(self) -> str:
         pairs = ", ".join([f"{k}={getattr(self, k)!r}" for k in self._fields])
         return f"{type(self).__qualname__}({pairs})"
+
+    def __getstate__(self) -> tuple[dict, list[str]]:
+        # the fields that are read-only arrays, by their flags, read without importing numpy
+        locked = [k for k, v in vars(self).items()
+                  if getattr(getattr(v, "flags", None), "writeable", True) is False]
+        return vars(self), locked
+
+    def __setstate__(self, state: tuple[dict, list[str]]) -> None:
+        fields, locked = state
+        self.__dict__.update(fields)
+        for name in locked:
+            fields[name].flags.writeable = False
 
 
 class ValueRecord(Record):

@@ -576,10 +576,10 @@ def numpy_after(statements, *argv):
 MAIN = "from zpfdrive.cli import main\ncode = main(sys.argv[1:])"
 # by command, the modules that it does not run and so does not import; no command's
 # runnable argv imports argparse, and only the array commands import numpy
-NO_DATACLASSES = {"dataclasses", "inspect"}  # mission, dynamics and numpy load them
+NO_DATACLASSES = {"dataclasses", "inspect"}  # mission loads both, and numpy loads inspect
 UNUSED = {
     "delta-v-rot": {"zpfdrive.dynamics", "zpfdrive.mission", *NO_DATACLASSES},
-    "delta-v-agg": {"zpfdrive.mission"},
+    "delta-v-agg": {"zpfdrive.mission", *NO_DATACLASSES},
     "vacuum-momentum": {"zpfdrive.dynamics", "zpfdrive.mission", *NO_DATACLASSES},
     "oracle": {"zpfdrive.dynamics", "zpfdrive.mission"},
     "force-decompose": {"zpfdrive.mission"},
@@ -593,8 +593,8 @@ UNUSED = {
 class TestStartupWithoutNumpy:
     """Importing the package, building the parser and every single-value command, refusals
     included, run without importing numpy; these commands import neither argparse nor the
-    package modules they do not run, and the parser and the closed forms of ``vacuum`` import
-    no ``dataclasses``.  pytest has all of them loaded already, so only a new interpreter
+    package modules they do not run, and the parser and the closed forms import no
+    ``dataclasses``.  pytest has all of them loaded already, so only a new interpreter
     shows a stray read at import time or in these commands."""
 
     @pytest.mark.parametrize(

@@ -260,6 +260,20 @@ class TestParticle:
         with pytest.raises(ValueError):
             MagnetoElectricTensor.from_xy(1.5)
 
+    def test_holds_only_its_own_fields(self):
+        # no state of one row: its checked fields and its lab-frame chi0_xy, which has the bits
+        # of a state built from the same row
+        for p in random_particles(np.random.default_rng(9), 20):
+            t = p.tensor
+            with mock.patch.object(material, "ParticleState") as state:
+                again = Particle(p.size_a, p.density_rho, t, p.orientation, p.epsilon)
+            state.assert_not_called()
+            assert vars(again).keys() == {
+                "size_a", "density_rho", "tensor", "orientation", "epsilon", "chi0_xy"}
+            row = ParticleState([p.size_a], [p.density_rho], [p.epsilon], t.chi0[None],
+                                [[t.kappa1, t.kappa2, t.kappa3]], p.orientation[None])
+            assert again.chi0_xy.hex() == p.chi0_xy.hex() == row.chi0_xy[0].hex()
+
     def test_rotated_orientation_stays_proper(self):
         rng = np.random.default_rng(7)
         p = Particle(1e-9, 1000.0, MagnetoElectricTensor.from_xy(1e-3))
@@ -392,6 +406,13 @@ class TestParticleState:
             ("density_kg_m3", float("inf"), "density must be positive"),
             ("epsilon", float("inf"), "epsilon must be >= 1"),
             ("chi0", [0.9] * 9, re.escape(_LAB_BOUND)),  # past the bound in the lab frame only
+            ("size_a_m", float("nan"), "size_a must be positive"),
+            ("density_kg_m3", float("nan"), "density must be positive"),
+            ("epsilon", float("nan"), "epsilon must be >= 1"),
+            ("chi0", [float("inf")] + [0] * 8, "chi0 entries must be finite"),
+            ("kappa1", float("nan"), "kappas must be finite"),
+            ("orientation", [float("nan")] + [0] * 8, "orientation entries must be finite"),
+            ("orientation", [1, 0, 0, 0, 1, 0, 0, 0, -1], re.escape("improper rotation (det")),
         ],
     )
     def test_invalid_record_named_by_index(self, field, value, message):
@@ -522,7 +543,7 @@ class TestParticleState:
             assert bool(errors) == (largest > 1.0)
         if built:
             particle, state = built
-            assert particle.chi0_xy == state.chi0_xy[1]
+            assert particle.chi0_xy.hex() == state.chi0_xy[1].hex()
 
     def test_particle_reads_its_lab_frame_chi_without_checking_again(self):
         p = random_particles(np.random.default_rng(6), 1)[0]
