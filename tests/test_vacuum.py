@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import time
@@ -230,7 +231,32 @@ def brute_force_geometry_sums(n_max: int) -> list[Decimal]:
     return running
 
 
+def int32_shell_counts(n: int) -> np.ndarray:
+    """r3(s) for 0 <= s <= n^2 in int32, r2 on the quarter disc summed over k^2."""
+    n2 = n * n
+    sq = np.arange(n + 1) ** 2
+    quarter = (sq[1:, None] + sq[None, 1:]).ravel()
+    r2 = 4 * np.bincount(quarter[quarter <= n2], minlength=n2 + 1).astype(np.int32)
+    r2[sq[1:]] += 4
+    r2[0] = 1
+    r3 = r2.copy()
+    twice_r2 = 2 * r2
+    for k in range(1, n + 1):
+        r3[k * k :] += twice_r2[: n2 + 1 - k * k]
+    return r3
+
+
 class TestGeometrySum:
+    def test_every_resolution_keeps_its_bits(self):
+        # SHA-256 of the float.hex of every sum, n = 8..2048, as the int32 shell
+        # counts and the exact binned float sum gave them; the counts at the cap
+        # stay below 2**16
+        ns = range(8, MAX_N_PER_AXIS + 1)
+        sums = _geometry_sums(ns)
+        digest = hashlib.sha256("\n".join(float.hex(sums[n]) for n in ns).encode()).hexdigest()
+        assert digest == "de8bb645ceb82ccd4a5231e515a8cdc50f3ef7a420c17b6ad36a8ce47e13ef55"
+        assert int32_shell_counts(MAX_N_PER_AXIS).max() == 53_328 < 2**16
+
     def test_equals_correctly_rounded_reference(self):
         running = brute_force_geometry_sums(64)
         for n in range(8, 65):
