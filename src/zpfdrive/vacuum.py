@@ -165,41 +165,35 @@ def checked_rotation_dv(chi: float, rho: float, a: float, prefactor_a: float) ->
 
 
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp splits a double into 26-bit halves
-_BLOCK = 1 << 13  # shells per block of float terms
-_BINS = 2098  # np.frexp exponents e + 1073 of every finite double
+_BLOCK = 1 << 13  # shells per block: its sums of limbs below 2**46 stay below 2**59
 
 
-def _two_prod(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker's exact product: ``a * b == hi + lo`` elementwise."""
-
-    def split(x):
-        c = _SPLIT * x
-        hi = c - (c - x)
-        return hi, x - hi
-
-    hi = a * b
-    ah, al = split(a)
-    bh, bl = split(b)
-    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: ``x == hi + lo`` elementwise, each half of 26 bits."""
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
 
 
-def _add_binned(bins: np.ndarray, x: np.ndarray) -> None:
-    """Add the finite doubles ``x`` exactly to the (2, _BINS) float64 ``bins``.
+def _product_error(p: np.ndarray, a: tuple, b: tuple) -> np.ndarray:
+    """Dekker's tail a*b - p, exact, of the rounded product ``p`` of the split ``a`` and ``b``."""
+    (ah, al), (bh, bl) = a, b
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
-    Each is a 53-bit integer m times 2**(e - 53) (``np.frexp``); bin e + 1073 sums m >> 26
-    in row 0 and m's low 26 bits in row 1, exact while fewer than 2**26 terms are added.
+
+def _limb_sum(t: np.ndarray, t_err: np.ndarray) -> int:
+    """Sum of ``t`` (2 <= t < 2**26) and ``t_err`` (|t_err| < 2**-26) in units of 2**-116.
+
+    Each t is exactly hi * 2**-20 + lo * 2**-51, and each t_err is ehi * 2**-70 + elo * 2**-116
+    to within 2**-117, limbs below 2**46 that int64 sums exactly over a block of _BLOCK.
     """
-    f, e = np.frexp(x)
-    m = (f * 2.0**53).astype(np.int64)
-    bins[0] += np.bincount(e + 1073, m >> 26, _BINS)
-    bins[1] += np.bincount(e + 1073, m & 0x3FFFFFF, _BINS)
-
-
-def _rounded(bins: np.ndarray) -> float:
-    """The exact sum held in ``bins`` as the nearest float (int true division rounds so)."""
-    used = np.flatnonzero(bins.any(axis=0))
-    high, low = bins[:, used].astype(np.int64).tolist()
-    return sum(((h << 26) + lo) << b for b, h, lo in zip(used.tolist(), high, low)) / (1 << 1126)
+    limbs = np.empty((4, t.size))
+    limbs[0] = np.rint(t * 2.0**20)
+    limbs[1] = (t - limbs[0] * 2.0**-20) * 2.0**51
+    limbs[2] = np.rint(t_err * 2.0**70)
+    limbs[3] = np.rint((t_err - limbs[2] * 2.0**-70) * 2.0**116)
+    hi, lo, ehi, elo = limbs.astype(np.int64).sum(axis=1).tolist()
+    return (hi << 96) + (lo << 65) + (ehi << 46) + elo
 
 
 def _geometry_sums(ns: Sequence[int]) -> dict[int, float]:
@@ -208,15 +202,16 @@ def _geometry_sums(ns: Sequence[int]) -> dict[int, float]:
     By cubic symmetry the m_z^2 of the shell |m|^2 = s add up to c_s = s * r3(s) / 3,
     with r3(s) the number of ways to write s as a sum of three squares, counted once
     up to max(ns)^2: r2 on the quarter disc i, j >= 0 (each nonzero coordinate stands
-    for two signs), then r3(s) = r2(s) + 2 * sum_k r2(s - k^2) in int32.  Each term
-    t = c / sqrt(s) and its rounding error (Dekker products of q*q and t*q) enter one
-    exact binned sum (Demmel and Hida); each n reads its prefix s <= n^2, rounded once.
+    for two signs), then r3(s) = r2(s) + 2 * sum_k r2(s - k^2) in uint16 (r3 <= 53,328
+    at n = 2048).  Each term t = c / sqrt(s) and its rounding error t_err (Dekker products
+    of q*q and t*q, sharing one split of q) enter one integer :func:`_limb_sum`, exact in
+    t; each n reads it at its prefix s <= n^2, rounded once.
     """
     big = max(ns)
     n2 = big * big
     sq = np.arange(big + 1) ** 2
     quarter = (sq[1:, None] + sq[None, 1:]).ravel()
-    r2 = 4 * np.bincount(quarter[quarter <= n2], minlength=n2 + 1).astype(np.int32)
+    r2 = 4 * np.bincount(quarter[quarter <= n2], minlength=n2 + 1).astype(np.uint16)
     r2[sq[1:]] += 4  # the four axis points (+-k, 0), (0, +-k)
     r2[0] = 1
     r3 = r2.copy()
@@ -225,21 +220,22 @@ def _geometry_sums(ns: Sequence[int]) -> dict[int, float]:
         r3[k * k :] += twice_r2[: n2 + 1 - k * k]
     s = np.flatnonzero(r3[1:]) + 1
     ends = {n: int(np.searchsorted(s, n * n, "right")) for n in ns}
-    bins = np.zeros((2, _BINS))  # gets 2 * 2048^2 < 2**26 terms at most
+    stops = set(ends.values())
+    total = 0  # the sum in units of 2**-116
     sums = {}
-    for start, stop in pairwise([0, *sorted({*ends.values(), *range(_BLOCK, s.size, _BLOCK)})]):
+    for start, stop in pairwise([0, *sorted({*stops, *range(_BLOCK, s.size, _BLOCK)})]):
         shells = s[start:stop]
         c = (shells * r3[shells] // 3).astype(float)
         sf = shells.astype(float)
         q = np.sqrt(sf)
         t = c / q
-        qq, qq_lo = _two_prod(q, q)
-        tq, tq_lo = _two_prod(t, q)
-        sqrt_err = ((sf - qq) - qq_lo) / (2.0 * q)  # sqrt(s) - q to first order
-        t_err = (((c - tq) - tq_lo) - t * sqrt_err) / q  # c / sqrt(s) - t
-        _add_binned(bins, np.concatenate([t, t_err]))
-        if stop in ends.values():
-            sums[stop] = _rounded(bins)
+        qq, tq = q * q, t * q
+        q_split, t_split = _split(q), _split(t)
+        sqrt_err = ((sf - qq) - _product_error(qq, q_split, q_split)) / (2.0 * q)
+        t_err = (((c - tq) - _product_error(tq, t_split, q_split)) - t * sqrt_err) / q
+        total += _limb_sum(t, t_err)
+        if stop in stops:
+            sums[stop] = total / (1 << 116)
     return {n: sums[ends[n]] for n in ns}
 
 

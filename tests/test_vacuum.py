@@ -4,11 +4,12 @@ import math
 import time
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -231,6 +232,21 @@ def brute_force_geometry_sums(n_max: int) -> list[Decimal]:
     return running
 
 
+def limb_terms(size: int):
+    """Arrays t and t_err of ``size`` over their domains, 2 <= t < 2**26 and
+    |t_err| < 2**-26, with the edges and the limbs' own powers of two."""
+    t_edge = [2.0, np.nextafter(2.0**26, 0), 2.0 + 2.0**-51, 2.0**20 + 2.0**-32]
+    err_edge = [0.0, -0.0, 5e-324, -(2.0**-70), 2.0**-71, 3 * 2.0**-117,
+                np.nextafter(2.0**-26, 0), -np.nextafter(2.0**-26, 0)]
+    return st.tuples(
+        hnp.arrays(np.float64, size, elements=st.floats(2.0, 2.0**26, exclude_max=True)
+                   | st.sampled_from(t_edge)),
+        hnp.arrays(np.float64, size, elements=st.floats(-(2.0**-26), 2.0**-26,
+                                                        exclude_min=True, exclude_max=True)
+                   | st.sampled_from(err_edge)),
+    )
+
+
 def int32_shell_counts(n: int) -> np.ndarray:
     """r3(s) for 0 <= s <= n^2 in int32, r2 on the quarter disc summed over k^2."""
     n2 = n * n
@@ -292,19 +308,16 @@ class TestGeometrySum:
         ns = [512, 8, 111, 256, 9, 255]
         assert _geometry_sums(ns) == {n: _geometry_sum(n) for n in ns}
 
-    @given(
-        hnp.arrays(
-            np.float64,
-            st.integers(0, 300),
-            elements=st.floats(-1e300, 1e300, allow_subnormal=True)
-            | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.0, -1.0]),
-        )
-    )
-    def test_binned_sum_equals_fsum(self, x):
-        bins = np.zeros((2, vacuum._BINS))
-        vacuum._add_binned(bins, x[: x.size // 2])
-        vacuum._add_binned(bins, x[x.size // 2 :])
-        assert vacuum._rounded(bins) == math.fsum(x.tolist())
+    @given(st.integers(1, 300).flatmap(limb_terms))
+    @example((np.full(vacuum._BLOCK, np.nextafter(2.0**26, 0)),
+              np.full(vacuum._BLOCK, -np.nextafter(2.0**-26, 0))))
+    def test_limb_sum_is_exact_in_t_and_within_half_a_limb_per_t_err(self, terms):
+        t, t_err = terms
+        exact_t = sum(map(Fraction, t.tolist()))
+        assert Fraction(vacuum._limb_sum(t, np.zeros_like(t)), 2**116) == exact_t
+        gap = Fraction(vacuum._limb_sum(t, t_err), 2**116) - exact_t - sum(
+            map(Fraction, t_err.tolist()))
+        assert abs(gap) <= Fraction(t.size, 2**117)
 
     def test_n512_memory_guard(self):
         tracemalloc.start()
