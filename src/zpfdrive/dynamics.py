@@ -122,6 +122,16 @@ def _column_index(reader) -> dict[str, int]:
     return {col: header.index(col) for col in _SERIES_COLUMNS if col in header}
 
 
+def _locked(value) -> np.ndarray:
+    """``value`` as a read-only float array: a read-only one as it is, else a copy, so that a
+    record never locks an array that its caller can still write."""
+    a = np.asarray(value, dtype=float)
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 def _load_columns(path: Union[str, Path]) -> dict[str, np.ndarray]:
     """The series columns of a CSV file by ``np.loadtxt``; ValueError where it cannot read it.
 
@@ -159,7 +169,7 @@ class FieldTimeSeries(Record):
         for name, value in fields.items():
             if value is None and name in _CHI_FIELDS:
                 continue
-            a = fields[name] = np.asarray(value, dtype=float)
+            a = fields[name] = _locked(value)
             if a.ndim != 1:
                 raise SeriesFormatError(f"{name} must be 1-D")
             n = fields["t"].size  # t comes first
@@ -167,7 +177,6 @@ class FieldTimeSeries(Record):
                 raise SeriesFormatError(f"{name} length {a.size} != {n}")
             if not RULES["finite"](a).all():
                 raise SeriesFormatError(f"{name} contains non-finite samples")
-            a.flags.writeable = False
         if n < 3:
             raise SeriesFormatError("series needs at least 3 samples")
         steps = np.diff(fields["t"])
@@ -222,24 +231,27 @@ class FieldTimeSeries(Record):
             except ValueError:
                 with open(source, newline="", encoding="utf-8") as fh:
                     return cls.from_csv(fh)
-            return cls(**columns)
-        reader = _csv_rows(source)
-        index = _column_index(reader)
-        columns: dict[str, list[float]] = {col: [] for col in index}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            for col, i in index.items():
-                if i >= len(row):
-                    raise SeriesFormatError(f"line {line_no}: missing field {col!r}")
-                cell = row[i].strip()
-                try:
-                    columns[col].append(float(cell))
-                except ValueError:
-                    raise SeriesFormatError(
-                        f"line {line_no}: field {col!r} is not a number: {cell!r}"
-                    ) from None
-        return cls(**{_SERIES_COLUMNS[col]: np.array(values) for col, values in columns.items()})
+        else:
+            reader = _csv_rows(source)
+            index = _column_index(reader)
+            cells: dict[str, list[float]] = {col: [] for col in index}
+            for line_no, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                for col, i in index.items():
+                    if i >= len(row):
+                        raise SeriesFormatError(f"line {line_no}: missing field {col!r}")
+                    cell = row[i].strip()
+                    try:
+                        cells[col].append(float(cell))
+                    except ValueError:
+                        raise SeriesFormatError(
+                            f"line {line_no}: field {col!r} is not a number: {cell!r}"
+                        ) from None
+            columns = {_SERIES_COLUMNS[col]: np.array(values) for col, values in cells.items()}
+        for a in columns.values():
+            a.flags.writeable = False  # arrays of its own: the series keeps them without a copy
+        return cls(**columns)
 
 
 def _ddt(y: np.ndarray, dt: float) -> np.ndarray:
@@ -267,7 +279,8 @@ class ForceDecomposition(Record):
 
     def __init__(self, dielectric: np.ndarray, magnetoelectric: np.ndarray,
                  chi_rate: np.ndarray) -> None:
-        self.__dict__.update(zip(self._fields, (dielectric, magnetoelectric, chi_rate)))
+        self.__dict__.update(zip(self._fields, map(_locked, (dielectric, magnetoelectric,
+                                                              chi_rate))))
 
     @property
     def total(self) -> np.ndarray:
@@ -387,8 +400,8 @@ class LedgerEntry(Record):
 
     def __init__(self, maneuver_id: int, kind: str, dp_particles: np.ndarray,
                  dp_vacuum: np.ndarray, cumulative_v: np.ndarray) -> None:
-        self.__dict__.update(zip(self._fields, (maneuver_id, kind, dp_particles, dp_vacuum,
-                                                cumulative_v)))
+        self.__dict__.update(maneuver_id=maneuver_id, kind=kind, dp_particles=_locked(dp_particles),
+                             dp_vacuum=_locked(dp_vacuum), cumulative_v=_locked(cumulative_v))
 
 
 class ImpulseLedger:

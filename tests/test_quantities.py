@@ -147,6 +147,28 @@ def test_record_contract(cls):
     assert signature == expected
 
 
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_owns_its_arrays(cls, monkeypatch):
+    """The writeable arrays a caller passes stay writeable; each array field refuses writes."""
+    given = []
+    init = cls.__init__
+
+    def spy(self, *args, **kwargs):
+        arrays = [a for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray)]
+        given.extend(a for a in arrays if a.flags.writeable)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", spy)
+    make, _, parameters = RECORDS[cls]
+    record = make()
+    assert all(a.flags.writeable for a in given)
+    for name in parameters:
+        value = getattr(record, name)
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                value.flat[0] = 5.0
+
+
 def test_copied_rotated_state_keeps_its_frame():
     turned = _state().rotated(rotation_about([1, 2, 3], 0.4))
     copies = [copy.deepcopy(turned), pickle.loads(pickle.dumps(turned))]
