@@ -123,10 +123,11 @@ def _column_index(reader) -> dict[str, int]:
 
 
 def _locked(value) -> np.ndarray:
-    """``value`` as a read-only float array: a read-only one as it is, else a copy, so that a
-    record never locks an array that its caller can still write."""
+    """``value`` as a read-only float array: a read-only array that owns its data as it is,
+    anything else as a read-only copy, so that a record never locks its caller's array and
+    no view of a writeable base changes it."""
     a = np.asarray(value, dtype=float)
-    if a.flags.writeable:
+    if a.flags.writeable or a.base is not None:
         a = a.copy()
         a.flags.writeable = False
     return a
@@ -147,7 +148,7 @@ def _load_columns(path: Union[str, Path]) -> dict[str, np.ndarray]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a file without data rows: the series refuses it
             data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=usecols)
-    return {_SERIES_COLUMNS[col]: row for col, row in zip(index, np.ascontiguousarray(data.T))}
+    return {_SERIES_COLUMNS[col]: np.array(column) for col, column in zip(index, data.T)}
 
 
 class FieldTimeSeries(Record):

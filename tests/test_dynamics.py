@@ -102,6 +102,14 @@ class TestFieldTimeSeries:
                 kappa1=np.zeros(3),
             )
 
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        x = np.arange(3.0)
+        view = x.view()
+        view.flags.writeable = False
+        s = FieldTimeSeries(t=view, e_x=view, b_y=x)
+        x[0] = -1.0
+        assert (s.t[0], s.e_x[0], s.b_y[0]) == (0.0, 0.0, 0.0)
+
     def test_csv_round_trip(self):
         s = FieldTimeSeries(
             t=np.array([0.0, 0.5, 1.0]),
