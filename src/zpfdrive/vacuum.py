@@ -27,12 +27,14 @@ Two independent routes to the stored vacuum momentum are provided:
 
 The oracle's only grid-dependent quantity is the lattice sum of
 m_z^2/|m| over the integer ball |m| <= n.  It is evaluated shell by shell
-from exact int32 counts r3(s) of the ways to write s = |m|^2 as a sum of
-three squares, one table for every n of a call, and summed so that each
-float is the correctly rounded value of its exact sum.  The cost is n
+from exact uint16 counts r3(s) of the ways to write s = |m|^2 as a sum of
+three squares (at most 53,328 for s <= 2048^2), one table for every n of a
+call.  Each shell term t enters an integer sum exactly and its rounding
+error to within 2^-117, so each float is the correctly rounded value of its
+exact sum; a test pins the bits of every n from 8 to 2048.  The cost is n
 integer adds over n^2 + 1 counts plus one pass over the shells: about
-5-8 ms at n = 256, 30-50 ms at n = 512 and 2.5 s and 0.16 GB at n = 2048
-on one core of a 2-vCPU shared host.  As n grows, effective_A approaches
+4-5 ms at n = 256, 19-21 ms at n = 512 and 1.1-1.2 s and 0.12 GB at
+n = 2048 on one core of a 2-vCPU shared host.  As n grows, effective_A approaches
 its continuum value pi^2/24 (half-wavelength) or 2 pi^2/3
 (wavelength-equals-size) with a gap of order 1/n that is not monotone
 (the lattice-point discrepancy of the sphere).
@@ -231,6 +233,7 @@ def _geometry_sums(ns: Sequence[int]) -> dict[int, float]:
         t = c / q
         qq, tq = q * q, t * q
         q_split, t_split = _split(q), _split(t)
+        # sqrt_err is sqrt(s) - q to first order, and t_err is c / sqrt(s) - t
         sqrt_err = ((sf - qq) - _product_error(qq, q_split, q_split)) / (2.0 * q)
         t_err = (((c - tq) - _product_error(tq, t_split, q_split)) - t * sqrt_err) / q
         total += _limb_sum(t, t_err)
