@@ -33,7 +33,7 @@ call.  Each shell term t enters an integer sum exactly and its rounding
 error to within 2^-117, so each float is the correctly rounded value of its
 exact sum; a test pins the bits of every n from 8 to 2048.  The cost is n
 integer adds over n^2 + 1 counts plus one pass over the shells: about
-4-5 ms at n = 256, 19-21 ms at n = 512 and 1.1-1.2 s and 0.12 GB at
+4-5 ms at n = 256, 19-22 ms at n = 512 and 1.1-1.3 s and 0.12 GB at
 n = 2048 on one core of a 2-vCPU shared host.  As n grows, effective_A approaches
 its continuum value pi^2/24 (half-wavelength) or 2 pi^2/3
 (wavelength-equals-size) with a gap of order 1/n that is not monotone
