@@ -68,9 +68,9 @@ __all__ = [
 
 ORTHOGONALITY_TOL = 1e-12
 CHI0_SANITY_BOUND = 1.0
-# the mode-sum oracle's memory grows as n^2 and its time as n^3: about 1.1-1.3 s
-# and 0.12 GB at n = 2048 on one core of a 2-vCPU shared host; its uint16 shell
-# counts reach 53,328 there, below 2^16
+# the mode-sum oracle's memory grows as n^2 and its time as n^3: about 1.2-1.35 s
+# and 94 MB at n = 2048 on one core of a 2-vCPU shared host; its uint16 shell
+# counts reach 53,328 there, below 2^16, so its shell terms r3(s)*sqrt(s) stay below 2^27
 MAX_N_PER_AXIS = 2048
 
 

@@ -26,18 +26,19 @@ Two independent routes to the stored vacuum momentum are provided:
   exactly.
 
 The oracle's only grid-dependent quantity is the lattice sum of
-m_z^2/|m| over the integer ball |m| <= n.  It is evaluated shell by shell
-from exact uint16 counts r3(s) of the ways to write s = |m|^2 as a sum of
-three squares (at most 53,328 for s <= 2048^2), one table for every n of a
-call.  Each shell term t enters an integer sum exactly and its rounding
-error to within 2^-117, so each float is the correctly rounded value of its
-exact sum; a test pins the bits of every n from 8 to 2048.  The cost is n
-integer adds over n^2 + 1 counts plus one pass over the shells: about
-4-5 ms at n = 256, 19-22 ms at n = 512 and 1.1-1.3 s and 0.12 GB at
-n = 2048 on one core of a 2-vCPU shared host.  As n grows, effective_A approaches
-its continuum value pi^2/24 (half-wavelength) or 2 pi^2/3
-(wavelength-equals-size) with a gap of order 1/n that is not monotone
-(the lattice-point discrepancy of the sphere).
+m_z^2/|m| over the integer ball |m| <= n.  By cubic symmetry it is one
+third of the sum of |m|, sum_s r3(s) sqrt(s), with exact uint16 counts
+r3(s) of the ways to write s = |m|^2 as a sum of three squares (at most
+53,328 for s <= 2048^2), one table for every n of a call.  Each shell term
+t = r3(s) sqrt(s) (one square root and one division per shell) enters an
+integer sum exactly and its rounding error to within 2^-117, so each float
+is the correctly rounded value of its exact sum; a test pins the bits of
+every n from 8 to 2048.  The cost is n integer adds over n^2 + 1 counts
+plus one pass over the shells: about 4 ms at n = 256, 17-19 ms at n = 512
+and 1.2-1.35 s and 94 MB at n = 2048 on one core of a 2-vCPU shared host.
+As n grows, effective_A approaches its continuum value pi^2/24
+(half-wavelength) or 2 pi^2/3 (wavelength-equals-size) with a gap of order
+1/n that is not monotone (the lattice-point discrepancy of the sphere).
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def checked_rotation_dv(chi: float, rho: float, a: float, prefactor_a: float) ->
 
 
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp splits a double into 26-bit halves
-_BLOCK = 1 << 13  # shells per block: its sums of limbs below 2**46 stay below 2**59
+_BLOCK = 1 << 13  # shells per block: its sums of limbs below 2**47 stay below 2**60
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -177,17 +178,11 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
-def _product_error(p: np.ndarray, a: tuple, b: tuple) -> np.ndarray:
-    """Dekker's tail a*b - p, exact, of the rounded product ``p`` of the split ``a`` and ``b``."""
-    (ah, al), (bh, bl) = a, b
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def _limb_sum(t: np.ndarray, t_err: np.ndarray) -> int:
-    """Sum of ``t`` (2 <= t < 2**26) and ``t_err`` (|t_err| < 2**-26) in units of 2**-116.
+    """Sum of ``t`` (2 <= t < 2**27) and ``t_err`` (|t_err| < 2**-26) in units of 2**-116.
 
     Each t is exactly hi * 2**-20 + lo * 2**-51, and each t_err is ehi * 2**-70 + elo * 2**-116
-    to within 2**-117, limbs below 2**46 that int64 sums exactly over a block of _BLOCK.
+    to within 2**-117, limbs below 2**47 that int64 sums exactly over a block of _BLOCK.
     """
     limbs = np.empty((4, t.size))
     limbs[0] = np.rint(t * 2.0**20)
@@ -201,19 +196,21 @@ def _limb_sum(t: np.ndarray, t_err: np.ndarray) -> int:
 def _geometry_sums(ns: Sequence[int]) -> dict[int, float]:
     """Sum of m_z^2 / |m| over the integer ball 0 < |m|^2 <= n^2 for each n, correctly rounded.
 
-    By cubic symmetry the m_z^2 of the shell |m|^2 = s add up to c_s = s * r3(s) / 3,
-    with r3(s) the number of ways to write s as a sum of three squares, counted once
-    up to max(ns)^2: r2 on the quarter disc i, j >= 0 (each nonzero coordinate stands
-    for two signs), then r3(s) = r2(s) + 2 * sum_k r2(s - k^2) in uint16 (r3 <= 53,328
-    at n = 2048).  Each term t = c / sqrt(s) and its rounding error t_err (Dekker products
-    of q*q and t*q, sharing one split of q) enter one integer :func:`_limb_sum`, exact in
-    t; each n reads it at its prefix s <= n^2, rounded once.
+    By cubic symmetry the m_z^2 of the shell |m|^2 = s add up to s * r3(s) / 3, so the
+    sum is one third of sum_s r3(s) * sqrt(s), with r3(s) the number of ways to write s
+    as a sum of three squares, counted once up to max(ns)^2: r2 on the quarter disc
+    i, j >= 0 (each nonzero coordinate stands for two signs), then r3(s) = r2(s) +
+    2 * sum_k r2(s - k^2) in uint16 (r3 <= 53,328 at n = 2048).  Each term t = r3 * q of
+    q = sqrt(s) rounded, below 2**27, and its error t_err = r3 * sqrt(s) - t (Dekker's
+    exact tails of q*q and r3*q from one split of q) enter one integer :func:`_limb_sum`,
+    exact in t; each n reads it at its prefix s <= n^2 and divides by 3, rounded once.
     """
     big = max(ns)
     n2 = big * big
     sq = np.arange(big + 1) ** 2
     quarter = (sq[1:, None] + sq[None, 1:]).ravel()
     r2 = 4 * np.bincount(quarter[quarter <= n2], minlength=n2 + 1).astype(np.uint16)
+    del quarter  # its big^2 int64 sums would outlive the count through the shell loop
     r2[sq[1:]] += 4  # the four axis points (+-k, 0), (0, +-k)
     r2[0] = 1
     r3 = r2.copy()
@@ -227,18 +224,18 @@ def _geometry_sums(ns: Sequence[int]) -> dict[int, float]:
     sums = {}
     for start, stop in pairwise([0, *sorted({*stops, *range(_BLOCK, s.size, _BLOCK)})]):
         shells = s[start:stop]
-        c = (shells * r3[shells] // 3).astype(float)
+        r = r3[shells].astype(float)
         sf = shells.astype(float)
         q = np.sqrt(sf)
-        t = c / q
-        qq, tq = q * q, t * q
-        q_split, t_split = _split(q), _split(t)
-        # sqrt_err is sqrt(s) - q to first order, and t_err is c / sqrt(s) - t
-        sqrt_err = ((sf - qq) - _product_error(qq, q_split, q_split)) / (2.0 * q)
-        t_err = (((c - tq) - _product_error(tq, t_split, q_split)) - t * sqrt_err) / q
+        qh, ql = _split(q)
+        t, qq = r * q, q * q
+        # sqrt_err is sqrt(s) - q to first order, from Dekker's exact tail of q*q; r of
+        # 16 bits times qh is exact, so (r*qh - t) + r*ql is r*q - t exactly
+        sqrt_err = ((sf - qq) - (((qh * qh - qq) + 2.0 * qh * ql) + ql * ql)) / (2.0 * q)
+        t_err = ((r * qh - t) + r * ql) + r * sqrt_err
         total += _limb_sum(t, t_err)
         if stop in stops:
-            sums[stop] = total / (1 << 116)
+            sums[stop] = total / (3 << 116)
     return {n: sums[ends[n]] for n in ns}
 
 
