@@ -34,7 +34,8 @@ are summed in particle order, as a scalar loop would sum them.  The quantum
 impulse is linear in chi, so a field modulation weights the impulses of the
 series 1, E*B, E and B by each particle's chi0_xy and kappas; a series
 integrates them once, however many modulations share it.  Every record here is
-a :class:`~zpfdrive.quantities.Record` that checks its fields once, in ``__init__``.
+a :class:`~zpfdrive.quantities.Record` that checks its fields once, in ``__init__``,
+and holds each array as its own read-only copy (:func:`~zpfdrive.material.held`).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from typing import Sequence, Union
 from . import _io
 from ._deferred import OnFirstUse
 from .material import (
-    REQUIRED, RULES, Particle, ParticleState, check, read_record, representable_size,
+    REQUIRED, RULES, Particle, ParticleState, check, held, read_record, representable_size,
     rotation_about, unit_vector,
 )
 from .quantities import HBAR_J_S, Quantity, Record, ValueRecord
@@ -122,17 +123,6 @@ def _column_index(reader) -> dict[str, int]:
     return {col: header.index(col) for col in _SERIES_COLUMNS if col in header}
 
 
-def _locked(value) -> np.ndarray:
-    """``value`` as a read-only float array: a read-only array that owns its data as it is,
-    anything else as a read-only copy, so that a record never locks its caller's array and
-    no view of a writeable base changes it."""
-    a = np.asarray(value, dtype=float)
-    if a.flags.writeable or a.base is not None:
-        a = a.copy()
-        a.flags.writeable = False
-    return a
-
-
 def _load_columns(path: Union[str, Path]) -> dict[str, np.ndarray]:
     """The series columns of a CSV file by ``np.loadtxt``; ValueError where it cannot read it.
 
@@ -148,7 +138,7 @@ def _load_columns(path: Union[str, Path]) -> dict[str, np.ndarray]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a file without data rows: the series refuses it
             data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, usecols=usecols)
-    return {_SERIES_COLUMNS[col]: np.array(column) for col, column in zip(index, data.T)}
+    return {_SERIES_COLUMNS[col]: column for col, column in zip(index, data.T)}
 
 
 class FieldTimeSeries(Record):
@@ -170,7 +160,7 @@ class FieldTimeSeries(Record):
         for name, value in fields.items():
             if value is None and name in _CHI_FIELDS:
                 continue
-            a = fields[name] = _locked(value)
+            a = fields[name] = held(value)
             if a.ndim != 1:
                 raise SeriesFormatError(f"{name} must be 1-D")
             n = fields["t"].size  # t comes first
@@ -249,9 +239,7 @@ class FieldTimeSeries(Record):
                         raise SeriesFormatError(
                             f"line {line_no}: field {col!r} is not a number: {cell!r}"
                         ) from None
-            columns = {_SERIES_COLUMNS[col]: np.array(values) for col, values in cells.items()}
-        for a in columns.values():
-            a.flags.writeable = False  # arrays of its own: the series keeps them without a copy
+            columns = {_SERIES_COLUMNS[col]: values for col, values in cells.items()}
         return cls(**columns)
 
 
@@ -280,8 +268,7 @@ class ForceDecomposition(Record):
 
     def __init__(self, dielectric: np.ndarray, magnetoelectric: np.ndarray,
                  chi_rate: np.ndarray) -> None:
-        self.__dict__.update(zip(self._fields, map(_locked, (dielectric, magnetoelectric,
-                                                              chi_rate))))
+        self.__dict__.update(zip(self._fields, map(held, (dielectric, magnetoelectric, chi_rate))))
 
     @property
     def total(self) -> np.ndarray:
@@ -401,8 +388,8 @@ class LedgerEntry(Record):
 
     def __init__(self, maneuver_id: int, kind: str, dp_particles: np.ndarray,
                  dp_vacuum: np.ndarray, cumulative_v: np.ndarray) -> None:
-        self.__dict__.update(maneuver_id=maneuver_id, kind=kind, dp_particles=_locked(dp_particles),
-                             dp_vacuum=_locked(dp_vacuum), cumulative_v=_locked(cumulative_v))
+        self.__dict__.update(maneuver_id=maneuver_id, kind=kind, dp_particles=held(dp_particles),
+                             dp_vacuum=held(dp_vacuum), cumulative_v=held(cumulative_v))
 
 
 class ImpulseLedger:

@@ -17,7 +17,9 @@ not modeled.
 Every numeric input obeys a rule of :data:`RULES`, whose predicates take
 floats and arrays alike.  One table of particle-field rules drives one
 validator over N rows, which names the first bad particle.  Each rotation
-matrix is checked once, where it enters.
+matrix is checked once, where it enters.  Each array a record holds is its own
+read-only copy, made by :func:`held`, so nothing the caller does later changes
+what was checked; the rotations of a state share that state's copies.
 
 :class:`ParticleState` holds particles as arrays (struct of arrays); its
 constructor converts, checks and puts many particles in the lab frame at once.
@@ -37,6 +39,7 @@ once more as one batch; records are read a column at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import chain
 from typing import Callable, Mapping, Sequence
@@ -52,6 +55,7 @@ __all__ = [
     "MAX_N_PER_AXIS",
     "RULES",
     "check",
+    "held",
     "representable_size",
     "REQUIRED",
     "read_record",
@@ -68,9 +72,8 @@ __all__ = [
 
 ORTHOGONALITY_TOL = 1e-12
 CHI0_SANITY_BOUND = 1.0
-# the mode-sum oracle's memory grows as n^2 and its time as n^3: about 1.2-1.35 s
-# and 94 MB at n = 2048 on one core of a 2-vCPU shared host; its uint16 shell
-# counts reach 53,328 there, below 2^16, so its shell terms r3(s)*sqrt(s) stay below 2^27
+# the mode-sum oracle's time grows as n^3 and its memory as n^2; its uint16 shell counts
+# reach 53,328 < 2^16 at n = 2048, so its shell terms r3(s)*sqrt(s) stay below 2^27
 MAX_N_PER_AXIS = 2048
 
 
@@ -113,6 +116,14 @@ def check(name: str, value: float, rule: str) -> float:
     raise ValueError(f"{name} {value!r} is out of range")
 
 
+def held(value: object) -> np.ndarray:
+    """``value`` as a C-ordered float array of its own that refuses writes: the one way a
+    record takes an array, so no caller can change what the record checked."""
+    a = np.array(value, dtype=float, order="C")
+    a.flags.writeable = False
+    return a
+
+
 def unit_vector(v: object, name: str) -> np.ndarray:
     """``v / np.linalg.norm(v)`` as a read-only 3-vector; ValueError unless ``v`` is finite
     and nonzero.  Where that norm overflows or underflows, ``v`` is first divided by its
@@ -131,9 +142,7 @@ def unit_vector(v: object, name: str) -> np.ndarray:
             raise ValueError(f"{name} must be finite and nonzero")
         arr = arr / largest
         norm = np.linalg.norm(arr)
-    unit = arr / norm
-    unit.flags.writeable = False
-    return unit
+    return held(arr / norm)
 
 
 _NUMBER_TYPES = frozenset({int, float})
@@ -194,12 +203,11 @@ class ImproperRotationError(ValueError):
 
 
 def _as_matrix(values: object, name: str) -> np.ndarray:
-    m = np.array(values, dtype=float)
+    m = held(values)
     if m.shape == (9,):
         m = m.reshape(3, 3)
     if m.shape != (3, 3):
         raise ValueError(f"{name} must be a 3x3 matrix, got shape {m.shape}")
-    m.flags.writeable = False
     return m
 
 
@@ -380,10 +388,10 @@ class ParticleState(Record):
 
     Construction converts every field and applies the particle checks batched,
     then computes and checks the lab-frame tensors (see
-    :func:`_lab_tensors`); an error names the particle index.  The arrays are
-    read-only, so a valid state stays valid.  A rotated state shares them and
-    adds one 3x3 frame (see :meth:`rotated`).  ``chi0_xy`` holds the lab-frame
-    xy components.
+    :func:`_lab_tensors`); an error names the particle index.  Each array is
+    its own read-only copy (see :func:`held`), so a valid state stays valid.  A
+    rotated state shares them and adds one 3x3 frame (see :meth:`rotated`).
+    ``chi0_xy`` holds the lab-frame xy components.
 
     The fields: ``size_a`` (N,) in m, ``density`` (N,) in kg/m^3, ``epsilon`` (N,) linear
     dielectric constant, ``chi0`` (N, 3, 3) intrinsic tensor in the body frame, ``kappa``
@@ -398,11 +406,9 @@ class ParticleState(Record):
         n = np.shape(size_a)[0] if np.ndim(size_a) == 1 else -1
         fields = {}
         for (name, (shape, _)), value in zip(_PARTICLE_FIELDS.items(), given):
-            a = np.array(value, dtype=float)
+            a = fields[name] = held(value)
             if n < 0 or a.shape != (n, *shape):
                 raise ValueError(f"{name} must be N arrays of shape {shape}, got {a.shape}")
-            a.flags.writeable = False
-            fields[name] = a
         _check_particles(fields)
         self.__dict__.update(fields)
         tensors = _lab_tensors(self.orientation, self.chi0)
@@ -410,24 +416,20 @@ class ParticleState(Record):
         # Frobenius norm reaches the bound, less a margin for rounding, can break it
         norm = np.linalg.norm(tensors, axis=(1, 2))
         near = np.flatnonzero(~(norm <= CHI0_SANITY_BOUND * (1.0 - 1e-9)))
-        xy = tensors[:, 0, 1].copy()
-        xy.flags.writeable = False
         self.__dict__.update(  # shared by every rotation of the state
-            chi0_xy=xy,
+            chi0_xy=held(tensors[:, 0, 1]),
             _built=self.orientation,  # the orientations O that the frame F turns
-            _frame=np.eye(3),
-            _columns=np.ascontiguousarray(tensors.reshape(-1, 9).T),  # (9, N): L_i[j, k] by row
-            _near=(near, tensors[near]),
+            _frame=held(np.eye(3)),
+            _columns=held(tensors.reshape(-1, 9).T),  # (9, N): L_i[j, k] by row
+            _near=tuple(near.tolist()),  # the particles whose L_i can break the bound
+            _near_tensors=held(tensors[near]),
         )
 
-    def __getattr__(self, name: str):
-        # only a rotated state lacks its orientation stack (see rotated): built on first read
-        if name != "orientation" or "_built" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        orientation = _polar_step(self._frame @ self._built)  # F checked in rotated
-        orientation.flags.writeable = False
-        self.__dict__["orientation"] = orientation
-        return orientation
+    @functools.cached_property
+    def orientation(self) -> np.ndarray:
+        """(N, 3, 3) body to lab: a built state holds its own, and a rotated state builds them
+        on first read from its frame and the orientations it turns (see :meth:`rotated`)."""
+        return held(_polar_step(self._frame @ self._built))  # F checked in rotated
 
     def __len__(self) -> int:
         return self.size_a.shape[0]
@@ -469,24 +471,22 @@ class ParticleState(Record):
         new ``chi0_xy``, nine multiply-adds in one fixed order, so a stack of one and a stack
         of N give the same bits; ValueError for the first particle past the lab-frame bound.
         Every array is shared, and ``orientation`` is built on first read."""
-        frame = _polar_step(_proper_rotation(r) @ self._frame)
+        frame = held(_polar_step(_proper_rotation(r) @ self._frame))
         if not _orthogonal(frame[None])[0]:
             raise ValueError(_NOT_ORTHOGONAL)
-        frame.flags.writeable = False
-        near, near_tensors = self._near
-        if near.size:
-            turned = _conjugate(np.broadcast_to(frame, near_tensors.shape), near_tensors)
-            bad = np.zeros(len(self), dtype=bool)
-            bad[near] = np.abs(turned).max(axis=(1, 2)) > CHI0_SANITY_BOUND
-            _reject_first(bad, _LAB_BOUND)
+        if self._near:
+            tensors = self._near_tensors
+            turned = _conjugate(np.broadcast_to(frame, tensors.shape), tensors)
+            over = np.abs(turned).max(axis=(1, 2)) > CHI0_SANITY_BOUND
+            if over.any():  # named as _reject_first names it
+                raise ValueError(f"particle {self._near[int(np.argmax(over))]}: {_LAB_BOUND}")
         weights = np.multiply.outer(frame[0], frame[1]).ravel().tolist()  # F[0, j] * F[1, k]
         xy = weights[0] * self._columns[0]
         for weight, column in zip(weights[1:], self._columns[1:]):
             xy += weight * column
-        xy.flags.writeable = False
         after = object.__new__(ParticleState)  # skips __init__: only the frame is new
         shared = {k: v for k, v in self.__dict__.items() if k != "orientation"}
-        after.__dict__.update(shared, _frame=frame, chi0_xy=xy)
+        after.__dict__.update(shared, _frame=frame, chi0_xy=held(xy))
         return after
 
 

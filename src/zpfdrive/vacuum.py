@@ -29,13 +29,13 @@ The oracle's only grid-dependent quantity is the lattice sum of
 m_z^2/|m| over the integer ball |m| <= n.  By cubic symmetry it is one
 third of the sum of |m|, sum_s r3(s) sqrt(s), with exact uint16 counts
 r3(s) of the ways to write s = |m|^2 as a sum of three squares (at most
-53,328 for s <= 2048^2), one table for every n of a call.  Each shell term
-t = r3(s) sqrt(s) (one square root and one division per shell) enters an
-integer sum exactly and its rounding error to within 2^-117, so each float
-is the correctly rounded value of its exact sum; a test pins the bits of
-every n from 8 to 2048.  The cost is n integer adds over n^2 + 1 counts
-plus one pass over the shells: about 4 ms at n = 256, 17-19 ms at n = 512
-and 1.2-1.35 s and 94 MB at n = 2048 on one core of a 2-vCPU shared host.
+53,328 < 2^16 for s <= 2048^2), one table for every n of a call.  Each shell
+term t = r3(s) sqrt(s) < 2^27 (one square root and one division per shell)
+enters an integer sum exactly and its rounding error to within 2^-117, so
+each float is the correctly rounded value of its exact sum; a test pins the
+bits of every n from 8 to 2048.  The cost is n integer adds over n^2 + 1
+counts plus one pass over the shells, so time grows as n^3 and memory as
+n^2; the README gives the measured costs.
 As n grows, effective_A approaches its continuum value pi^2/24
 (half-wavelength) or 2 pi^2/3 (wavelength-equals-size) with a gap of order
 1/n that is not monotone (the lattice-point discrepancy of the sphere).

@@ -280,7 +280,13 @@ class TestParticle:
         state = ParticleState.from_particles([p])
         for _ in range(500):
             state = state.rotated(random_rotation(rng))
-        r = state.orientation[0]
+        assert "orientation" not in vars(state)
+        first = state.orientation
+        assert state.orientation is first is vars(state)["orientation"]
+        assert not first.flags.writeable
+        with pytest.raises(AttributeError, match="^'ParticleState' object has no attribute 'x'$"):
+            state.x
+        r = first[0]
         assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-12
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
@@ -498,6 +504,14 @@ class TestParticleState:
         state = ParticleState.from_particles(random_particles(np.random.default_rng(5), 2))
         with pytest.raises(ValueError):
             state.size_a[0] = -1.0
+        # what every rotation shares refuses writes too, so no rotation sees another chi0_xy
+        for s in (state, state.rotated(rotation_about([1, 2, 3], 0.4))):
+            arrays = {k: v for k, v in vars(s).items() if isinstance(v, np.ndarray)}
+            assert {"chi0_xy", "_built", "_frame", "_columns", "_near_tensors"} <= arrays.keys()
+            for a in arrays.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[0] = 1.0
+            assert s._columns.flags.c_contiguous  # the nine multiply-adds read its rows
 
     def test_lab_frame_bound_checked(self):
         # entries within the bound whose rotation pushes one entry past it: refused when built

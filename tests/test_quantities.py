@@ -149,22 +149,37 @@ def test_record_contract(cls):
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_record_owns_its_arrays(cls, monkeypatch):
-    """The writeable arrays a caller passes stay writeable; each array field refuses writes."""
-    given = []
+    """The arrays a caller passes keep their flags; each array field refuses writes and is a
+    copy of its own, which the caller's later writes do not reach, even through an array the
+    caller passed read-only and turned writeable again."""
     init = cls.__init__
-
-    def spy(self, *args, **kwargs):
-        arrays = [a for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray)]
-        given.extend(a for a in arrays if a.flags.writeable)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(cls, "__init__", spy)
     make, _, parameters = RECORDS[cls]
-    record = make()
-    assert all(a.flags.writeable for a in given)
-    for name in parameters:
-        value = getattr(record, name)
-        if isinstance(value, np.ndarray):
+    for read_only in (False, True):
+        given = []
+
+        def own(a):
+            if read_only and isinstance(a, np.ndarray):
+                a = a.copy()  # owns its data, so its caller can turn writes back on
+                a.flags.writeable = False
+            return a
+
+        def spy(self, *args, **kwargs):
+            args, kwargs = [own(a) for a in args], {k: own(v) for k, v in kwargs.items()}
+            arrays = [a for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray)]
+            given.extend(a for a in arrays if a.flags.writeable != read_only)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+        record = make()
+        assert all(a.flags.writeable != read_only for a in given)
+        fields = {name: getattr(record, name) for name in parameters}
+        fields = {k: (v, v.tobytes()) for k, v in fields.items() if isinstance(v, np.ndarray)}
+        for a in given:
+            a.flags.writeable = True
+            a[...] = 99.0
+        for name, (value, before) in fields.items():
+            assert value.tobytes() == before, (name, read_only)
+            assert not any(np.shares_memory(value, a) for a in given), (name, read_only)
             with pytest.raises(ValueError, match="read-only"):
                 value.flat[0] = 5.0
 
